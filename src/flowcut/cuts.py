@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
-from .frames import Frame, undirected_frame_graph
+from .frames import Frame
 
 
 class CutSpecError(ValueError):
@@ -64,10 +62,13 @@ def is_cut(frame: Frame, triple: ChannelSetTriple) -> CutCheck:
         frame.check_channels(cs)
     triple.check_disjoint()
 
-    g = undirected_frame_graph(frame)
-    g.remove_edges_from(
-        [(u, v, k) for u, v, k in g.edges(keys=True) if k in triple.cut]
-    )
+    # The undirected frame graph without the cut: each location's
+    # (neighbour, channel) hops.
+    hops: dict[str, list[tuple[str, str]]] = {}
+    for c in frame.channels:
+        if c.id not in triple.cut:
+            hops.setdefault(c.sender, []).append((c.recipient, c.id))
+            hops.setdefault(c.recipient, []).append((c.sender, c.id))
     starts = frame.pends(triple.sink)
     goals = frame.pends(triple.source)
 
@@ -82,7 +83,7 @@ def is_cut(frame: Frame, triple: ChannelSetTriple) -> CutCheck:
     while frontier:
         nxt: list[str] = []
         for u in frontier:
-            for _, v, k in sorted(g.edges(u, keys=True), key=lambda e: (e[1], e[2])):
+            for v, k in sorted(hops.get(u, ())):
                 if v in parent:
                     continue
                 parent[v] = (u, k)
@@ -128,6 +129,8 @@ def find_min_cut(frame: Frame, source: Iterable[str], sink: Iterable[str]) -> Mi
     snk_locs = frame.pends(snk)
     if src_locs & snk_locs:
         return MinCutResult(None, True, f"source and sink share location {min(src_locs & snk_locs)!r}")
+
+    import networkx as nx
 
     # Unit-capacity max-flow on a gadget graph: each removable channel
     # becomes a capacity-1 arc between two private nodes reachable from

@@ -25,7 +25,6 @@ from typing import Iterable
 from .events import CanonicalRun, Event, EventSystem, canonicalize
 from .frames import (
     Frame,
-    behavior_enabled,
     behavior_start,
     behavior_step,
     validate_frame,
@@ -91,7 +90,10 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
 
     empty = EventSystem.empty()
     start_config = {lid: behavior_start(spec) for lid, spec in behaviors.items()}
-    found: dict[str, EventSystem] = {canonicalize(empty).serialize(): empty}
+    found: dict[CanonicalRun, EventSystem] = {canonicalize(empty): empty}
+    # Behaviour steps of this enumeration, filled on first use:
+    # (location, state, label) -> next state, or None when not enabled.
+    step_table: dict[tuple, object] = {}
     # Worklist entries: (events, ancestor sets, last event per location,
     # per-location behavior states, per-location event counts).
     queue: list[tuple[list[Event], list[frozenset[int]], dict, dict, dict]] = [
@@ -111,7 +113,11 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                 label = (chan.id, value)
                 steps = {}
                 for l in locs:
-                    nxt = behavior_step(behaviors[l], config[l], label)
+                    step_key = (l, config[l], label)
+                    try:
+                        nxt = step_table[step_key]
+                    except KeyError:
+                        nxt = step_table[step_key] = behavior_step(behaviors[l], config[l], label)
                     if nxt is None:
                         break
                     steps[l] = nxt
@@ -125,10 +131,10 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                     events2 = events + [Event(chan.id, value)]
                     anc2 = anc + [frozenset(pred)]
                     sys = _assemble(events2, anc2)
-                    key = canonicalize(sys).serialize()
-                    if key in found:
+                    crun = canonicalize(sys)
+                    if crun in found:
                         continue
-                    found[key] = sys
+                    found[crun] = sys
                     last2 = dict(last)
                     for l in locs:
                         last2[l] = new_idx
@@ -139,9 +145,9 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                         counts2[l] += 1
                     queue.append((events2, anc2, last2, config2, counts2))
 
-    ordered = sorted(found.items())
+    ordered = sorted(found.items(), key=lambda kv: kv[0].serialize())
     systems = tuple(sys for _, sys in ordered)
-    canonicals = tuple(canonicalize(sys) for sys in systems)
+    canonicals = tuple(crun for crun, _ in ordered)
     return ExecutionSet(frame, bound, systems, canonicals)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import AbstractSet, Iterable, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .frames import Frame, Label
@@ -68,12 +68,22 @@ def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> frozenset[tu
     return frozenset((a, b) for a in range(n) for b in succ[a])
 
 
-def transitive_reduction(n: int, closed: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (a, b)
-        for (a, b) in closed
-        if not any((a, c) in closed and (c, b) in closed for c in range(n))
-    )
+def chain_order(
+    members: Iterable[int], preds: Sequence[AbstractSet[int]]
+) -> tuple[list[int], tuple[int, int] | None]:
+    """``members`` sorted by predecessor count, and the first two adjacent
+    ones that are not ordered, or None when they form a chain.
+
+    Along a chain each event has more predecessors than the one before it,
+    so the sort orders a chain.  Adjacent ``a``, ``b`` with ``a`` not below
+    ``b`` are incomparable: ``b`` below ``a`` would give ``b`` fewer
+    predecessors.
+    """
+    chain = sorted(members, key=lambda a: len(preds[a]))
+    for a, b in zip(chain, chain[1:]):
+        if a not in preds[b]:
+            return chain, (a, b)
+    return chain, None
 
 
 @dataclass(frozen=True)
@@ -116,9 +126,12 @@ class EventSystem:
     def comparable(self, a: int, b: int) -> bool:
         return a == b or (a, b) in self.strict or (b, a) in self.strict
 
-    def down_set(self, b: int) -> frozenset[int]:
-        """Strict predecessors of event ``b``."""
-        return frozenset(a for (a, bb) in self.strict if bb == b)
+    def predecessors(self) -> list[set[int]]:
+        """Strict predecessors of every event, indexed like ``events``."""
+        preds: list[set[int]] = [set() for _ in self.events]
+        for a, b in self.strict:
+            preds[b].add(a)
+        return preds
 
     def restrict(self, chans: Iterable[str]) -> "EventSystem":
         """Events filtered to ``chans`` with the induced order."""
@@ -150,32 +163,12 @@ def project(sys: EventSystem, frame: "Frame", loc_id: str) -> tuple["Label", ...
 
     Raises LinearityError when the events at the location are not a chain.
     """
-    idx, bad = _projection(sys, frame, loc_id)
-    if bad is not None:
-        raise LinearityError(
-            f"projection onto {loc_id!r} is not linearly ordered", bad
-        )
-    return tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
-
-
-def _projection(
-    sys: EventSystem, frame: "Frame", loc_id: str
-) -> tuple[list[int], tuple[int, int] | None]:
-    """Indices of the location's events sorted by the order, or the first
-    incomparable pair."""
     own = frame.chans(loc_id)
-    idx = [i for i, e in enumerate(sys.events) if e.chan in own]
-    # Total ordering check, then sort by number of predecessors within the
-    # projection (a chain sorts uniquely this way).  The snapshot matters:
-    # list.sort empties the list while running, so the key must not
-    # consult the list being sorted.
-    for i, a in enumerate(idx):
-        for b in idx[i + 1 :]:
-            if not sys.comparable(a, b):
-                return idx, (a, b)
-    members = tuple(idx)
-    idx.sort(key=lambda a: sum(1 for b in members if sys.precedes(b, a)))
-    return idx, None
+    members = [i for i, e in enumerate(sys.events) if e.chan in own]
+    idx, bad = chain_order(members, sys.predecessors())
+    if bad is not None:
+        raise LinearityError(f"projection onto {loc_id!r} is not linearly ordered", bad)
+    return tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,10 @@ def is_execution(sys: EventSystem, frame: "Frame") -> ExecutionCheck:
     for e in sys.events:
         frame.channel(e.chan)  # raises UnknownChannelError
     failures: list[tuple[str, str]] = []
+    preds = sys.predecessors()
     for loc in frame.locations:
-        idx, bad = _projection(sys, frame, loc.id)
+        own = frame.chans(loc.id)
+        idx, bad = chain_order([i for i, e in enumerate(sys.events) if e.chan in own], preds)
         if bad is not None:
             failures.append((loc.id, "linearity"))
             continue
@@ -309,27 +304,28 @@ def canonicalize(sys: EventSystem) -> CanonicalRun:
     channel's chain, so the per-channel sequences plus the order on
     (channel, ordinal) pairs determine the system up to isomorphism.
     """
+    preds = sys.predecessors()
     by_chan: dict[str, list[int]] = {}
     for i, e in enumerate(sys.events):
         by_chan.setdefault(e.chan, []).append(i)
     ordinal: dict[int, CanonicalId] = {}
     channels = []
     for chan in sorted(by_chan):
-        idx = by_chan[chan]
-        for i, a in enumerate(idx):
-            for b in idx[i + 1 :]:
-                if not sys.comparable(a, b):
-                    raise CanonicalizeError(
-                        f"events on channel {chan!r} are not totally ordered"
-                    )
-        members = tuple(idx)
-        idx.sort(key=lambda a: sum(1 for b in members if sys.precedes(b, a)))
-        for k, ev_index in enumerate(idx):
+        chain, bad = chain_order(by_chan[chan], preds)
+        if bad is not None:
+            raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
+        for k, ev_index in enumerate(chain):
             ordinal[ev_index] = (chan, k)
-        channels.append((chan, tuple(sys.events[i].msg for i in idx)))
-    reduction = transitive_reduction(sys.n_events, sys.strict)
-    order = tuple(sorted((ordinal[a], ordinal[b]) for a, b in reduction))
-    return CanonicalRun(tuple(channels), order)
+        channels.append((chan, tuple(sys.events[i].msg for i in chain)))
+    # a covers b when no predecessor of b lies above a: the transitive
+    # reduction, read off the predecessor sets.
+    order = []
+    for b, below in enumerate(preds):
+        if below:
+            covered = set().union(*(preds[a] for a in below))
+            order.extend((ordinal[a], ordinal[b]) for a in below - covered)
+    order.sort()
+    return CanonicalRun(tuple(channels), tuple(order))
 
 
 def _canonical_strict(run: CanonicalRun) -> frozenset[tuple[CanonicalId, CanonicalId]]:

@@ -13,9 +13,10 @@ here are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: A label is a (channel id, data value) pair.
 Label = tuple[str, str]
@@ -341,6 +342,8 @@ def _fmt_trace(t: Trace) -> str:
 def frame_graph(frame: Frame) -> nx.MultiDiGraph:
     """The directed graph of a frame: one vertex per location, one edge
     per channel (keyed by channel id)."""
+    import networkx as nx
+
     g = nx.MultiDiGraph()
     g.add_nodes_from(frame.location_ids)
     for c in frame.channels:
@@ -350,6 +353,8 @@ def frame_graph(frame: Frame) -> nx.MultiDiGraph:
 
 def undirected_frame_graph(frame: Frame) -> nx.MultiGraph:
     """The undirected graph of a frame (channel-keyed multigraph)."""
+    import networkx as nx
+
     g = nx.MultiGraph()
     g.add_nodes_from(frame.location_ids)
     for c in frame.channels:

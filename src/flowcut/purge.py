@@ -25,9 +25,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .blur import PartitionBlur
-from .disclosure import _cmpt_table
 from .enumeration import Bound, enumerate_executions, enumerate_runs
-from .events import CanonicalRun, EventSystem, canonicalize, is_execution
+from .events import CanonicalRun, EventSystem, canonicalize, chain_order, is_execution
 from .frames import Channel, Frame, Label, Location, Lts
 
 
@@ -222,13 +221,10 @@ def input_sequence(machine: MachineSpec, run: CanonicalRun) -> tuple[Label, ...]
     are chains.
     """
     sys = run.to_event_system()
-    idx = list(range(sys.n_events))
-    for i, a in enumerate(idx):
-        for b in idx[i + 1 :]:
-            if not sys.comparable(a, b):
-                raise MachineError("input run of a star frame must be totally ordered")
-    idx.sort(key=lambda a: len(sys.down_set(a)))
-    return tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
+    chain, bad = chain_order(range(sys.n_events), sys.predecessors())
+    if bad is not None:
+        raise MachineError("input run of a star frame must be totally ordered")
+    return tuple((sys.events[i].chan, sys.events[i].msg) for i in chain)
 
 
 def purge_sequence(machine: MachineSpec, kind: PurgeKind, inputs: Sequence[Label]) -> PurgedValue:
@@ -375,15 +371,15 @@ def check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdic
 def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Nondeducibility: for purge-equal executions, the second's inputs
     are compatible with the first's view of the target channels."""
-    frame, rows = _execution_rows(machine, kind, bound)
-    in_chans = machine.input_channels()
-    ci = machine.domain_channels(kind.target)
-    table = _cmpt_table(frame, ci, in_chans, bound)
+    _, rows = _execution_rows(machine, kind, bound)
+    # The target's view of each execution and the inputs co-realized with it.
+    table: dict[CanonicalRun, set[CanonicalRun]] = {}
     groups: dict[tuple, list[tuple[CanonicalRun, CanonicalRun]]] = {}
     for value, in_run, ci_run in rows:
+        table.setdefault(ci_run, set()).add(in_run)
         groups.setdefault(value, []).append((in_run, ci_run))
     for members in groups.values():
-        ins = {in_run for in_run, _ in members}
+        ins = dict.fromkeys(in_run for in_run, _ in members)
         for in_run_a, ci_run_a in members:
             compat = table[ci_run_a]
             for in_run_b in ins:

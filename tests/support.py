@@ -16,6 +16,7 @@ import itertools
 import random
 
 from flowcut.enumeration import Bound, enumerate_executions
+from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
 from flowcut.purge import MachineSpec
 
@@ -252,3 +253,95 @@ def canonical_to_naive(run) -> tuple[list[tuple[str, str]], list[list[bool]]]:
     n = len(labels)
     order = [[(a, b) in sys.strict for b in range(n)] for a in range(n)]
     return labels, order
+
+
+# -- a fixed three-domain machine ------------------------------------------------
+
+
+def downgrader_machine() -> MachineSpec:
+    """A bit b set by d0 and a published copy p released or hidden by d1;
+    d2 looks.  Influence: d0 -> d1 <-> d2, so d0 reaches d2 only through d1
+    and the chain purge is intransitive.  Every action is enabled in every
+    state, so inputs never run out."""
+    states = [f"b{b}p{p}" for b in "01" for p in "01"]
+    effect = {
+        "set0": lambda b, p: ("0", p),
+        "set1": lambda b, p: ("1", p),
+        "rel": lambda b, p: (b, b),
+        "hide": lambda b, p: (b, "0"),
+        "look": lambda b, p: (b, p),
+    }
+    transitions = set()
+    for s in states:
+        for action, step in effect.items():
+            b, p = step(s[1], s[3])
+            transitions.add((s, action, f"b{b}p{p}"))
+    obs = {}
+    for s in states:
+        obs[(s, "d0")] = obs[(s, "d1")] = s[1]
+        obs[(s, "d2")] = s[3]
+    return MachineSpec.build(
+        domains=["d0", "d1", "d2"],
+        influence=[("d0", "d1"), ("d1", "d2"), ("d2", "d1")],
+        action_domain={"set0": "d0", "set1": "d0", "rel": "d1", "hide": "d1", "look": "d2"},
+        outputs=["0", "1"],
+        states=states,
+        initial="b0p0",
+        transitions=transitions,
+        obs=obs,
+    )
+
+
+def machine_document(machine: MachineSpec) -> str:
+    """The machine file text of a machine (reflexive influence left
+    implicit)."""
+    import yaml
+
+    obs: dict[str, dict[str, str]] = {}
+    for (s, d), o in machine.obs:
+        obs.setdefault(s, {})[d] = o
+    body = {
+        "domains": list(machine.domains),
+        "influence": sorted([a, b] for a, b in machine.influence if a != b),
+        "actions": dict(machine.action_domain),
+        "outputs": list(machine.outputs),
+        "states": list(machine.states),
+        "initial": machine.initial,
+        "transitions": sorted(list(t) for t in machine.transitions),
+        "obs": obs,
+    }
+    return yaml.safe_dump({"machine": body}, sort_keys=True)
+
+
+# -- reference canonical form ----------------------------------------------------
+
+
+def reference_canonicalize(sys: EventSystem) -> CanonicalRun:
+    """The canonical form computed the direct way: each channel's chain
+    sorted by its members' predecessor counts within the chain, after a
+    pairwise comparability check, and the order reduced by testing every
+    pair against every possible middle event (cubic in the event count)."""
+    by_chan: dict[str, list[int]] = {}
+    for i, e in enumerate(sys.events):
+        by_chan.setdefault(e.chan, []).append(i)
+    ordinal = {}
+    channels = []
+    for chan in sorted(by_chan):
+        idx = by_chan[chan]
+        for i, a in enumerate(idx):
+            for b in idx[i + 1 :]:
+                if not sys.comparable(a, b):
+                    raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
+        members = tuple(idx)
+        idx.sort(key=lambda a: sum(1 for b in members if sys.precedes(b, a)))
+        for k, ev_index in enumerate(idx):
+            ordinal[ev_index] = (chan, k)
+        channels.append((chan, tuple(sys.events[i].msg for i in idx)))
+    closed = sys.strict
+    reduction = [
+        (a, b)
+        for (a, b) in closed
+        if not any((a, c) in closed and (c, b) in closed for c in range(sys.n_events))
+    ]
+    order = tuple(sorted((ordinal[a], ordinal[b]) for a, b in reduction))
+    return CanonicalRun(tuple(channels), order)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from flowcut.cuts import ChannelSetTriple, CutSpecError, find_min_cut, is_cut
-from flowcut.frames import Channel, ExplicitTraces, Frame, Location
+from flowcut.cuts import ChannelSetTriple, CutCheck, CutSpecError, PathWitness, find_min_cut, is_cut
+from flowcut.frames import Channel, ExplicitTraces, Frame, Location, undirected_frame_graph
 from flowcut.scenarios import FirewallParams, build_firewall
 
 from support import disjoint_union, random_budget_complete_frame, random_channel_subset
@@ -130,3 +130,67 @@ def test_self_loops_never_needed_in_cuts():
     assert "sd" not in (res.cut or frozenset())
     # But a self loop is legal (vacuous) as a cut member.
     assert is_cut(frame2, ChannelSetTriple.of({"sa"}, {"c1", "sd"}, {"sc"})).is_cut
+
+
+def _graph_is_cut(frame: Frame, triple: ChannelSetTriple) -> CutCheck:
+    """Reference cut check: BFS on the networkx multigraph of the frame
+    with the cut's edges removed, hops taken in (neighbour, channel)
+    order."""
+    g = undirected_frame_graph(frame)
+    g.remove_edges_from([(u, v, k) for u, v, k in g.edges(keys=True) if k in triple.cut])
+    starts, goals = frame.pends(triple.sink), frame.pends(triple.source)
+    if starts & goals:
+        return CutCheck(False, PathWitness((min(starts & goals),), ()))
+    parent: dict = {s: None for s in starts}
+    frontier = sorted(starts)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for _, v, k in sorted(g.edges(u, keys=True), key=lambda e: (e[1], e[2])):
+                if v in parent:
+                    continue
+                parent[v] = (u, k)
+                if v in goals:
+                    locs, chans = [v], []
+                    while parent[locs[-1]] is not None:
+                        prev, chan = parent[locs[-1]]
+                        locs.append(prev)
+                        chans.append(chan)
+                    return CutCheck(False, PathWitness(tuple(reversed(locs)), tuple(reversed(chans))))
+                nxt.append(v)
+        frontier = sorted(nxt)
+    return CutCheck(True)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_is_cut_matches_graph_reference(seed):
+    rng = random.Random(seed)
+    frame = random_budget_complete_frame(rng, 3, max_locations=6, max_channels=8)
+    chans = sorted(frame.channel_ids)
+    pairs = [(a, b) for a in chans for b in chans if a != b]
+    rng.shuffle(pairs)
+    # Terminals with no common location first, so that most checks run the
+    # search rather than stop at a shared endpoint.
+    pairs.sort(key=lambda p: bool(frame.pends({p[0]}) & frame.pends({p[1]})))
+    for a, b in pairs[:8]:
+        src, sink = frozenset({a}), frozenset({b})
+        rest = [c for c in chans if c not in (a, b)]
+        cut = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+        triple = ChannelSetTriple(src, cut, sink)
+        assert is_cut(frame, triple) == _graph_is_cut(frame, triple)
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flowcut
+
+    code = "import sys, flowcut.cli; sys.exit('networkx' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])},
+    )
+    assert child.returncode == 0, child.stderr.decode(errors="replace")

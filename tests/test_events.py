@@ -21,7 +21,7 @@ from flowcut.events import (
 )
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, UnknownChannelError
 
-from support import random_budget_complete_frame
+from support import random_budget_complete_frame, reference_canonicalize
 
 
 def tiny_frame() -> Frame:
@@ -148,11 +148,10 @@ def test_initial_substructures_of_executions_are_executions():
     exset = enumerate_executions(frame, Bound(4))
     for sys in exset.systems:
         n = sys.n_events
+        preds = sys.predecessors()
         for mask in range(1 << n):
             keep = [i for i in range(n) if mask >> i & 1]
-            downward = all(
-                a in keep for b in keep for a in sys.down_set(b)
-            )
+            downward = all(a in keep for b in keep for a in preds[b])
             if not downward:
                 continue
             sub = sys.induced(keep)
@@ -226,3 +225,54 @@ def _brute_force_iso(s1: EventSystem, s2: EventSystem) -> bool:
         ):
             return True
     return False
+
+
+# -- differential check against the direct canonical form ------------------------
+
+
+@st.composite
+def event_systems(draw, linear: bool):
+    """Random DAGs on up to seven events over three channels, presented in
+    a random index order.  With ``linear`` each channel's events are
+    chained, so the system is per-channel linear."""
+    n = draw(st.integers(0, 7))
+    chans = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    msgs = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    if linear:
+        for chan in set(chans):
+            idx = [i for i in range(n) if chans[i] == chan]
+            pairs |= set(zip(idx, idx[1:]))
+    perm = draw(st.permutations(range(n)))
+    events = [None] * n
+    for i in range(n):
+        events[perm[i]] = (chans[i], msgs[i])
+    return EventSystem.build(events, {(perm[a], perm[b]) for a, b in pairs})
+
+
+def _canonical_or_error(fn, sys):
+    try:
+        return fn(sys)
+    except CanonicalizeError:
+        return CanonicalizeError
+
+
+@given(event_systems(linear=True))
+@settings(max_examples=100, deadline=None)
+def test_canonicalize_matches_reference_on_linear_systems(sys):
+    assert canonicalize(sys) == reference_canonicalize(sys)
+
+
+@given(event_systems(linear=False))
+@settings(max_examples=100, deadline=None)
+def test_canonicalize_and_reference_reject_the_same_systems(sys):
+    linear = all(
+        sys.comparable(a, b)
+        for a in range(sys.n_events)
+        for b in range(sys.n_events)
+        if sys.events[a].chan == sys.events[b].chan
+    )
+    got = _canonical_or_error(canonicalize, sys)
+    assert got == _canonical_or_error(reference_canonicalize, sys)
+    assert (got is CanonicalizeError) == (not linear)

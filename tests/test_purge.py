@@ -22,7 +22,7 @@ from flowcut.purge import (
     validate_purge,
 )
 
-from support import random_machine
+from support import downgrader_machine, machine_document, random_machine
 
 B = Bound(8)
 
@@ -309,3 +309,33 @@ def test_purge_blur_collapses_invisible_domains():
     assert validate_blur(blur, uni).is_blur
     # tgt has no actions and sees nothing else: all input runs are one class.
     assert len(blur.blocks) == 1
+
+
+def test_nd_report_is_byte_stable_across_hash_seeds(tmp_path):
+    # The witness comes from iterating a purge class's inputs; for the
+    # downgrader at bound 9, iterating them as a set of runs picks different
+    # witnesses under string hash seeds 0 and 2.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flowcut
+
+    (tmp_path / "m.yaml").write_text(machine_document(downgrader_machine()))
+    argv = ["nd", "m.yaml", "--target", "d2", "--purge", "hy", "--bound", "9", "--json"]
+    outputs = []
+    for seed in ("0", "2"):
+        child = subprocess.run(
+            [sys.executable, "-m", "flowcut.cli", *argv],
+            capture_output=True,
+            cwd=tmp_path,
+            env={
+                "PATH": "/usr/bin:/bin",
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1]),
+            },
+        )
+        assert child.returncode == 1, child.stderr.decode(errors="replace")
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"witness_inputs" in outputs[0]

@@ -1,0 +1,100 @@
+"""
+Golden report corpus: the sha256 of the ``--json`` report of a fixed set
+of small commands, run in-process through ``cli.main``.
+
+The digests in ``tests/data/report_digests.json`` pin the report bytes, so
+a change to enumeration, canonical forms or table building that alters any
+verdict, count, witness or ordering fails here.  A change that means to
+alter report bytes rewrites the file with
+
+    PYTHONPATH=src:tests python tests/test_reports.py --write
+
+and says why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from flowcut.cli import main as cli_main
+
+from support import downgrader_machine, machine_document
+
+DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+
+FW, V22, M = "fw.yaml", "v22.yaml", "m.yaml"
+
+#: name -> CLI arguments (``--json`` is appended)
+CORPUS = {
+    "enumerate-fw": ["enumerate", FW, "--bound", "6"],
+    "runs-fw-cut": ["runs", FW, "--channels", "cut", "--bound", "6"],
+    "cmpt-fw-cut-n": ["cmpt", FW, "--observed", "cut", "--source", "chans_n", "--run-index", "1", "--bound", "6"],
+    "nodisclosure-fw-i-n": ["nodisclosure", FW, "--source", "chans_i", "--observed", "chans_n", "--bound", "6"],
+    "verify-cutblur-fw-f_i": [
+        "verify-cutblur", FW, "--blur", "f_i", "--source", "chans_i", "--cut", "cut",
+        "--observed", "chans_n", "--bound", "6",
+    ],
+    "runs-v22-pub": ["runs", V22, "--channels", "pub", "--bound", "8"],
+    "check-blur-v22-f0": ["check-blur", V22, "--blur", "f0", "--source", "voters", "--observed", "pub", "--bound", "8"],
+    "ni-m-d1-gm": ["ni", M, "--target", "d1", "--purge", "gm", "--bound", "9"],
+    "nd-m-d1-gm": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "9"],
+    "nd-m-d2-hy": ["nd", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
+    "purge-blur-m-d2-hy": ["purge-blur", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, out.getvalue()
+
+
+def compute_digests(workdir: Path) -> dict[str, dict]:
+    """Write the corpus inputs into ``workdir`` and digest every report.
+
+    Reports name their input file, so the commands run from ``workdir``
+    with relative file names.
+    """
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in (
+            ["scenario", "firewall", "--out", FW],
+            ["scenario", "voting", "--precincts", "2,2", "--out", V22],
+        ):
+            code, _ = _run(argv)
+            assert code == 0, argv
+        Path(M).write_text(machine_document(downgrader_machine()))
+        digests = {}
+        for name, argv in CORPUS.items():
+            code, out = _run(argv + ["--json"])
+            digests[name] = {
+                "argv": argv,
+                "exit_code": code,
+                "sha256": hashlib.sha256(out.encode()).hexdigest(),
+            }
+        return digests
+    finally:
+        os.chdir(old)
+
+
+def test_report_digests_match_corpus(tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+    assert compute_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_reports.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.write_text(json.dumps(compute_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
