@@ -34,6 +34,8 @@ FW, V22, M = "fw.yaml", "v22.yaml", "m.yaml"
 CORPUS = {
     "enumerate-fw": ["enumerate", FW, "--bound", "6"],
     "runs-fw-cut": ["runs", FW, "--channels", "cut", "--bound", "6"],
+    "min-cut-fw": ["min-cut", FW, "--source", "chans_i", "--observed", "chans_n"],
+    "check-cut-fw": ["check-cut", FW, "--source", "chans_i", "--cut", "c1", "--observed", "chans_n"],
     "cmpt-fw-cut-n": ["cmpt", FW, "--observed", "cut", "--source", "chans_n", "--run-index", "1", "--bound", "6"],
     "nodisclosure-fw-i-n": ["nodisclosure", FW, "--source", "chans_i", "--observed", "chans_n", "--bound", "6"],
     "verify-cutblur-fw-f_i": [
