@@ -5,9 +5,10 @@ Every analysis command prints a report (human text by default, a
 versioned JSON structure with ``--json``) and signals its verdict through
 the exit status: 0 when the property holds or the command succeeded, 1
 when the property fails (the counterexample is in the report), 2 for
-usage or parse errors.  Reports always carry the bound and a reminder
-that verdicts are bound-relative; wall-clock timing is omitted unless
-requested so identical inputs produce byte-identical reports.
+usage or parse errors, 3 for an internal error.  Reports always carry the
+bound and a reminder that verdicts are bound-relative; wall-clock timing
+is omitted unless requested so identical inputs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -639,6 +640,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: keep it off exit 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     if args.seed is not None:
         report.params["seed"] = args.seed
     if args.timing:

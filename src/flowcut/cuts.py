@@ -9,6 +9,7 @@ cut members only vacuously.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -130,43 +131,83 @@ def find_min_cut(frame: Frame, source: Iterable[str], sink: Iterable[str]) -> Mi
     if src_locs & snk_locs:
         return MinCutResult(None, True, f"source and sink share location {min(src_locs & snk_locs)!r}")
 
-    import networkx as nx
-
     # Unit-capacity max-flow on a gadget graph: each removable channel
     # becomes a capacity-1 arc between two private nodes reachable from
     # either endpoint, so cutting the arc removes the channel in both
-    # directions; everything else is effectively infinite.
+    # directions; everything else is effectively infinite.  Locations are
+    # strings and every other node is a tuple, so no names collide.
     inf = len(frame.channels) + 1
-    g = nx.DiGraph()
+    terminals = src | snk
+    residual: dict = defaultdict(dict)
+
+    def arc(u, v, capacity: int) -> None:
+        residual[u][v] = capacity
+        residual[v].setdefault(u, 0)
+
     for c in frame.channels:
         if c.is_self_loop:
             continue
-        a, b = ("chan", c.id, "a"), ("chan", c.id, "b")
-        cap = inf if c.id in src | snk else 1
-        g.add_edge(a, b, capacity=cap)
+        a, b = ("a", c.id), ("b", c.id)
+        arc(a, b, inf if c.id in terminals else 1)
         for loc in (c.sender, c.recipient):
-            g.add_edge(loc, a, capacity=inf)
-            g.add_edge(b, loc, capacity=inf)
-    g.add_node("SRC*")
-    g.add_node("SNK*")
+            arc(loc, a, inf)
+            arc(b, loc, inf)
+    # The flow runs from the sink's locations to the source's.
+    top, bottom = ("SNK*",), ("SRC*",)
     for loc in snk_locs:
-        g.add_edge("SNK*", loc, capacity=inf)
+        arc(top, loc, inf)
     for loc in src_locs:
-        g.add_edge(loc, "SRC*", capacity=inf)
+        arc(loc, bottom, inf)
 
-    value, (reachable, _) = nx.minimum_cut(g, "SNK*", "SRC*")
-    if value >= inf:
+    if _max_flow(residual, top, bottom, inf) >= inf:
         return MinCutResult(None, True, "every separating path traverses only source or sink channels")
+    # The nodes that can still reach ``bottom`` in the residual graph form
+    # the same side for every maximum flow, so the cut does not depend on
+    # the order in which augmenting paths were found.
+    reaches = {bottom}
+    stack = [bottom]
+    while stack:
+        v = stack.pop()
+        for u in residual[v]:
+            if u not in reaches and residual[u][v] > 0:
+                reaches.add(u)
+                stack.append(u)
     cut = frozenset(
-        node[1]
-        for node in reachable
-        if isinstance(node, tuple)
-        and node[2] == "a"
-        and ("chan", node[1], "b") not in reachable
-        and node[1] not in src | snk
+        c.id
+        for c in frame.channels
+        if ("b", c.id) in reaches and ("a", c.id) not in reaches and c.id not in terminals
     )
     result = MinCutResult(cut)
     check = is_cut(frame, ChannelSetTriple(src, cut, snk))
     if not check.is_cut:
         raise AssertionError("max-flow produced a non-cut; internal invariant violated")
     return result
+
+
+def _max_flow(residual: dict, top, bottom, limit: int) -> int:
+    """Edmonds–Karp: augment along shortest paths from ``top`` to
+    ``bottom`` until none is left or the flow reaches ``limit``.  Updates
+    the residual capacities in place and returns the flow value."""
+    value = 0
+    while value < limit:
+        parent = {top: None}
+        queue = deque([top])
+        while queue and bottom not in parent:
+            u = queue.popleft()
+            for v, capacity in residual[u].items():
+                if capacity > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if bottom not in parent:
+            break
+        path = []
+        v = bottom
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        value += push
+    return value

@@ -6,13 +6,15 @@ declares the data domain, locations (with explicit trace sets or LTS
 bodies), channels, and optionally named channel sets and declarative
 blurs.  A machine file declares domains, the influence relation, the
 action table, transitions, and the per-domain observation table.  Unknown
-keys are rejected everywhere; YAML syntax errors surface with line and
-column.
+keys are rejected everywhere, a field of the wrong type is reported by
+name, and YAML syntax errors surface with line and column.  Documents are
+parsed with libyaml when PyYAML has it; a document libyaml rejects is
+parsed again in pure Python, so error messages are the same either way.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import yaml
 
@@ -23,6 +25,15 @@ from .purge import MachineSpec
 
 class FileFormatError(ValueError):
     """Raised for unparseable or malformed frame/machine files."""
+
+
+#: libyaml's parser when PyYAML was built with it, else the pure-Python one;
+#: both build documents with the same safe constructor and resolver.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_KINDS = {dict: "mapping", list: "sequence", type(None): "null"}
+
+T = TypeVar("T")
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -37,9 +48,61 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _field(mapping: dict, key: str, where: str, check: Callable[[Any, str], T]) -> T:
+    """The required ``key`` of ``mapping``, type-checked by ``check``."""
+    return check(_require(mapping, key, where), f"{key!r} in {where}")
+
+
+def _wrong(value: Any, what: str, expected: str) -> FileFormatError:
+    kind = _KINDS.get(type(value), type(value).__name__)
+    return FileFormatError(f"{what} must be a {expected}, got {kind}")
+
+
+def _mapping(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise _wrong(value, what, "mapping")
+    return value
+
+
+def _sequence(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise _wrong(value, what, "sequence")
+    return value
+
+
+def _scalar(value: Any, what: str) -> str:
+    """A name or value as a string.  YAML may type it (``1``, ``yes``), but
+    a collection or null is never a name."""
+    if value is None or isinstance(value, (dict, list)):
+        raise _wrong(value, what, "scalar")
+    return str(value)
+
+
+def _scalars(value: Any, what: str) -> list[str]:
+    return [_scalar(v, f"each entry of {what}") for v in _sequence(value, what)]
+
+
+def _row(value: Any, what: str, *fields: str) -> tuple[str, ...]:
+    """A sequence of scalars, one per named field."""
+    if not isinstance(value, list) or len(value) != len(fields):
+        raise FileFormatError(f"{what} must be a [{', '.join(fields)}] row")
+    return tuple(_scalar(v, f"each field of {what}") for v in value)
+
+
 def _load_yaml(text: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError):
+        # Parse again with the pure-Python loader, whose messages (and so
+        # every parse error this module reports) do not depend on whether
+        # libyaml is installed.
+        doc = _load_yaml_pure(text)
+    return _mapping(doc, "document")
+
+
+def _load_yaml_pure(text: str) -> Any:
+    try:
+        return yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:  # pragma: no cover - mark presence varies
         mark = exc.problem_mark or exc.context_mark
         if mark is not None:
@@ -49,81 +112,63 @@ def _load_yaml(text: str) -> dict:
         raise FileFormatError(f"parse error: {exc}") from exc
     except yaml.YAMLError as exc:
         raise FileFormatError(f"parse error: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError("document must be a mapping")
-    return doc
-
-
-def _label(entry: Any, where: str) -> tuple[str, str]:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise FileFormatError(f"label in {where} must be a [channel, value] pair")
-    return str(entry[0]), str(entry[1])
 
 
 def _parse_location(entry: Any) -> Location:
-    if not isinstance(entry, dict):
-        raise FileFormatError("each location must be a mapping")
+    entry = _mapping(entry, "each location")
     _reject_unknown(entry, {"id", "traces", "lts"}, "location")
-    loc_id = str(_require(entry, "id", "location"))
+    loc_id = _field(entry, "id", "location", _scalar)
     if ("traces" in entry) == ("lts" in entry):
         raise FileFormatError(f"location {loc_id!r} needs exactly one of 'traces' or 'lts'")
     if "traces" in entry:
-        traces = entry["traces"]
-        if not isinstance(traces, list):
-            raise FileFormatError(f"traces of {loc_id!r} must be a list")
         parsed = []
-        for t in traces:
-            if not isinstance(t, list):
-                raise FileFormatError(f"each trace of {loc_id!r} must be a list of labels")
-            parsed.append(tuple(_label(lab, f"traces of {loc_id!r}") for lab in t))
+        for t in _field(entry, "traces", f"location {loc_id!r}", _sequence):
+            trace = _sequence(t, f"each trace of {loc_id!r}")
+            parsed.append(tuple(_row(x, f"a label of {loc_id!r}", "channel", "value") for x in trace))
         # Stored as given: prefix-closure is a well-formedness condition
         # that validate_frame reports, not something the parser repairs.
         return Location(loc_id, ExplicitTraces(frozenset(parsed)))
-    body = entry["lts"]
-    if not isinstance(body, dict):
-        raise FileFormatError(f"lts of {loc_id!r} must be a mapping")
-    _reject_unknown(body, {"states", "initial", "transitions"}, f"lts of {loc_id!r}")
-    states = frozenset(str(s) for s in _require(body, "states", f"lts of {loc_id!r}"))
-    initial = str(_require(body, "initial", f"lts of {loc_id!r}"))
+    where = f"lts of {loc_id!r}"
+    body = _field(entry, "lts", f"location {loc_id!r}", _mapping)
+    _reject_unknown(body, {"states", "initial", "transitions"}, where)
+    states = frozenset(_field(body, "states", where, _scalars))
+    initial = _field(body, "initial", where, _scalar)
     transitions = set()
-    for row in _require(body, "transitions", f"lts of {loc_id!r}"):
-        if not isinstance(row, list) or len(row) != 4:
-            raise FileFormatError(
-                f"each transition of {loc_id!r} must be [state, channel, value, state]"
-            )
-        s, c, v, t = (str(x) for x in row)
+    for row in _field(body, "transitions", where, _sequence):
+        s, c, v, t = _row(row, f"each transition in {where}", "state", "channel", "value", "state")
         transitions.add((s, (c, v), t))
     return Location(loc_id, Lts(states, initial, frozenset(transitions)))
 
 
 def _parse_blur(name: str, body: Any) -> BlurSpec:
-    if not isinstance(body, dict):
-        raise FileFormatError(f"blur {name!r} must be a mapping")
-    kind = str(_require(body, "kind", f"blur {name!r}"))
+    where = f"blur {name!r}"
+    body = _mapping(body, where)
+    kind = _field(body, "kind", where, _scalar)
     if kind == "identity":
-        _reject_unknown(body, {"kind"}, f"blur {name!r}")
+        _reject_unknown(body, {"kind"}, where)
         return IdentityBlur()
     if kind == "all":
-        _reject_unknown(body, {"kind"}, f"blur {name!r}")
+        _reject_unknown(body, {"kind"}, where)
         return AllBlur()
     if kind == "permutation":
-        _reject_unknown(body, {"kind", "members", "blocks", "fixed"}, f"blur {name!r}")
-        members = tuple(str(m) for m in _require(body, "members", f"blur {name!r}"))
+        _reject_unknown(body, {"kind", "members", "blocks", "fixed"}, where)
+        members = tuple(_field(body, "members", where, _scalars))
         blocks = None
         if body.get("blocks") is not None:
-            blocks = tuple(frozenset(str(x) for x in blk) for blk in body["blocks"])
-        fixed = frozenset(str(x) for x in body.get("fixed", []))
+            blocks = tuple(
+                frozenset(_scalars(blk, f"each block of {where}"))
+                for blk in _field(body, "blocks", where, _sequence)
+            )
+        fixed = frozenset(_scalars(body.get("fixed", []), f"'fixed' in {where}"))
         return PermutationBlur(members=members, blocks=blocks, fixed=fixed)
     if kind == "selection":
-        _reject_unknown(body, {"kind", "channels", "values"}, f"blur {name!r}")
-        channels = body.get("channels")
-        values = body.get("values")
-        return SelectionBlur(
-            name=name,
-            channels=None if channels is None else frozenset(str(c) for c in channels),
-            values=None if values is None else frozenset(str(v) for v in values),
-        )
-    raise FileFormatError(f"blur {name!r} has unknown kind {kind!r}")
+        _reject_unknown(body, {"kind", "channels", "values"}, where)
+        chosen = {
+            key: None if body.get(key) is None else frozenset(_field(body, key, where, _scalars))
+            for key in ("channels", "values")
+        }
+        return SelectionBlur(name=name, **chosen)
+    raise FileFormatError(f"{where} has unknown kind {kind!r}")
 
 
 def parse_frame_document(
@@ -132,37 +177,27 @@ def parse_frame_document(
     """Parse a frame file into (frame, named channel sets, blurs)."""
     doc = _load_yaml(text)
     _reject_unknown(doc, {"frame"}, "document")
-    body = _require(doc, "frame", "document")
-    if not isinstance(body, dict):
-        raise FileFormatError("'frame' must be a mapping")
+    body = _field(doc, "frame", "document", _mapping)
     _reject_unknown(
         body, {"data", "locations", "channels", "channel_sets", "blurs"}, "frame"
     )
 
-    data = [str(v) for v in _require(body, "data", "frame")]
-    locations = [_parse_location(e) for e in _require(body, "locations", "frame")]
+    data = _field(body, "data", "frame", _scalars)
+    locations = [_parse_location(e) for e in _field(body, "locations", "frame", _sequence)]
     channels = []
-    for e in _require(body, "channels", "frame"):
-        if not isinstance(e, dict):
-            raise FileFormatError("each channel must be a mapping")
+    for e in _field(body, "channels", "frame", _sequence):
+        e = _mapping(e, "each channel")
         _reject_unknown(e, {"id", "sender", "recipient"}, "channel")
-        channels.append(
-            Channel(
-                str(_require(e, "id", "channel")),
-                str(_require(e, "sender", "channel")),
-                str(_require(e, "recipient", "channel")),
-            )
-        )
+        ends = (_field(e, key, "channel", _scalar) for key in ("id", "sender", "recipient"))
+        channels.append(Channel(*ends))
     frame = Frame.build(locations, channels, data)
 
     named: dict[str, frozenset[str]] = {}
-    for name, ids in (body.get("channel_sets") or {}).items():
-        if not isinstance(ids, list):
-            raise FileFormatError(f"channel set {name!r} must be a list")
-        named[str(name)] = frozenset(str(c) for c in ids)
+    for name, ids in _mapping(body.get("channel_sets") or {}, "'channel_sets' in frame").items():
+        named[str(name)] = frozenset(_scalars(ids, f"channel set {name!r}"))
 
     blurs: dict[str, BlurSpec] = {}
-    for name, spec in (body.get("blurs") or {}).items():
+    for name, spec in _mapping(body.get("blurs") or {}, "'blurs' in frame").items():
         blurs[str(name)] = _parse_blur(str(name), spec)
     return frame, named, blurs
 
@@ -171,45 +206,33 @@ def parse_machine_document(text: str) -> MachineSpec:
     """Parse a machine file.  Reflexive influence pairs are implicit."""
     doc = _load_yaml(text)
     _reject_unknown(doc, {"machine"}, "document")
-    body = _require(doc, "machine", "document")
-    if not isinstance(body, dict):
-        raise FileFormatError("'machine' must be a mapping")
+    body = _field(doc, "machine", "document", _mapping)
     _reject_unknown(
         body,
         {"domains", "influence", "actions", "outputs", "states", "initial", "transitions", "obs"},
         "machine",
     )
-    domains = [str(d) for d in _require(body, "domains", "machine")]
+    domains = _field(body, "domains", "machine", _scalars)
     influence = {(d, d) for d in domains}
-    for pair in body.get("influence", []):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FileFormatError("each influence entry must be a [from, to] pair")
-        influence.add((str(pair[0]), str(pair[1])))
-    actions = _require(body, "actions", "machine")
-    if not isinstance(actions, dict):
-        raise FileFormatError("'actions' must map action to domain")
-    transitions = set()
-    for row in _require(body, "transitions", "machine"):
-        if not isinstance(row, list) or len(row) != 3:
-            raise FileFormatError("each transition must be [state, action, state]")
-        transitions.add(tuple(str(x) for x in row))
-    obs_body = _require(body, "obs", "machine")
-    if not isinstance(obs_body, dict):
-        raise FileFormatError("'obs' must map state to {domain: output}")
+    for pair in _sequence(body.get("influence", []), "'influence' in machine"):
+        influence.add(_row(pair, "each influence entry", "from", "to"))
+    actions = _field(body, "actions", "machine", _mapping)
+    transitions = {
+        _row(row, "each transition", "state", "action", "state")
+        for row in _field(body, "transitions", "machine", _sequence)
+    }
     obs = {}
-    for s, per_domain in obs_body.items():
-        if not isinstance(per_domain, dict):
-            raise FileFormatError(f"obs[{s!r}] must map domain to output")
-        for d, o in per_domain.items():
-            obs[(str(s), str(d))] = str(o)
+    for s, per_domain in _field(body, "obs", "machine", _mapping).items():
+        for d, o in _mapping(per_domain, f"obs[{s!r}]").items():
+            obs[(str(s), str(d))] = _scalar(o, f"obs[{s!r}][{d!r}]")
     try:
         return MachineSpec.build(
             domains=domains,
             influence=influence,
-            action_domain={str(a): str(d) for a, d in actions.items()},
-            outputs=[str(o) for o in _require(body, "outputs", "machine")],
-            states=[str(s) for s in _require(body, "states", "machine")],
-            initial=str(_require(body, "initial", "machine")),
+            action_domain={str(a): _scalar(d, f"actions[{a!r}]") for a, d in actions.items()},
+            outputs=_field(body, "outputs", "machine", _scalars),
+            states=_field(body, "states", "machine", _scalars),
+            initial=_field(body, "initial", "machine", _scalar),
             transitions=transitions,
             obs=obs,
         )

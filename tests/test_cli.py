@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import yaml
 
 from flowcut.cli import main
 from flowcut.fileformat import (
@@ -292,3 +293,144 @@ def test_emitted_files_reproduce_in_memory_analyses_bit_for_bit(tmp_path, capsys
         for r in enumerate_runs(scn.frame, scn.named_sets["voters"], Bound(6))
     )
     assert doc["details"]["runs"] == in_memory
+
+
+def _with_field(text: str, path: tuple, value) -> str:
+    """``text``'s document with the entry at ``path`` set to ``value``."""
+    doc = yaml.safe_load(text)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("frame", "data"), 1, "'data'"),
+        (("frame", "data"), "01", "'data'"),
+        (("frame", "locations", 1, "lts", "states"), 3, "'states'"),
+        (("frame", "locations"), 7, "'locations'"),
+        (("frame", "locations", 0, "id"), [1], "'id'"),
+        (("frame", "channels", 0, "sender"), {"x": 1}, "'sender'"),
+        (("frame", "channel_sets"), ["x"], "'channel_sets'"),
+        (("frame", "blurs"), ["x"], "'blurs'"),
+        (("machine", "domains"), 5, "'domains'"),
+        (("machine", "obs"), ["s"], "'obs'"),
+        (("machine", "initial"), None, "'initial'"),
+    ],
+    ids=lambda p: "/".join(map(str, p)) if isinstance(p, tuple) else repr(p),
+)
+def test_wrong_typed_field_exits_2_naming_it(tmp_path, capsys, path, value, field):
+    kind = path[0]
+    file = tmp_path / f"{kind}.yaml"
+    file.write_text(_with_field(GOOD_FRAME if kind == "frame" else MACHINE, path, value))
+    argv = ["validate", str(file)] if kind == "frame" else ["ni", str(file), "--target", "hi"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+
+
+def test_unexpected_exception_exits_3_on_one_line(frame_file, capsys, monkeypatch):
+    import flowcut.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_validate", boom)
+    assert main(["validate", frame_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError(")
+    assert captured.err.count("\n") == 1
+
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+@needs_libyaml
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["firewall"],
+        ["firewall", "--filtering", "discard_all"],
+        ["firewall", "--region-sends", "2"],
+        ["voting", "--precincts", "2"],
+        ["voting", "--precincts", "2,2"],
+        ["voting", "--precincts", "3,3"],
+    ],
+    ids=" ".join,
+)
+def test_scenario_files_load_equal_under_both_loaders(tmp_path, capsys, argv):
+    path = tmp_path / "scn.yaml"
+    assert main(["scenario", *argv, "--out", str(path)]) == 0
+    text = path.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@needs_libyaml
+def test_machine_file_loads_equal_under_both_loaders():
+    from support import downgrader_machine, machine_document
+
+    text = machine_document(downgrader_machine())
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+#: broken documents and the message the pure-Python ``yaml.safe_load``
+#: path has always given for them
+BROKEN_DOCUMENTS = {
+    "unclosed-brace": (
+        "frame: {a: b",
+        "parse error at line 1, column 13: expected ',' or '}', but got '<stream end>'",
+    ),
+    "unclosed-bracket": (
+        "frame: [a, b",
+        "parse error at line 1, column 13: expected ',' or ']', but got '<stream end>'",
+    ),
+    "tab-indent": (
+        "frame:\n\tdata: [a]\n",
+        "parse error at line 2, column 1: found character '\\t' that cannot start any token",
+    ),
+    "over-indented-key": (
+        "a: b\n c: d\n",
+        "parse error at line 2, column 3: mapping values are not allowed here",
+    ),
+    "undefined-alias": (
+        "frame: *nope\n",
+        "parse error at line 1, column 8: found undefined alias 'nope'",
+    ),
+    "nul": (
+        "frame: {a: \x00}\n",
+        'parse error: unacceptable character #x0000: special characters are not allowed\n'
+        '  in "<unicode string>", position 11',
+    ),
+    "lone-surrogate": (
+        "frame: \ud800\n",
+        'parse error: unacceptable character #xd800: special characters are not allowed\n'
+        '  in "<unicode string>", position 7',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_DOCUMENTS))
+def test_parse_errors_keep_pure_python_messages(name):
+    text, message = BROKEN_DOCUMENTS[name]
+    with pytest.raises(FileFormatError) as info:
+        parse_frame_document(text)
+    assert str(info.value) == message
+
+
+@needs_libyaml
+def test_libyaml_accepts_tab_after_colon():
+    """The one known acceptance difference: libyaml takes a tab as the
+    space after ``:``, pure-Python PyYAML does not, so such a file parses
+    where libyaml is present."""
+    text = GOOD_FRAME.replace('data: ["0", "1"]', 'data:\t["0", "1"]')
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+    frame, _, _ = parse_frame_document(text)
+    assert frame == parse_frame_document(GOOD_FRAME)[0]

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from flowcut.cuts import ChannelSetTriple, CutCheck, CutSpecError, PathWitness, find_min_cut, is_cut
+from flowcut.cuts import (
+    ChannelSetTriple,
+    CutCheck,
+    CutSpecError,
+    MinCutResult,
+    PathWitness,
+    find_min_cut,
+    is_cut,
+)
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, undirected_frame_graph
 from flowcut.scenarios import FirewallParams, build_firewall
 
@@ -180,17 +188,95 @@ def test_is_cut_matches_graph_reference(seed):
         assert is_cut(frame, triple) == _graph_is_cut(frame, triple)
 
 
-def test_cli_import_leaves_networkx_unloaded():
+def _networkx_min_cut(frame: Frame, source, sink) -> MinCutResult:
+    """Reference min cut: the same gadget graph solved by
+    ``networkx.minimum_cut``, the cut read from its source-side partition."""
+    import networkx as nx
+
+    src, snk = frozenset(source), frozenset(sink)
+    src_locs, snk_locs = frame.pends(src), frame.pends(snk)
+    if src_locs & snk_locs:
+        return MinCutResult(None, True, f"source and sink share location {min(src_locs & snk_locs)!r}")
+    inf = len(frame.channels) + 1
+    g = nx.DiGraph()
+    for c in frame.channels:
+        if c.is_self_loop:
+            continue
+        a, b = ("chan", c.id, "a"), ("chan", c.id, "b")
+        g.add_edge(a, b, capacity=inf if c.id in src | snk else 1)
+        for loc in (c.sender, c.recipient):
+            g.add_edge(loc, a, capacity=inf)
+            g.add_edge(b, loc, capacity=inf)
+    g.add_nodes_from(["SNK*", "SRC*"])
+    for loc in snk_locs:
+        g.add_edge("SNK*", loc, capacity=inf)
+    for loc in src_locs:
+        g.add_edge(loc, "SRC*", capacity=inf)
+    value, (reachable, _) = nx.minimum_cut(g, "SNK*", "SRC*")
+    if value >= inf:
+        return MinCutResult(None, True, "every separating path traverses only source or sink channels")
+    return MinCutResult(
+        frozenset(
+            n[1]
+            for n in reachable
+            if isinstance(n, tuple) and n[2] == "a" and ("chan", n[1], "b") not in reachable
+            and n[1] not in src | snk
+        )
+    )
+
+
+def _random_cut_frame(rng: random.Random) -> Frame:
+    """4 to 8 locations joined by random channels, self loops and
+    parallel channels included; behaviours play no part in cuts."""
+    locs = [f"L{i}" for i in range(rng.randint(4, 8))]
+    chans = [
+        Channel(f"c{i}", rng.choice(locs), rng.choice(locs))
+        for i in range(rng.randint(len(locs) - 1, 2 * len(locs)))
+    ]
+    return Frame.build([Location(l, ExplicitTraces.of()) for l in locs], chans, ["v"])
+
+
+def test_find_min_cut_matches_networkx_reference():
+    rng = random.Random(2014)
+    cases = possible = 0
+    for _ in range(300):
+        frame = _random_cut_frame(rng)
+        ids = list(frame.channel_ids)
+        rng.shuffle(ids)
+        src = frozenset(ids[: rng.randint(1, 2)])
+        # Mostly sinks away from the source's locations, so that most
+        # cases reach the max-flow instead of stopping at a shared endpoint.
+        rest = [c for c in ids if c not in src]
+        if rng.random() < 0.8:
+            rest = [c for c in rest if not frame.pends({c}) & frame.pends(src)]
+        snk = frozenset(rest[: rng.randint(1, 2)])
+        if not snk:
+            continue
+        expected = _networkx_min_cut(frame, src, snk)
+        assert find_min_cut(frame, src, snk) == expected, (frame, src, snk)
+        cases += 1
+        possible += not expected.impossible
+    assert possible * 2 >= cases >= 200
+
+
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
+    """Neither importing the CLI nor running ``min-cut`` loads networkx."""
     import subprocess
     import sys
     from pathlib import Path
 
     import flowcut
 
-    code = "import sys, flowcut.cli; sys.exit('networkx' in sys.modules)"
+    code = (
+        "import sys, flowcut.cli as cli\n"
+        "assert cli.main(['scenario', 'firewall', '--out', 'fw.yaml']) == 0\n"
+        "assert cli.main(['min-cut', 'fw.yaml', '--source', 'chans_i', '--observed', 'chans_n']) == 0\n"
+        "sys.exit('networkx' in sys.modules)"
+    )
     child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
+        cwd=tmp_path,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])},
     )
     assert child.returncode == 0, child.stderr.decode(errors="replace")
