@@ -33,7 +33,7 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _KINDS = {dict: "mapping", list: "sequence", type(None): "null"}
 
-T = TypeVar("T")
+_T = TypeVar("_T")
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -48,7 +48,7 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _field(mapping: dict, key: str, where: str, check: Callable[[Any, str], T]) -> T:
+def _field(mapping: dict, key: str, where: str, check: Callable[[Any, str], _T]) -> _T:
     """The required ``key`` of ``mapping``, type-checked by ``check``."""
     return check(_require(mapping, key, where), f"{key!r} in {where}")
 
@@ -163,11 +163,11 @@ def _parse_blur(name: str, body: Any) -> BlurSpec:
         return PermutationBlur(members=members, blocks=blocks, fixed=fixed)
     if kind == "selection":
         _reject_unknown(body, {"kind", "channels", "values"}, where)
-        chosen = {
-            key: None if body.get(key) is None else frozenset(_field(body, key, where, _scalars))
-            for key in ("channels", "values")
-        }
-        return SelectionBlur(name=name, **chosen)
+
+        def selected(key: str) -> frozenset[str] | None:
+            return None if body.get(key) is None else frozenset(_field(body, key, where, _scalars))
+
+        return SelectionBlur(name=name, channels=selected("channels"), values=selected("values"))
     raise FileFormatError(f"{where} has unknown kind {kind!r}")
 
 
@@ -188,8 +188,8 @@ def parse_frame_document(
     for e in _field(body, "channels", "frame", _sequence):
         e = _mapping(e, "each channel")
         _reject_unknown(e, {"id", "sender", "recipient"}, "channel")
-        ends = (_field(e, key, "channel", _scalar) for key in ("id", "sender", "recipient"))
-        channels.append(Channel(*ends))
+        fields = (_field(e, key, "channel", _scalar) for key in ("id", "sender", "recipient"))
+        channels.append(Channel(*fields))
     frame = Frame.build(locations, channels, data)
 
     named: dict[str, frozenset[str]] = {}

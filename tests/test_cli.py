@@ -14,6 +14,8 @@ from flowcut.fileformat import (
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
+from support import downgrader_machine, machine_document
+
 GOOD_FRAME = """
 frame:
   data: ["0", "1"]
@@ -374,8 +376,6 @@ def test_scenario_files_load_equal_under_both_loaders(tmp_path, capsys, argv):
 
 @needs_libyaml
 def test_machine_file_loads_equal_under_both_loaders():
-    from support import downgrader_machine, machine_document
-
     text = machine_document(downgrader_machine())
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
