@@ -28,7 +28,7 @@ from support import downgrader_machine, machine_document
 
 DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
-FW, V22, M = "fw.yaml", "v22.yaml", "m.yaml"
+FW, V1, V22, M = "fw.yaml", "v1.yaml", "v22.yaml", "m.yaml"
 
 #: name -> CLI arguments (``--json`` is appended)
 CORPUS = {
@@ -37,6 +37,7 @@ CORPUS = {
     "min-cut-fw": ["min-cut", FW, "--source", "chans_i", "--observed", "chans_n"],
     "check-cut-fw": ["check-cut", FW, "--source", "chans_i", "--cut", "c1", "--observed", "chans_n"],
     "cmpt-fw-cut-n": ["cmpt", FW, "--observed", "cut", "--source", "chans_n", "--run-index", "1", "--bound", "6"],
+    "check-blur-fw-f_e": ["check-blur", FW, "--blur", "f_e", "--source", "chans_n", "--observed", "cut", "--bound", "6"],
     "nodisclosure-fw-i-n": ["nodisclosure", FW, "--source", "chans_i", "--observed", "chans_n", "--bound", "6"],
     "verify-cutblur-fw-f_i": [
         "verify-cutblur", FW, "--blur", "f_i", "--source", "chans_i", "--cut", "cut",
@@ -44,6 +45,13 @@ CORPUS = {
     ],
     "runs-v22-pub": ["runs", V22, "--channels", "pub", "--bound", "8"],
     "check-blur-v22-f0": ["check-blur", V22, "--blur", "f0", "--source", "voters", "--observed", "pub", "--bound", "8"],
+    "check-blur-v22-f0_blocks": [
+        "check-blur", V22, "--blur", "f0_blocks", "--source", "voters", "--observed", "pub", "--bound", "8",
+    ],
+    "compose-v1-v22-f0_p1": [
+        "compose", V1, V22, "--core", "v1_1,v1_2,BB1", "--blur", "f0_p1", "--source", "voters1",
+        "--observed", "p", "--bound", "8",
+    ],
     "ni-m-d1-gm": ["ni", M, "--target", "d1", "--purge", "gm", "--bound", "9"],
     "nd-m-d1-gm": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "9"],
     "nd-m-d2-hy": ["nd", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
@@ -69,6 +77,7 @@ def compute_digests(workdir: Path) -> dict[str, dict]:
     try:
         for argv in (
             ["scenario", "firewall", "--out", FW],
+            ["scenario", "voting", "--precincts", "2", "--out", V1],
             ["scenario", "voting", "--precincts", "2,2", "--out", V22],
         ):
             code, _ = _run(argv)
