@@ -14,9 +14,8 @@ a failed implication flags an implementation bug, not a refuted theorem.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .cuts import ChannelSetTriple, is_cut
 from .disclosure import _cmpt_table
@@ -35,28 +34,35 @@ class SharedCoreError(ValueError):
 
 
 # -- blur specifications ---------------------------------------------------
+#
+# Every form commutes with unions, so it is fixed by the image of each run,
+# its class.  The partition-generated forms name a run's class by a key;
+# blocks and tables list their classes.  ``_ClassIndex`` numbers the classes
+# of one universe once per call, and f(S) is the union of the classes of S.
 
 
 @dataclass(frozen=True)
 class IdentityBlur:
     """The maximally permissive policy: f(S) = S."""
 
-    def apply(self, s: frozenset[CanonicalRun], universe: frozenset[CanonicalRun]):
-        return s
+    def key(self, run: CanonicalRun) -> Hashable:
+        return run
 
 
 @dataclass(frozen=True)
 class AllBlur:
-    """The no-disclosure policy: f(S) = the whole (bounded) universe."""
+    """The no-disclosure policy: f(S) = the whole (bounded) universe, for
+    the empty set too."""
 
-    def apply(self, s: frozenset[CanonicalRun], universe: frozenset[CanonicalRun]):
-        return universe
+    def key(self, run: CanonicalRun) -> Hashable:
+        return ()
 
 
 @dataclass(frozen=True)
 class PartitionBlur:
     """Union of the equivalence classes meeting S, for an explicitly given
-    partition of the run universe."""
+    partition of the run universe.  A run's class is the first block that
+    holds it."""
 
     blocks: tuple[frozenset[CanonicalRun], ...]
 
@@ -92,18 +98,6 @@ class PartitionBlur:
                             )
         return PartitionBlur(tuple(frozenset(b) for b in blocks))
 
-    def block_of(self, run: CanonicalRun) -> frozenset[CanonicalRun]:
-        for block in self.blocks:
-            if run in block:
-                return block
-        raise BlurError("run outside the partitioned universe")
-
-    def apply(self, s: frozenset[CanonicalRun], universe: frozenset[CanonicalRun]):
-        out: set[CanonicalRun] = set()
-        for r in s:
-            out |= self.block_of(r)
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class PermutationBlur:
@@ -126,55 +120,18 @@ class PermutationBlur:
             if sorted(flat) != sorted(self.members):
                 raise BlurError("blocks must partition the member channels")
 
-    def _permutations(self) -> list[dict[str, str]]:
+    def key(self, run: CanonicalRun) -> Hashable:
+        """Two runs share a key exactly when a permutation maps one onto the
+        other: the same order, the same sequence on every channel that
+        cannot move, the same length on every channel that can, and in each
+        block the same multiset of movable sequences."""
         groups = self.blocks if self.blocks is not None else (frozenset(self.members),)
-        per_group: list[list[dict[str, str]]] = []
-        for g in groups:
-            movable = sorted(g - self.fixed)
-            maps = []
-            for img in itertools.permutations(movable):
-                m = dict(zip(movable, img))
-                m.update({x: x for x in g & self.fixed})
-                maps.append(m)
-            per_group.append(maps)
-        out = []
-        for combo in itertools.product(*per_group):
-            merged: dict[str, str] = {}
-            for m in combo:
-                merged.update(m)
-            out.append(merged)
-        return out
-
-    def act(self, pi: dict[str, str], run: CanonicalRun) -> CanonicalRun | None:
-        """Apply one permutation; None when event counts are incompatible."""
-        msgs = dict(run.channels)
-        new_channels = []
-        for chan, seq in run.channels:
-            if chan in pi:
-                src = msgs.get(pi[chan], ())
-                if len(src) != len(seq):
-                    return None
-                new_channels.append((chan, src))
-            else:
-                new_channels.append((chan, seq))
-        for chan in pi:
-            if chan not in msgs and msgs.get(pi[chan], ()):
-                return None
-        return CanonicalRun(tuple(new_channels), run.order)
-
-    def orbit(self, run: CanonicalRun) -> frozenset[CanonicalRun]:
-        out = {run}
-        for pi in self._permutations():
-            img = self.act(pi, run)
-            if img is not None:
-                out.add(img)
-        return frozenset(out)
-
-    def apply(self, s: frozenset[CanonicalRun], universe: frozenset[CanonicalRun]):
-        out: set[CanonicalRun] = set()
-        for r in s:
-            out |= self.orbit(r)
-        return frozenset(out) & universe
+        movable = [g - self.fixed for g in groups]
+        moves = frozenset().union(*movable)
+        seqs = dict(run.channels)
+        shape = tuple((c, len(seq)) if c in moves else (c, seq) for c, seq in run.channels)
+        pools = tuple(tuple(sorted(seqs[m] for m in g if m in seqs)) for g in movable)
+        return run.order, shape, pools
 
 
 @dataclass(frozen=True)
@@ -195,24 +152,18 @@ class SelectionBlur:
             return False
         return True
 
-    def select_key(self, run: CanonicalRun) -> str:
+    def key(self, run: CanonicalRun) -> Hashable:
         sys = run.to_event_system()
         keep = [i for i, e in enumerate(sys.events) if self.selects(e.chan, e.msg)]
         return canonicalize(sys.induced(keep)).serialize()
-
-    def apply(self, s: frozenset[CanonicalRun], universe: frozenset[CanonicalRun]):
-        bad = s - universe
-        if bad:
-            raise BlurError("run outside universe")
-        wanted = {self.select_key(r) for r in s}
-        return frozenset(r for r in universe if self.select_key(r) in wanted)
 
 
 @dataclass(frozen=True)
 class TableBlur:
     """Explicit action on singletons, extended by union.  Inclusion on
     singletons is enforced at construction; idempotence is validated, not
-    assumed, which admits blurs no partition generates."""
+    assumed, which admits blurs no partition generates.  A run's image is
+    its first row."""
 
     table: tuple[tuple[CanonicalRun, frozenset[CanonicalRun]], ...]
 
@@ -221,20 +172,50 @@ class TableBlur:
             if run not in image:
                 raise BlurError("table violates Inclusion: a run misses its own image")
 
-    def image(self, run: CanonicalRun) -> frozenset[CanonicalRun]:
-        for r, image in self.table:
-            if r == run:
-                return image
-        raise BlurError("run outside the tabled universe")
-
-    def apply(self, s: frozenset[CanonicalRun], universe: frozenset[CanonicalRun]):
-        out: set[CanonicalRun] = set()
-        for r in s:
-            out |= self.image(r)
-        return frozenset(out)
-
 
 BlurSpec = IdentityBlur | AllBlur | PartitionBlur | PermutationBlur | SelectionBlur | TableBlur
+
+
+class _ClassIndex:
+    """One blur's classes over one universe, numbered when built: the key
+    forms group the universe by key, a partition blur numbers its blocks
+    and a table blur its rows.  It lives for one call; nothing is cached
+    between calls."""
+
+    def __init__(self, blur: BlurSpec, universe: frozenset[CanonicalRun]) -> None:
+        self.universe = universe
+        self.of_empty = universe if isinstance(blur, AllBlur) else frozenset()
+        self.unclassed = "run outside universe"
+        if isinstance(blur, PartitionBlur):
+            rows: Iterable = ((block, block) for block in blur.blocks)
+            self.unclassed = "run outside the partitioned universe"
+        elif isinstance(blur, TableBlur):
+            rows = (((run,), image) for run, image in blur.table)
+            self.unclassed = "run outside the tabled universe"
+        else:
+            groups: dict[Hashable, list[CanonicalRun]] = {}
+            for run in universe:
+                groups.setdefault(blur.key(run), []).append(run)
+            rows = ((group, frozenset(group)) for group in groups.values())
+        self.class_of: dict[CanonicalRun, int] = {}
+        self.classes: list[frozenset[CanonicalRun]] = []
+        for runs, image in rows:
+            for run in runs:
+                self.class_of.setdefault(run, len(self.classes))
+            self.classes.append(image)
+
+    def apply(self, s: frozenset[CanonicalRun]) -> frozenset[CanonicalRun]:
+        if not s <= self.universe:
+            raise BlurError("run outside universe")
+        try:
+            ids = {self.class_of[run] for run in s}
+        except KeyError:
+            raise BlurError(self.unclassed) from None
+        if not ids:
+            return self.of_empty
+        if len(ids) == 1:
+            return self.classes[ids.pop()]
+        return frozenset().union(*(self.classes[i] for i in ids))
 
 
 def blur_apply(
@@ -243,11 +224,7 @@ def blur_apply(
     universe: Iterable[CanonicalRun],
 ) -> frozenset[CanonicalRun]:
     """Apply a blur to a set of runs within its universe."""
-    sset = frozenset(s)
-    uni = frozenset(universe)
-    if not sset <= uni:
-        raise BlurError("run outside universe")
-    return blur.apply(sset, uni)
+    return _ClassIndex(blur, frozenset(universe)).apply(frozenset(s))
 
 
 # -- blur validation -------------------------------------------------------
@@ -279,7 +256,8 @@ def validate_blur(blur: BlurSpec, universe: Iterable[CanonicalRun]) -> BlurValid
     """
     uni = frozenset(universe)
     runs = sorted(uni, key=CanonicalRun.serialize)
-    singleton_image = {r: blur_apply(blur, {r}, uni) for r in runs}
+    f = _ClassIndex(blur, uni).apply
+    singleton_image = {r: f(frozenset({r})) for r in runs}
 
     inclusion = all(r in singleton_image[r] for r in runs)
 
@@ -289,29 +267,19 @@ def validate_blur(blur: BlurSpec, universe: Iterable[CanonicalRun]) -> BlurValid
     samples.extend([half, uni - half])
     idempotence = True
     for s in samples:
-        once = blur_apply(blur, s, uni)
-        if blur_apply(blur, once, uni) != once:
+        once = f(s)
+        if f(once) != once:
             idempotence = False
             break
 
-    union = True
-    for s in samples:
-        expected: set[CanonicalRun] = set()
-        for r in s:
-            expected |= singleton_image[r]
-        if blur_apply(blur, s, uni) != frozenset(expected):
-            union = False
-            break
-
-    partition = True
-    for a in runs:
-        image = singleton_image[a]
-        for b in image:
-            if singleton_image.get(b) != image:
-                partition = False
-                break
-        if not partition:
-            break
+    union = all(
+        f(s) == frozenset().union(*{singleton_image[r] for r in s}) for s in samples
+    )
+    partition = all(
+        singleton_image.get(b) == image
+        for image in set(singleton_image.values())
+        for b in image
+    )
 
     return BlurValidation(inclusion, idempotence, union, partition)
 
@@ -343,11 +311,13 @@ def f_limits_flow(
     """
     src = frame.check_channels(source)
     obs = frame.check_channels(observed)
-    universe = enumerate_runs(frame, src, bound)
     table = _cmpt_table(frame, obs, src, bound)
+    # Every execution's source run is compatible with its observed run, so
+    # the table's values cover the source universe.
+    f = _ClassIndex(blur, frozenset().union(*table.values())).apply
     for b_o in sorted(table, key=CanonicalRun.serialize):
         compat = table[b_o]
-        blurred = blur_apply(blur, compat, universe)
+        blurred = f(compat)
         if blurred != compat:
             extra = blurred - compat
             witness = min(extra, key=CanonicalRun.serialize) if extra else None

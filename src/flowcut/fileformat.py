@@ -140,10 +140,18 @@ def _parse_location(entry: Any) -> Location:
     return Location(loc_id, Lts(states, initial, frozenset(transitions)))
 
 
-def _parse_blur(name: str, body: Any) -> BlurSpec:
+def _parse_blur(name: str, body: Any, frame: Frame) -> BlurSpec:
     where = f"blur {name!r}"
     body = _mapping(body, where)
     kind = _field(body, "kind", where, _scalar)
+    chans = frozenset(frame.channel_ids)
+
+    def names(values: list[str], key: str, known: Any, what: str = "a declared channel") -> list[str]:
+        for n in values:
+            if n not in known:
+                raise FileFormatError(f"{key!r} in {where} names {n!r}, which is not {what}")
+        return values
+
     if kind == "identity":
         _reject_unknown(body, {"kind"}, where)
         return IdentityBlur()
@@ -152,22 +160,29 @@ def _parse_blur(name: str, body: Any) -> BlurSpec:
         return AllBlur()
     if kind == "permutation":
         _reject_unknown(body, {"kind", "members", "blocks", "fixed"}, where)
-        members = tuple(_field(body, "members", where, _scalars))
+        members = names(_field(body, "members", where, _scalars), "members", chans)
         blocks = None
         if body.get("blocks") is not None:
             blocks = tuple(
-                frozenset(_scalars(blk, f"each block of {where}"))
+                frozenset(names(_scalars(blk, f"each block of {where}"), "blocks", chans))
                 for blk in _field(body, "blocks", where, _sequence)
             )
-        fixed = frozenset(_scalars(body.get("fixed", []), f"'fixed' in {where}"))
-        return PermutationBlur(members=members, blocks=blocks, fixed=fixed)
+        fixed = names(_scalars(body.get("fixed", []), f"'fixed' in {where}"), "fixed", chans)
+        names(fixed, "fixed", members, "one of its members")
+        return PermutationBlur(members=tuple(members), blocks=blocks, fixed=frozenset(fixed))
     if kind == "selection":
         _reject_unknown(body, {"kind", "channels", "values"}, where)
 
-        def selected(key: str) -> frozenset[str] | None:
-            return None if body.get(key) is None else frozenset(_field(body, key, where, _scalars))
+        def selected(key: str, known: Any, what: str) -> frozenset[str] | None:
+            if body.get(key) is None:
+                return None
+            return frozenset(names(_field(body, key, where, _scalars), key, known, what))
 
-        return SelectionBlur(name=name, channels=selected("channels"), values=selected("values"))
+        return SelectionBlur(
+            name=name,
+            channels=selected("channels", chans, "a declared channel"),
+            values=selected("values", frame.data, "in 'data'"),
+        )
     raise FileFormatError(f"{where} has unknown kind {kind!r}")
 
 
@@ -198,7 +213,7 @@ def parse_frame_document(
 
     blurs: dict[str, BlurSpec] = {}
     for name, spec in _mapping(body.get("blurs") or {}, "'blurs' in frame").items():
-        blurs[str(name)] = _parse_blur(str(name), spec)
+        blurs[str(name)] = _parse_blur(str(name), spec, frame)
     return frame, named, blurs
 
 

@@ -16,7 +16,7 @@ import itertools
 import random
 
 from flowcut.enumeration import Bound, enumerate_executions
-from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem
+from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem, canonicalize
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
 from flowcut.purge import MachineSpec
 
@@ -253,6 +253,75 @@ def canonical_to_naive(run) -> tuple[list[tuple[str, str]], list[list[bool]]]:
     n = len(labels)
     order = [[(a, b) in sys.strict for b in range(n)] for a in range(n)]
     return labels, order
+
+
+# -- brute-force blur oracles ----------------------------------------------------
+#
+# The blur forms as they were first written: a permutation blur tries every
+# permutation of its blocks on every run, and a selection blur compares
+# selected restrictions across the whole universe on every application.
+
+
+def oracle_permutations(blur) -> list[dict[str, str]]:
+    """Every channel map a ``PermutationBlur`` allows: a permutation of
+    each block's movable members, with fixed members mapped to themselves."""
+    groups = blur.blocks if blur.blocks is not None else (frozenset(blur.members),)
+    per_group: list[list[dict[str, str]]] = []
+    for g in groups:
+        movable = sorted(g - blur.fixed)
+        maps = []
+        for img in itertools.permutations(movable):
+            m = dict(zip(movable, img))
+            m.update({x: x for x in g & blur.fixed})
+            maps.append(m)
+        per_group.append(maps)
+    out = []
+    for combo in itertools.product(*per_group):
+        merged: dict[str, str] = {}
+        for m in combo:
+            merged.update(m)
+        out.append(merged)
+    return out
+
+
+def oracle_act(pi: dict[str, str], run: CanonicalRun) -> CanonicalRun | None:
+    """Apply one channel map; None when event counts are incompatible."""
+    msgs = dict(run.channels)
+    new_channels = []
+    for chan, seq in run.channels:
+        if chan in pi:
+            src = msgs.get(pi[chan], ())
+            if len(src) != len(seq):
+                return None
+            new_channels.append((chan, src))
+        else:
+            new_channels.append((chan, seq))
+    for chan in pi:
+        if chan not in msgs and msgs.get(pi[chan], ()):
+            return None
+    return CanonicalRun(tuple(new_channels), run.order)
+
+
+def oracle_orbit(blur, run: CanonicalRun) -> frozenset[CanonicalRun]:
+    out = {run}
+    for pi in oracle_permutations(blur):
+        img = oracle_act(pi, run)
+        if img is not None:
+            out.add(img)
+    return frozenset(out)
+
+
+def oracle_selection_apply(blur, s, universe) -> frozenset[CanonicalRun]:
+    """A selection blur's image of ``s``: every run of the universe whose
+    selected restriction matches that of a run of ``s``."""
+
+    def selected(run: CanonicalRun) -> str:
+        sys = run.to_event_system()
+        keep = [i for i, e in enumerate(sys.events) if blur.selects(e.chan, e.msg)]
+        return canonicalize(sys.induced(keep)).serialize()
+
+    wanted = {selected(r) for r in s}
+    return frozenset(r for r in universe if selected(r) in wanted)
 
 
 # -- a fixed three-domain machine ------------------------------------------------

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcut.blur import (
     AllBlur,
@@ -32,7 +35,12 @@ from flowcut.scenarios import (
     build_voting,
 )
 
-from support import random_budget_complete_frame, random_channel_subset
+from support import (
+    oracle_orbit,
+    oracle_selection_apply,
+    random_budget_complete_frame,
+    random_channel_subset,
+)
 
 B = Bound(5)
 
@@ -163,8 +171,81 @@ def test_permutation_blur_fixed_members_stay_put():
     universe = enumerate_runs(scn.frame, scn.named_sets["voters"], Bound(8))
     blur = scn.blurs["f1"]
     for run in universe:
-        for img in blur.orbit(run):
+        for img in oracle_orbit(blur, run):
             assert dict(img.channels).get("cv1_1") == dict(run.channels).get("cv1_1")
+
+
+def _key_classes(blur, universe):
+    """Each run's class: the runs of the universe sharing its key."""
+    groups: dict = {}
+    for run in universe:
+        groups.setdefault(blur.key(run), set()).add(run)
+    return {run: frozenset(g) for g in groups.values() for run in g}
+
+
+@pytest.mark.parametrize(
+    ("precincts", "commissioners", "name"),
+    [
+        ((2,), (), "f0"),
+        ((2, 2), (), "f0"),
+        ((2, 2), (), "f0_blocks"),
+        ((2, 2), (), "f0_p2"),
+        ((3,), (), "f0"),
+        ((2, 2), ((1, 1),), "f1"),
+        ((3,), ((1, 2),), "f1"),
+    ],
+)
+def test_permutation_key_classes_equal_oracle_orbits(precincts, commissioners, name):
+    scn = build_voting(VotingParams(precincts=precincts, commissioners=commissioners))
+    universe = enumerate_runs(scn.frame, scn.named_sets["voters"], Bound(8))
+    blur = scn.blurs[name]
+    classes = _key_classes(blur, universe)
+    uneven = 0
+    for run in universe:
+        assert classes[run] == oracle_orbit(blur, run) & universe, run.serialize()
+        seqs = dict(run.channels)
+        uneven += len({len(seqs.get(m, ())) for m in blur.members}) > 1
+    # Runs in which some voters have voted and others not: no permutation
+    # swaps a vote with an absent one.
+    assert uneven
+    runs = sorted(universe, key=CanonicalRun.serialize)
+    rng = random.Random(len(runs))
+    for _ in range(5):
+        some = frozenset(rng.sample(runs, rng.randint(0, 6)))
+        expected = frozenset().union(*(classes[r] for r in some))
+        assert blur_apply(blur, some, universe) == expected
+
+
+@pytest.mark.parametrize(("name", "source"), [("f_e", "chans_n"), ("f_i", "chans_i")])
+def test_selection_blur_images_equal_rescan(name, source):
+    fw = build_firewall(FirewallParams())
+    universe = enumerate_runs(fw.frame, fw.named_sets[source], Bound(6))
+    blur = fw.blurs[name]
+    runs = sorted(universe, key=CanonicalRun.serialize)
+    for k in range(len(runs) + 1):
+        for some in itertools.combinations(runs, k):
+            assert blur_apply(blur, some, universe) == oracle_selection_apply(blur, some, universe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_permutation_blur_matches_oracle_on_random_frames(seed, data):
+    frame = random_budget_complete_frame(random.Random(seed), 5)
+    chans = sorted(frame.channel_ids)
+    members = data.draw(st.lists(st.sampled_from(chans), min_size=1, unique=True))
+    blocks = None
+    if data.draw(st.booleans()):
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(members), max_size=len(members)))
+        blocks = tuple(
+            frozenset(m for m, lab in zip(members, labels) if lab == k) for k in sorted(set(labels))
+        )
+    fixed = data.draw(st.frozensets(st.sampled_from(members)))
+    blur = PermutationBlur(tuple(members), blocks, fixed)
+    universe = enumerate_runs(frame, chans, B)
+    runs = sorted(universe, key=CanonicalRun.serialize)
+    some = data.draw(st.frozensets(st.sampled_from(runs), max_size=4))
+    expected = frozenset().union(*(oracle_orbit(blur, r) for r in some)) & universe
+    assert blur_apply(blur, some, universe) == expected
 
 
 def test_selection_blur_groups_by_selected_events():

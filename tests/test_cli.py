@@ -335,6 +335,46 @@ def test_wrong_typed_field_exits_2_naming_it(tmp_path, capsys, path, value, fiel
     assert err.startswith("error: ") and field in err, err
 
 
+@pytest.mark.parametrize(
+    "blur, message",
+    [
+        (
+            {"kind": "permutation", "members": ["a", "b"]},
+            "'members' in blur 'x' names 'b', which is not a declared channel",
+        ),
+        ({"kind": "permutation", "members": ["a"], "blocks": [["b"]]}, "'blocks' in blur 'x' names 'b'"),
+        ({"kind": "permutation", "members": ["a"], "fixed": ["b"]}, "'fixed' in blur 'x' names 'b'"),
+        ({"kind": "permutation", "members": [], "fixed": ["a"]}, "names 'a', which is not one of its members"),
+        (
+            {"kind": "selection", "channels": ["b"]},
+            "'channels' in blur 'x' names 'b', which is not a declared channel",
+        ),
+        ({"kind": "selection", "values": ["2"]}, "'values' in blur 'x' names '2', which is not in 'data'"),
+    ],
+    ids=["members", "blocks", "fixed-channel", "fixed-member", "selection-channels", "selection-values"],
+)
+def test_blur_naming_undeclared_name_exits_2(tmp_path, capsys, blur, message):
+    file = tmp_path / "frame.yaml"
+    file.write_text(_with_field(GOOD_FRAME, ("frame", "blurs", "x"), blur))
+    assert main(["validate", str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_misspelled_permutation_members_are_rejected(tmp_path, capsys):
+    """Typos in a member list used to leave those voters out of the blur,
+    turning a failing check into a passing one."""
+    path = tmp_path / "v22.yaml"
+    assert main(["scenario", "voting", "--precincts", "2,2", "--out", str(path)]) == 0
+    argv = ["check-blur", str(path), "--blur", "f0", "--source", "voters", "--observed", "pub", "--bound", "8"]
+    assert main(argv) == 1
+    typos = ["cv1_1", "cv1_2", "cv2-1", "cv2-2"]
+    path.write_text(_with_field(path.read_text(), ("frame", "blurs", "f0", "members"), typos))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "'members' in blur 'f0' names 'cv2-1'" in capsys.readouterr().err
+
+
 def test_unexpected_exception_exits_3_on_one_line(frame_file, capsys, monkeypatch):
     import flowcut.cli as cli
 
