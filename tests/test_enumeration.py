@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -159,3 +160,16 @@ def test_runs_are_restrictions_of_enumerated_executions():
     exset = enumerate_executions(frame, Bound(5))
     expected = {canonicalize(s.restrict(chans)) for s in exset.systems}
     assert enumerate_runs(frame, chans, Bound(5)) == expected
+
+
+def test_firewall_region_sends_2_at_bound_8_is_pinned():
+    """Count and digest of every canonical execution, recorded with the
+    enumerator that canonicalized each firing sequence."""
+    scn = build_firewall(FirewallParams(region_sends=2))
+    exset = enumerate_executions(scn.frame, Bound(8))
+    joined = "\n".join(c.serialize() for c in exset.canonicals)
+    assert len(exset) == 9244
+    assert (
+        hashlib.sha256(joined.encode()).hexdigest()
+        == "6c7a7b86bccec149b55af16b04fe46fe4639449fbf9bd3ae7762e2f5fe77a2cc"
+    )
