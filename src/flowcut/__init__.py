@@ -65,9 +65,7 @@ from .frames import (
     Location,
     Lts,
     UnknownChannelError,
-    frame_graph,
     location_language,
-    undirected_frame_graph,
     validate_frame,
 )
 from .purge import (

@@ -63,10 +63,9 @@ def _cmpt_table(
     """Map each observed run to the set of source runs co-realized with it."""
     frame.check_channels(observed)
     frame.check_channels(source)
+    exset = enumerate_executions(frame, bound)
     table: dict[CanonicalRun, set[CanonicalRun]] = {}
-    for sys in enumerate_executions(frame, bound).systems:
-        obs = canonicalize(sys.restrict(observed))
-        src = canonicalize(sys.restrict(source))
+    for obs, src in zip(exset.runs_at(observed), exset.runs_at(source)):
         table.setdefault(obs, set()).add(src)
     return {k: frozenset(v) for k, v in table.items()}
 
@@ -100,8 +99,10 @@ def no_disclosure(
     """
     obs = frame.check_channels(observed)
     src = frame.check_channels(source)
-    all_src = enumerate_runs(frame, src, bound)
     table = _cmpt_table(frame, obs, src, bound)
+    # Every execution's source run is compatible with its observed run, so
+    # the table's values cover the source universe.
+    all_src = frozenset().union(*table.values())
     for b in sorted(table, key=CanonicalRun.serialize):
         missing = all_src - table[b]
         if missing:
@@ -131,10 +132,10 @@ def obs_equivalent(
     source runs: they belong to exactly the same compatibility sets."""
     src = frame.check_channels(source)
     obs = frame.check_channels(observed)
-    universe = enumerate_runs(frame, src, bound)
+    table = _cmpt_table(frame, obs, src, bound)
+    universe = frozenset().union(*table.values())
     if b1 not in universe or b2 not in universe:
         raise ValueError("obs_equivalent requires source runs realizable at the bound")
-    table = _cmpt_table(frame, obs, src, bound)
     return all((b1 in compat) == (b2 in compat) for compat in table.values())
 
 

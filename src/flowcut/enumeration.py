@@ -7,13 +7,26 @@ attaches the new event above the latest events of the sender and recipient
 locations.  A step on channel c with value v is enabled only when the
 label (c, v) is enabled at both endpoints simultaneously (synchronous
 message passing); a self-loop channel consults its single location once.
+Each location's enabled steps are read from a successor row built once per
+(location, behaviour state) of the enumeration.
 
 The order attached to each execution is the least partial order making
-every location projection a chain.  Distinct firing sequences reaching
-isomorphic posets are collapsed via canonical forms, which restores the
-true-concurrency reading: independent events stay incomparable.  Every
-analysis result is therefore relative to the bound, and callers are
-expected to surface that bound in their reports.
+every location projection a chain.  Such an execution is determined by
+the tuple of its locations' label sequences: the k-th ``c`` label at the
+sender and the k-th ``c`` label at the recipient are the same event, with
+canonical id ``(c, k)``.  Firing sequences that differ only in the order of
+independent events reach the same tuple, so the search dedups on it (the
+trace-theory view of an execution as its location projections).  Each
+distinct execution is built once, in compact form: the canonical id of
+every event in one firing order, each event's ancestors as an int bitmask
+over that order, and its covering pairs, grown one event at a time.  Its
+CanonicalRun is assembled once, at the end.
+
+Restricting an execution to a channel set C keeps every event on C, so
+canonical ids survive restriction and the restricted order is read off
+the ancestor masks (``ExecutionSet.runs_at``).  Every analysis result is
+relative to the bound, and callers are expected to surface that bound in
+their reports.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .events import CanonicalRun, Event, EventSystem, canonicalize
+from .events import CanonicalId, CanonicalRun, Event, EventSystem
 from .frames import (
     Frame,
     behavior_start,
@@ -57,23 +70,80 @@ class Bound:
 @dataclass(frozen=True)
 class ExecutionSet:
     """All minimal-order executions of a frame within a bound, one per
-    isomorphism class, sorted by canonical serialization."""
+    isomorphism class, sorted by canonical serialization.
+
+    Execution i is ``canonicals[i]``; ``ids[i]`` lists its events'
+    canonical ids in one firing order and ``ancestors[i]`` each event's
+    strict predecessors as a bitmask over that order."""
 
     frame: Frame
     bound: Bound
-    systems: tuple[EventSystem, ...]
     canonicals: tuple[CanonicalRun, ...]
+    ids: tuple[tuple[CanonicalId, ...], ...]
+    ancestors: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.systems)
+        return len(self.canonicals)
 
     def __iter__(self):
         return iter(self.systems)
 
+    @property
+    def systems(self) -> tuple[EventSystem, ...]:
+        """Every execution as an event system, events in firing order.
+        Built on each access; the ancestor masks are already closed."""
+        out = []
+        for crun, ids, anc in zip(self.canonicals, self.ids, self.ancestors):
+            msgs = dict(crun.channels)
+            events = tuple(Event(chan, msgs[chan][k]) for chan, k in ids)
+            strict = frozenset(
+                (a, b) for b, mask in enumerate(anc) for a in range(b) if mask >> a & 1
+            )
+            out.append(EventSystem(events, strict))
+        return tuple(out)
+
+    def runs_at(self, chans: Iterable[str]) -> tuple[CanonicalRun, ...]:
+        """Every execution's local run at ``chans``, in execution order.
+
+        A kept event's covers are its kept predecessors P minus everything
+        below some member of P."""
+        keep = self.frame.check_channels(chans)
+        empty = CanonicalRun.empty()
+        out = []
+        for crun, ids, anc in zip(self.canonicals, self.ids, self.ancestors):
+            channels = tuple(cm for cm in crun.channels if cm[0] in keep)
+            if len(channels) == len(crun.channels):
+                out.append(crun)
+                continue
+            if not channels:
+                out.append(empty)
+                continue
+            kept = [b for b, cid in enumerate(ids) if cid[0] in keep]
+            mask = 0
+            for b in kept:
+                mask |= 1 << b
+            order = []
+            for b in kept:
+                below = anc[b] & mask
+                covered = 0
+                rest = below
+                while rest:
+                    low = rest & -rest
+                    covered |= anc[low.bit_length() - 1]
+                    rest ^= low
+                rest = below & ~covered
+                while rest:
+                    low = rest & -rest
+                    order.append((ids[low.bit_length() - 1], ids[b]))
+                    rest ^= low
+            order.sort()
+            out.append(CanonicalRun(channels, tuple(order)))
+        return tuple(out)
+
 
 def enumerate_executions(frame: Frame, bound: Bound) -> ExecutionSet:
     """Enumerate every minimal-order execution with at most the bounded
-    number of events, deduplicated by canonical form."""
+    number of events, each once."""
     report = validate_frame(frame)
     if not report.ok:
         raise EnumerationError(
@@ -84,81 +154,124 @@ def enumerate_executions(frame: Frame, bound: Bound) -> ExecutionSet:
 
 @lru_cache(maxsize=256)
 def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
-    behaviors = {loc.id: loc.behavior for loc in frame.locations}
+    specs = [loc.behavior for loc in frame.locations]
+    index = {loc.id: i for i, loc in enumerate(frame.locations)}
     values = sorted(frame.data)
-    channels = list(frame.channels)
+    chans = [(c.id, index[c.sender], index[c.recipient]) for c in frame.channels]
+    own = [[c for c, s, r in chans if i in (s, r)] for i in range(len(specs))]
 
-    empty = EventSystem.empty()
-    start_config = {lid: behavior_start(spec) for lid, spec in behaviors.items()}
-    found: dict[CanonicalRun, EventSystem] = {canonicalize(empty): empty}
-    # Behaviour steps of this enumeration, filled on first use:
-    # (location, state, label) -> next state, or None when not enabled.
-    step_table: dict[tuple, object] = {}
-    # Worklist entries: (events, ancestor sets, last event per location,
-    # per-location behavior states, per-location event counts).
-    queue: list[tuple[list[Event], list[frozenset[int]], dict, dict, dict]] = [
-        ([], [], {}, start_config, {lid: 0 for lid in behaviors})
-    ]
-    per_loc = bound.max_events_per_location
+    # (location, behaviour state) -> {channel: {value: next state}}, the
+    # values in sorted order; channels with nothing enabled are absent.
+    rows: dict[tuple, dict] = {}
 
-    while queue:
-        events, anc, last, config, counts = queue.pop()
-        if len(events) >= bound.max_total_events:
-            continue
-        for chan in channels:
-            locs = (chan.sender,) if chan.is_self_loop else (chan.sender, chan.recipient)
-            if per_loc is not None and any(counts[l] + 1 > per_loc for l in locs):
-                continue
+    def row(i: int, state) -> dict:
+        try:
+            return rows[i, state]
+        except KeyError:
+            pass
+        out = {}
+        for chan in own[i]:
+            steps = {}
             for value in values:
-                label = (chan.id, value)
-                steps = {}
-                for l in locs:
-                    step_key = (l, config[l], label)
-                    try:
-                        nxt = step_table[step_key]
-                    except KeyError:
-                        nxt = step_table[step_key] = behavior_step(behaviors[l], config[l], label)
-                    if nxt is None:
-                        break
-                    steps[l] = nxt
+                nxt = behavior_step(specs[i], state, (chan, value))
+                if nxt is not None:
+                    steps[value] = nxt
+            if steps:
+                out[chan] = steps
+        rows[i, state] = out
+        return out
+
+    total = bound.max_total_events
+    per_loc = bound.max_events_per_location
+    empty_key = ((),) * len(specs)
+    # Dedup key (per-location label sequences) -> (labels in firing order,
+    # ancestor masks, covered events per event).
+    found: dict[tuple, tuple] = {empty_key: ((), (), ())}
+    # Worklist entries: key, behaviour states, last event per location
+    # (-1 for none), then the execution as stored in ``found``.
+    stack = [
+        (empty_key, tuple(behavior_start(s) for s in specs), (-1,) * len(specs), (), (), ())
+    ]
+    while stack:
+        key, config, last, labels, anc, covers = stack.pop()
+        n = len(labels)
+        if n >= total:
+            continue
+        for chan, s, r in chans:
+            if per_loc is not None and (len(key[s]) >= per_loc or len(key[r]) >= per_loc):
+                continue
+            steps_s = row(s, config[s]).get(chan)
+            if steps_s is None:
+                continue
+            steps_r = steps_s if s == r else row(r, config[r]).get(chan)
+            if steps_r is None:
+                continue
+            for value, next_s in steps_s.items():
+                next_r = steps_r.get(value)
+                if next_r is None:
+                    continue
+                label = (chan, value)
+                key2 = list(key)
+                key2[s] = key[s] + (label,)
+                key2[r] = key2[s] if s == r else key[r] + (label,)
+                key2 = tuple(key2)
+                if key2 in found:
+                    continue
+                a, b = last[s], last[r]
+                pred = 0
+                if a >= 0:
+                    pred = anc[a] | 1 << a
+                if b >= 0:
+                    pred |= anc[b] | 1 << b
+                # The new event covers each endpoint's last event that lies
+                # below neither of the others.
+                if a < 0:
+                    cov = () if b < 0 else (b,)
+                elif b < 0 or a == b or anc[a] >> b & 1:
+                    cov = (a,)
+                elif anc[b] >> a & 1:
+                    cov = (b,)
                 else:
-                    new_idx = len(events)
-                    pred: set[int] = set()
-                    for l in locs:
-                        if l in last:
-                            pred.add(last[l])
-                            pred |= anc[last[l]]
-                    events2 = events + [Event(chan.id, value)]
-                    anc2 = anc + [frozenset(pred)]
-                    sys = _assemble(events2, anc2)
-                    crun = canonicalize(sys)
-                    if crun in found:
-                        continue
-                    found[crun] = sys
-                    last2 = dict(last)
-                    for l in locs:
-                        last2[l] = new_idx
-                    config2 = dict(config)
-                    config2.update(steps)
-                    counts2 = dict(counts)
-                    for l in locs:
-                        counts2[l] += 1
-                    queue.append((events2, anc2, last2, config2, counts2))
+                    cov = (a, b)
+                record = (labels + (label,), anc + (pred,), covers + (cov,))
+                found[key2] = record
+                if n + 1 < total:
+                    last2 = list(last)
+                    last2[s] = last2[r] = n
+                    config2 = list(config)
+                    config2[s] = next_s
+                    config2[r] = next_r
+                    stack.append((key2, tuple(config2), tuple(last2)) + record)
 
-    ordered = sorted(found.items(), key=lambda kv: kv[0].serialize())
-    systems = tuple(sys for _, sys in ordered)
-    canonicals = tuple(crun for crun, _ in ordered)
-    return ExecutionSet(frame, bound, systems, canonicals)
-
-
-def _assemble(events: list[Event], anc: list[frozenset[int]]) -> EventSystem:
-    strict = frozenset((a, b) for b, preds in enumerate(anc) for a in preds)
-    return EventSystem(tuple(events), strict)
+    interned: dict[CanonicalId, CanonicalId] = {}
+    built = []
+    for labels, anc, covers in found.values():
+        counts: dict[str, int] = {}
+        msgs: dict[str, list[str]] = {}
+        ids = []
+        for chan, value in labels:
+            k = counts.get(chan, 0)
+            counts[chan] = k + 1
+            cid = (chan, k)
+            ids.append(interned.setdefault(cid, cid))
+            msgs.setdefault(chan, []).append(value)
+        order = sorted((ids[a], ids[b]) for b, cov in enumerate(covers) for a in cov)
+        crun = CanonicalRun(
+            tuple((chan, tuple(msgs[chan])) for chan in sorted(msgs)), tuple(order)
+        )
+        built.append((crun.serialize(), crun, tuple(ids), anc))
+    built.sort(key=lambda entry: entry[0])
+    return ExecutionSet(
+        frame,
+        bound,
+        tuple(entry[1] for entry in built),
+        tuple(entry[2] for entry in built),
+        tuple(entry[3] for entry in built),
+    )
 
 
 def enumerate_runs(frame: Frame, chans: Iterable[str], bound: Bound) -> frozenset[CanonicalRun]:
-    """All local runs at the given channels: canonical restrictions of the
+    """All local runs at the given channels: the restrictions of the
     bounded executions."""
     keep = frame.check_channels(chans)
-    exset = enumerate_executions(frame, bound)
-    return frozenset(canonicalize(sys.restrict(keep)) for sys in exset.systems)
+    return frozenset(enumerate_executions(frame, bound).runs_at(keep))

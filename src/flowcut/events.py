@@ -2,9 +2,13 @@
 Finite labeled posets of events, executions, and canonical local runs.
 
 An EventSystem is a finite set of (channel, message) events with a strict
-partial order, stored transitively closed so that restriction is a plain
-intersection.  Executions of a frame are event systems whose projection
-onto every location is a chain lying in that location's trace set.
+partial order, stored as the set of all ordered pairs; it is the general
+form for posets built by hand, merged across a cut, or checked against a
+frame.  Executions of a frame are event systems whose projection onto
+every location is a chain lying in that location's trace set.  Enumerated
+executions are not kept as event systems: ``enumeration.ExecutionSet``
+keeps each one as canonical ids with ancestor bitmasks and restricts it
+with bit operations, and derives event systems only on request.
 
 Equality of local runs is order-isomorphism: two restrictions count as the
 same run when a channel-, message-, and order-preserving bijection relates

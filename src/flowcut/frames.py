@@ -13,10 +13,7 @@ here are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Iterable, Union
 
 #: A label is a (channel id, data value) pair.
 Label = tuple[str, str]
@@ -334,32 +331,6 @@ def _duplicates(items: list[str]) -> list[str]:
 
 def _fmt_trace(t: Trace) -> str:
     return "<" + ",".join(f"({c},{v})" for c, v in t) + ">"
-
-
-# -- graphs --------------------------------------------------------------
-
-
-def frame_graph(frame: Frame) -> nx.MultiDiGraph:
-    """The directed graph of a frame: one vertex per location, one edge
-    per channel (keyed by channel id)."""
-    import networkx as nx
-
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(frame.location_ids)
-    for c in frame.channels:
-        g.add_edge(c.sender, c.recipient, key=c.id)
-    return g
-
-
-def undirected_frame_graph(frame: Frame) -> nx.MultiGraph:
-    """The undirected graph of a frame (channel-keyed multigraph)."""
-    import networkx as nx
-
-    g = nx.MultiGraph()
-    g.add_nodes_from(frame.location_ids)
-    for c in frame.channels:
-        g.add_edge(c.sender, c.recipient, key=c.id)
-    return g
 
 
 # -- language ------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .blur import PartitionBlur
 from .enumeration import Bound, enumerate_executions, enumerate_runs
-from .events import CanonicalRun, EventSystem, canonicalize, chain_order, is_execution
+from .events import CanonicalRun, EventSystem, canonicalize, is_execution
 from .frames import Channel, Frame, Label, Location, Lts
 
 
@@ -218,13 +218,21 @@ def input_sequence(machine: MachineSpec, run: CanonicalRun) -> tuple[Label, ...]
     """Flatten an input-channel run of the star frame into a sequence.
 
     Star-frame executions are totally ordered, so their input restrictions
-    are chains.
+    are chains, and the covering pairs of a chain form one path.
     """
-    sys = run.to_event_system()
-    chain, bad = chain_order(range(sys.n_events), sys.predecessors())
-    if bad is not None:
+    succ = dict(run.order)
+    ids = {(chan, i) for chan, msgs in run.channels for i in range(len(msgs))}
+    heads = ids - set(succ.values())
+    chain: list = []
+    if len(heads) == 1 and len(succ) == len(run.order) == len(set(succ.values())):
+        cid = heads.pop()
+        while cid is not None:
+            chain.append(cid)
+            cid = succ.get(cid)
+    if len(chain) != len(ids):
         raise MachineError("input run of a star frame must be totally ordered")
-    return tuple((sys.events[i].chan, sys.events[i].msg) for i in chain)
+    msgs = dict(run.channels)
+    return tuple((chan, msgs[chan][i]) for chan, i in chain)
 
 
 def purge_sequence(machine: MachineSpec, kind: PurgeKind, inputs: Sequence[Label]) -> PurgedValue:
@@ -307,12 +315,10 @@ def validate_purge(
     in_chans = machine.input_channels()
     vis = machine.visible_inputs(kind.target)
 
+    exset = enumerate_executions(frame, bound)
     rows = []
-    for sys in enumerate_executions(frame, bound).systems:
-        in_run = canonicalize(sys.restrict(in_chans))
-        value = fn(input_sequence(machine, in_run))
-        vis_run = canonicalize(sys.restrict(vis))
-        rows.append((in_run, value, vis_run))
+    for in_run, vis_run in zip(exset.runs_at(in_chans), exset.runs_at(vis)):
+        rows.append((in_run, fn(input_sequence(machine, in_run)), vis_run))
 
     # Purges computed from input runs satisfy the first law by
     # construction; recheck anyway since purge_fn is arbitrary.
@@ -347,10 +353,9 @@ def _execution_rows(machine: MachineSpec, kind: PurgeKind, bound: Bound):
     in_chans = machine.input_channels()
     ci = machine.domain_channels(kind.target)
     fn = _purge_fn(machine, kind)
+    exset = enumerate_executions(frame, bound)
     rows = []
-    for sys in enumerate_executions(frame, bound).systems:
-        in_run = canonicalize(sys.restrict(in_chans))
-        ci_run = canonicalize(sys.restrict(ci))
+    for in_run, ci_run in zip(exset.runs_at(in_chans), exset.runs_at(ci)):
         rows.append((fn(input_sequence(machine, in_run)), in_run, ci_run))
     return frame, rows
 

@@ -106,6 +106,32 @@ def disjoint_union(frame_a: Frame, frame_b: Frame) -> Frame:
     return Frame.build(locs_a + locs_b, chans_a + chans_b, frame_a.data | frame_b.data)
 
 
+# -- frame graphs (networkx) ----------------------------------------------------
+
+
+def frame_graph(frame: Frame):
+    """The directed graph of a frame: one vertex per location, one edge
+    per channel (keyed by channel id)."""
+    import networkx as nx
+
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(frame.location_ids)
+    for c in frame.channels:
+        g.add_edge(c.sender, c.recipient, key=c.id)
+    return g
+
+
+def undirected_frame_graph(frame: Frame):
+    """The undirected graph of a frame (channel-keyed multigraph)."""
+    import networkx as nx
+
+    g = nx.MultiGraph()
+    g.add_nodes_from(frame.location_ids)
+    for c in frame.channels:
+        g.add_edge(c.sender, c.recipient, key=c.id)
+    return g
+
+
 # -- random machines -----------------------------------------------------------
 
 
@@ -253,6 +279,50 @@ def canonical_to_naive(run) -> tuple[list[tuple[str, str]], list[list[bool]]]:
     n = len(labels)
     order = [[(a, b) in sys.strict for b in range(n)] for a in range(n)]
     return labels, order
+
+
+# -- reference enumerator ---------------------------------------------------------
+
+
+def reference_enumerate(frame: Frame, bound: int) -> list[tuple[CanonicalRun, EventSystem]]:
+    """Every bounded minimal-order execution, deduplicated by canonicalizing
+    each newly generated firing sequence's event system, sorted by canonical
+    serialization: the enumerator the library used before it deduplicated
+    on location traces."""
+    from flowcut.events import Event
+    from flowcut.frames import behavior_start, behavior_step
+
+    behaviors = {loc.id: loc.behavior for loc in frame.locations}
+    empty = EventSystem.empty()
+    found = {canonicalize(empty): empty}
+    queue = [([], [], {}, {lid: behavior_start(b) for lid, b in behaviors.items()})]
+    while queue:
+        events, anc, last, config = queue.pop()
+        if len(events) >= bound:
+            continue
+        for chan in frame.channels:
+            locs = (chan.sender,) if chan.is_self_loop else (chan.sender, chan.recipient)
+            for value in sorted(frame.data):
+                steps = {l: behavior_step(behaviors[l], config[l], (chan.id, value)) for l in locs}
+                if None in steps.values():
+                    continue
+                pred = set()
+                for l in locs:
+                    if l in last:
+                        pred |= {last[l]} | anc[last[l]]
+                events2 = events + [Event(chan.id, value)]
+                anc2 = anc + [frozenset(pred)]
+                sys = EventSystem(
+                    tuple(events2), frozenset((a, b) for b, ps in enumerate(anc2) for a in ps)
+                )
+                crun = canonicalize(sys)
+                if crun in found:
+                    continue
+                found[crun] = sys
+                queue.append(
+                    (events2, anc2, {**last, **{l: len(events) for l in locs}}, {**config, **steps})
+                )
+    return sorted(found.items(), key=lambda kv: kv[0].serialize())
 
 
 # -- brute-force blur oracles ----------------------------------------------------

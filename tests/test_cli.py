@@ -184,6 +184,38 @@ def test_cli_check_blur_identity_holds(frame_file):
     )
 
 
+ONE_RUN_FRAME = """
+frame:
+  data: [v]
+  locations:
+    - id: A
+      lts: {states: [q], initial: q, transitions: []}
+    - id: B
+      lts: {states: [q], initial: q, transitions: []}
+  channels:
+    - {id: c, sender: A, recipient: B}
+    - {id: d, sender: B, recipient: A}
+  blurs:
+    everything: {kind: all}
+"""
+
+
+def test_cli_check_blur_all_blur_holds_on_a_one_run_universe(tmp_path, capsys):
+    """The only source run is the empty run; the all-blur is checked on
+    non-empty samples, where it fixes every compatibility set."""
+    path = tmp_path / "one_run.yaml"
+    path.write_text(ONE_RUN_FRAME)
+    argv = ["check-blur", str(path), "--blur", "everything", "--source", "c"]
+    assert main(argv + ["--observed", "d", "--bound", "2", "--json"]) == 0
+    laws = json.loads(capsys.readouterr().out)["details"]["blur_laws"]
+    assert laws == {
+        "inclusion": True,
+        "idempotence": True,
+        "union": True,
+        "partition_generated": True,
+    }
+
+
 def test_cli_unknown_blur_is_usage_error(frame_file):
     assert (
         main(

@@ -13,10 +13,15 @@ from flowcut.cuts import (
     find_min_cut,
     is_cut,
 )
-from flowcut.frames import Channel, ExplicitTraces, Frame, Location, undirected_frame_graph
+from flowcut.frames import Channel, ExplicitTraces, Frame, Location
 from flowcut.scenarios import FirewallParams, build_firewall
 
-from support import disjoint_union, random_budget_complete_frame, random_channel_subset
+from support import (
+    disjoint_union,
+    random_budget_complete_frame,
+    random_channel_subset,
+    undirected_frame_graph,
+)
 
 
 def chain_frame() -> Frame:

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcut.enumeration import (
     Bound,
@@ -22,7 +23,15 @@ from flowcut.frames import (
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
-from support import random_budget_complete_frame
+from support import (
+    canonical_to_naive,
+    naive_histories,
+    naive_iso,
+    naive_poset,
+    random_budget_complete_frame,
+    random_channel_subset,
+    reference_enumerate,
+)
 
 
 def test_bound_validation():
@@ -173,3 +182,44 @@ def test_firewall_region_sends_2_at_bound_8_is_pinned():
         hashlib.sha256(joined.encode()).hexdigest()
         == "6c7a7b86bccec149b55af16b04fe46fe4639449fbf9bd3ae7762e2f5fe77a2cc"
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_canonicals_match_the_naive_oracle(seed):
+    """Every firing history is isomorphic to exactly one enumerated
+    execution, and every enumerated execution to some history."""
+    rng = random.Random(seed)
+    frame = random_budget_complete_frame(rng, 4)
+    exset = enumerate_executions(frame, Bound(4))
+    by_labels: dict = {}
+    for i, crun in enumerate(exset.canonicals):
+        poset = canonical_to_naive(crun)
+        by_labels.setdefault(tuple(sorted(poset[0])), []).append((i, poset))
+    hit = set()
+    for history in naive_histories(frame, 4):
+        poset = naive_poset(frame, history)
+        candidates = by_labels.get(tuple(sorted(history)), [])
+        matches = [i for i, rep in candidates if naive_iso(poset, rep)]
+        assert len(matches) == 1
+        hit.update(matches)
+    assert hit == set(range(len(exset)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_executions_and_runs_match_the_reference_enumerator(seed):
+    """Same canonicals in the same order as canonicalizing every firing
+    sequence, and each bitmask restriction equals the canonical form of
+    the reference execution restricted as an event system."""
+    rng = random.Random(seed)
+    frame = random_budget_complete_frame(rng, 5)
+    exset = enumerate_executions(frame, Bound(5))
+    reference = reference_enumerate(frame, 5)
+    assert exset.canonicals == tuple(crun for crun, _ in reference)
+    for chans in [frozenset(), frozenset(frame.channel_ids)] + [
+        random_channel_subset(rng, frame) for _ in range(4)
+    ]:
+        expected = tuple(canonicalize(sys.restrict(chans)) for _, sys in reference)
+        assert exset.runs_at(chans) == expected
+        assert tuple(canonicalize(sys.restrict(chans)) for sys in exset.systems) == expected

@@ -11,14 +11,12 @@ from flowcut.frames import (
     FrameError,
     Location,
     Lts,
-    frame_graph,
     location_language,
-    undirected_frame_graph,
     validate_frame,
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
-from support import random_budget_complete_frame
+from support import frame_graph, random_budget_complete_frame, undirected_frame_graph
 
 
 def single_location_frame() -> Frame:

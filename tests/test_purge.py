@@ -6,7 +6,7 @@ import pytest
 
 from flowcut.blur import f_limits_flow, validate_blur
 from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
-from flowcut.events import canonicalize
+from flowcut.events import CanonicalRun, canonicalize, chain_order
 from flowcut.frames import validate_frame
 from flowcut.purge import (
     MachineError,
@@ -285,6 +285,33 @@ def test_transitive_influence_collapses_hy_to_gm(seed):
             assert purge_sequence(m, PurgeKind("gm", target), seq) == purge_sequence(
                 m, PurgeKind("hy", target), seq
             )
+
+
+def test_input_sequence_follows_the_chain_of_every_input_run():
+    m = downgrader_machine()
+    frame = star_frame(m)
+    for run in enumerate_runs(frame, m.input_channels(), Bound(7)):
+        sys = run.to_event_system()
+        chain, bad = chain_order(range(sys.n_events), sys.predecessors())
+        assert bad is None
+        expected = tuple((sys.events[i].chan, sys.events[i].msg) for i in chain)
+        assert input_sequence(m, run) == expected
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        (),
+        ((("in_d0", 0), ("in_d1", 0)), (("in_d0", 0), ("in_d2", 0))),
+        ((("in_d0", 0), ("in_d2", 0)), (("in_d1", 0), ("in_d2", 0))),
+    ],
+    ids=["incomparable", "fork", "join"],
+)
+def test_input_sequence_rejects_a_run_that_is_not_a_chain(order):
+    m = downgrader_machine()
+    run = CanonicalRun((("in_d0", ("set1",)), ("in_d1", ("rel",)), ("in_d2", ("look",))), order)
+    with pytest.raises(MachineError, match="must be totally ordered"):
+        input_sequence(m, run)
 
 
 def test_purge_blur_identity_when_everything_visible():
