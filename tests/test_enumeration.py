@@ -88,6 +88,16 @@ def test_per_location_bound_caps_participation():
     assert len(enumerate_executions(frame, Bound(3, 1))) == 2
 
 
+def test_per_location_bound_caps_the_recipient_too():
+    # R takes c from S and fires its own d, in either order; with one event
+    # per location, c is disabled once R has fired d.
+    s = Location("S", ExplicitTraces.of([("c", "v")]))
+    r = Location("R", ExplicitTraces.of([("c", "v"), ("d", "v")], [("d", "v"), ("c", "v")]))
+    frame = Frame.build([s, r], [Channel("c", "S", "R"), Channel("d", "R", "R")], ["v"])
+    assert len(enumerate_executions(frame, Bound(3))) == 5
+    assert len(enumerate_executions(frame, Bound(3, 1))) == 3
+
+
 def test_malformed_frame_rejected():
     loc = Location("L", ExplicitTraces(frozenset({(("c", "v"),)})))
     frame = Frame.build([loc], [Channel("c", "L", "L")], ["v"])
