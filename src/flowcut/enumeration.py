@@ -187,23 +187,22 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
     # Dedup key (per-location label sequences) -> (labels in firing order,
     # ancestor masks, covered events per event).
     found: dict[tuple, tuple] = {empty_key: ((), (), ())}
-    # Worklist entries: key, behaviour states, last event per location
-    # (-1 for none), then the execution as stored in ``found``.
-    stack = [
-        (empty_key, tuple(behavior_start(s) for s in specs), (-1,) * len(specs), (), (), ())
-    ]
+    # Worklist entries: key, successor row per location, last event per
+    # location (-1 for none), then the execution as stored in ``found``.
+    start = tuple(row(i, behavior_start(spec)) for i, spec in enumerate(specs))
+    stack = [(empty_key, start, (-1,) * len(specs), (), (), ())]
     while stack:
-        key, config, last, labels, anc, covers = stack.pop()
+        key, here, last, labels, anc, covers = stack.pop()
         n = len(labels)
         if n >= total:
             continue
         for chan, s, r in chans:
             if per_loc is not None and (len(key[s]) >= per_loc or len(key[r]) >= per_loc):
                 continue
-            steps_s = row(s, config[s]).get(chan)
+            steps_s = here[s].get(chan)
             if steps_s is None:
                 continue
-            steps_r = steps_s if s == r else row(r, config[r]).get(chan)
+            steps_r = steps_s if s == r else here[r].get(chan)
             if steps_r is None:
                 continue
             for value, next_s in steps_s.items():
@@ -238,14 +237,17 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                 if n + 1 < total:
                     last2 = list(last)
                     last2[s] = last2[r] = n
-                    config2 = list(config)
-                    config2[s] = next_s
-                    config2[r] = next_r
-                    stack.append((key2, tuple(config2), tuple(last2)) + record)
+                    here2 = list(here)
+                    here2[s] = row(s, next_s)
+                    here2[r] = row(r, next_r)
+                    stack.append((key2, tuple(here2), tuple(last2)) + record)
 
-    interned: dict[CanonicalId, CanonicalId] = {}
+    # Canonical ids, covering pairs and channel entries recur across
+    # executions; one shared object per value keeps the set small.
+    shared: dict = {}
     built = []
-    for labels, anc, covers in found.values():
+    while found:
+        labels, anc, covers = found.popitem()[1]
         counts: dict[str, int] = {}
         msgs: dict[str, list[str]] = {}
         ids = []
@@ -253,11 +255,15 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
             k = counts.get(chan, 0)
             counts[chan] = k + 1
             cid = (chan, k)
-            ids.append(interned.setdefault(cid, cid))
+            ids.append(shared.setdefault(cid, cid))
             msgs.setdefault(chan, []).append(value)
-        order = sorted((ids[a], ids[b]) for b, cov in enumerate(covers) for a in cov)
+        order = sorted(
+            shared.setdefault(pair, pair)
+            for pair in ((ids[a], ids[b]) for b, cov in enumerate(covers) for a in cov)
+        )
+        channels = ((chan, tuple(msgs[chan])) for chan in sorted(msgs))
         crun = CanonicalRun(
-            tuple((chan, tuple(msgs[chan])) for chan in sorted(msgs)), tuple(order)
+            tuple(shared.setdefault(cm, cm) for cm in channels), tuple(order)
         )
         built.append((crun.serialize(), crun, tuple(ids), anc))
     built.sort(key=lambda entry: entry[0])

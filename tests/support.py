@@ -69,7 +69,7 @@ def random_budget_complete_frame(
         if not validate_frame(frame).ok:
             continue
         probe = enumerate_executions(frame, Bound(bound + 1))
-        sizes = [s.n_events for s in probe.systems]
+        sizes = [c.n_events for c in probe.canonicals]
         if max(sizes) <= bound and max(sizes) > 0:
             return frame
 
