@@ -102,10 +102,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _run_serial(run: CanonicalRun) -> str:
-    return run.serialize()
-
-
 def _load_frame(path: str):
     try:
         text = Path(path).read_text()
@@ -187,7 +183,7 @@ def cmd_runs(args) -> Report:
     frame, named, _ = _load_frame(args.file)
     bound, notes = _bound(args)
     chans = _resolve_set(args.channels, named)
-    runs = sorted(enumerate_runs(frame, chans, bound), key=_run_serial)
+    runs = sorted(enumerate_runs(frame, chans, bound), key=CanonicalRun.serialize)
     return Report(
         command="runs",
         params={"file": args.file, "channels": sorted(chans)},
@@ -203,7 +199,7 @@ def cmd_cmpt(args) -> Report:
     bound, notes = _bound(args)
     observed = _resolve_set(args.observed, named)
     source = _resolve_set(args.source, named)
-    runs = sorted(enumerate_runs(frame, observed, bound), key=_run_serial)
+    runs = sorted(enumerate_runs(frame, observed, bound), key=CanonicalRun.serialize)
     if not (0 <= args.run_index < len(runs)):
         raise CliError(
             f"--run-index {args.run_index} out of range; {len(runs)} observed runs exist"

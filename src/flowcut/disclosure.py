@@ -18,11 +18,10 @@ from typing import Iterable, TYPE_CHECKING
 from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import (
     CanonicalRun,
-    Event,
     EventSystem,
+    EventSystemError,
     canonicalize,
     is_execution,
-    transitive_closure,
 )
 from .frames import Frame
 
@@ -221,29 +220,14 @@ def merge_across_cut(
                 raise MergeError(f"runs disagree on channel {chan!r}")
             per_chan[chan] = msgs
 
-    ids: list[tuple[str, int]] = []
-    for chan in sorted(per_chan):
-        ids.extend((chan, i) for i in range(len(per_chan[chan])))
-    pos = {cid: k for k, cid in enumerate(ids)}
-    events = [(chan, per_chan[chan][i]) for chan, i in ids]
-
-    pairs: set[tuple[int, int]] = set()
-    for run in (b_lc, b_rc):
-        sys = run.to_event_system()
-        run_ids: list[tuple[str, int]] = []
-        for chan, msgs in run.channels:
-            run_ids.extend((chan, i) for i in range(len(msgs)))
-        for a, b in sys.strict:
-            pairs.add((pos[run_ids[a]], pos[run_ids[b]]))
-
-    closed = transitive_closure(len(events), pairs)
-    for a, b in closed:
-        if (b, a) in closed or a == b:
-            raise MergeInvariantError(
-                "least order extending the two runs is cyclic; inputs were not "
-                "restrictions of executions agreeing on the cut"
-            )
-    merged = EventSystem(tuple(Event(chan, msg) for chan, msg in events), closed)
+    union = CanonicalRun(tuple(sorted(per_chan.items())), b_lc.order + b_rc.order)
+    try:
+        merged = union.to_event_system()
+    except EventSystemError as exc:
+        raise MergeInvariantError(
+            "least order extending the two runs is cyclic; inputs were not "
+            "restrictions of executions agreeing on the cut"
+        ) from exc
     check = is_execution(merged, frame_right)
     if not check.ok:
         raise MergeInvariantError(f"merged system is not an execution: {check.failures}")

@@ -24,7 +24,8 @@ CanonicalRun is assembled once, at the end.
 
 Restricting an execution to a channel set C keeps every event on C, so
 canonical ids survive restriction and the restricted order is read off
-the ancestor masks (``ExecutionSet.runs_at``).  Every analysis result is
+the ancestor masks (``ExecutionSet.runs_at`` through
+``events.covering_pairs``).  Every analysis result is
 relative to the bound, and callers are expected to surface that bound in
 their reports.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .events import CanonicalId, CanonicalRun, Event, EventSystem
+from .events import CanonicalId, CanonicalRun, Event, EventSystem, covering_pairs
 from .frames import (
     Frame,
     behavior_start,
@@ -85,28 +86,18 @@ class ExecutionSet:
     def __len__(self) -> int:
         return len(self.canonicals)
 
-    def __iter__(self):
-        return iter(self.systems)
-
     @property
     def systems(self) -> tuple[EventSystem, ...]:
-        """Every execution as an event system, events in firing order.
-        Built on each access; the ancestor masks are already closed."""
+        """Every execution as an event system, events in firing order,
+        with the stored ancestor masks.  Built on each access."""
         out = []
         for crun, ids, anc in zip(self.canonicals, self.ids, self.ancestors):
             msgs = dict(crun.channels)
-            events = tuple(Event(chan, msgs[chan][k]) for chan, k in ids)
-            strict = frozenset(
-                (a, b) for b, mask in enumerate(anc) for a in range(b) if mask >> a & 1
-            )
-            out.append(EventSystem(events, strict))
+            out.append(EventSystem(tuple(Event(chan, msgs[chan][k]) for chan, k in ids), anc))
         return tuple(out)
 
     def runs_at(self, chans: Iterable[str]) -> tuple[CanonicalRun, ...]:
-        """Every execution's local run at ``chans``, in execution order.
-
-        A kept event's covers are its kept predecessors P minus everything
-        below some member of P."""
+        """Every execution's local run at ``chans``, in execution order."""
         keep = self.frame.check_channels(chans)
         empty = CanonicalRun.empty()
         out = []
@@ -119,24 +110,7 @@ class ExecutionSet:
                 out.append(empty)
                 continue
             kept = [b for b, cid in enumerate(ids) if cid[0] in keep]
-            mask = 0
-            for b in kept:
-                mask |= 1 << b
-            order = []
-            for b in kept:
-                below = anc[b] & mask
-                covered = 0
-                rest = below
-                while rest:
-                    low = rest & -rest
-                    covered |= anc[low.bit_length() - 1]
-                    rest ^= low
-                rest = below & ~covered
-                while rest:
-                    low = rest & -rest
-                    order.append((ids[low.bit_length() - 1], ids[b]))
-                    rest ^= low
-            order.sort()
+            order = sorted((ids[a], ids[b]) for a, b in covering_pairs(anc, kept))
             out.append(CanonicalRun(channels, tuple(order)))
         return tuple(out)
 

@@ -2,13 +2,16 @@
 Finite labeled posets of events, executions, and canonical local runs.
 
 An EventSystem is a finite set of (channel, message) events with a strict
-partial order, stored as the set of all ordered pairs; it is the general
-form for posets built by hand, merged across a cut, or checked against a
-frame.  Executions of a frame are event systems whose projection onto
-every location is a chain lying in that location's trace set.  Enumerated
-executions are not kept as event systems: ``enumeration.ExecutionSet``
-keeps each one as canonical ids with ancestor bitmasks and restricts it
-with bit operations, and derives event systems only on request.
+partial order, stored as closed ancestor bitmasks: bit a of
+``ancestors[b]`` is set iff event a lies strictly below event b.  This is
+the only stored form of an order.  ``ancestor_masks`` closes a generating
+relation in one topological pass, ``covering_pairs`` reads the transitive
+reduction of an induced order off the masks, and ``chain_order`` sorts a
+chain by ancestor count.  Executions of a frame are event systems whose
+projection onto every location is a chain lying in that location's trace
+set.  ``enumeration.ExecutionSet`` keeps each enumerated execution as
+canonical ids with the same masks and wraps them as event systems on
+request.
 
 Equality of local runs is order-isomorphism: two restrictions count as the
 same run when a channel-, message-, and order-preserving bijection relates
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .frames import Frame, Label
@@ -54,49 +57,100 @@ class Event:
 CanonicalId = tuple[str, int]
 
 
-def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    succ: dict[int, set[int]] = {i: set() for i in range(n)}
+def ancestor_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Closed ancestor masks of the order that ``pairs`` generates on
+    events ``0..n-1``, in one topological pass (Kahn).
+
+    Raises EventSystemError for a pair out of range and for a cycle, a
+    self-loop included, naming an event on the cycle.
+    """
+    below = [0] * n
+    above: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
-        succ[a].add(b)
-    # Repeated relational squaring; n is tiny here.
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            extra = set()
-            for b in succ[a]:
-                extra |= succ[b] - succ[a]
-            if extra:
-                succ[a] |= extra
-                changed = True
-    return frozenset((a, b) for a in range(n) for b in succ[a])
+        if not (0 <= a < n and 0 <= b < n):
+            raise EventSystemError(f"order pair ({a},{b}) out of range")
+        if not below[b] >> a & 1:
+            below[b] |= 1 << a
+            above[a].append(b)
+    waiting = [mask.bit_count() for mask in below]
+    anc = [0] * n
+    ready = [b for b in range(n) if not waiting[b]]
+    for a in ready:  # ready grows as events lose their last waiting predecessor
+        for b in above[a]:
+            anc[b] |= anc[a] | 1 << a
+            waiting[b] -= 1
+            if not waiting[b]:
+                ready.append(b)
+    if len(ready) < n:
+        # Every event left waiting has a direct predecessor left waiting,
+        # so walking down from one repeats an event, which lies on a cycle.
+        stuck = sum(1 << b for b in range(n) if waiting[b])
+        path: list[int] = []
+        b = (stuck & -stuck).bit_length() - 1
+        while b not in path:
+            path.append(b)
+            rest = below[b] & stuck
+            b = (rest & -rest).bit_length() - 1
+        raise EventSystemError(f"order has a cycle through event {min(path[path.index(b):])}")
+    return tuple(anc)
+
+
+def covering_pairs(anc: Sequence[int], kept: Iterable[int]) -> list[tuple[int, int]]:
+    """The covering pairs ``(a, b)`` of the order that the closed ancestor
+    masks ``anc`` induce on the events ``kept``, grouped by ``b`` in the
+    order of ``kept``.
+
+    A kept event's covers are its kept predecessors P minus everything
+    below some member of P.
+    """
+    kept = list(kept)
+    mask = 0
+    for b in kept:
+        mask |= 1 << b
+    out = []
+    for b in kept:
+        below = anc[b] & mask
+        covered = 0
+        rest = below
+        while rest:
+            low = rest & -rest
+            covered |= anc[low.bit_length() - 1]
+            rest ^= low
+        rest = below & ~covered
+        while rest:
+            low = rest & -rest
+            out.append((low.bit_length() - 1, b))
+            rest ^= low
+    return out
 
 
 def chain_order(
-    members: Iterable[int], preds: Sequence[AbstractSet[int]]
+    members: Iterable[int], anc: Sequence[int]
 ) -> tuple[list[int], tuple[int, int] | None]:
-    """``members`` sorted by predecessor count, and the first two adjacent
-    ones that are not ordered, or None when they form a chain.
+    """``members`` sorted by predecessor count in the ancestor masks
+    ``anc``, and the first two adjacent ones that are not ordered, or None
+    when they form a chain.
 
     Along a chain each event has more predecessors than the one before it,
     so the sort orders a chain.  Adjacent ``a``, ``b`` with ``a`` not below
     ``b`` are incomparable: ``b`` below ``a`` would give ``b`` fewer
     predecessors.
     """
-    chain = sorted(members, key=lambda a: len(preds[a]))
+    chain = sorted(members, key=lambda a: anc[a].bit_count())
     for a, b in zip(chain, chain[1:]):
-        if a not in preds[b]:
+        if not anc[b] >> a & 1:
             return chain, (a, b)
     return chain, None
 
 
 @dataclass(frozen=True)
 class EventSystem:
-    """Events are addressed by index into ``events``; ``strict`` is the
-    transitively closed strict order."""
+    """Events are addressed by index into ``events``; ``ancestors[b]`` is
+    the bitmask of the events strictly below event ``b``, transitively
+    closed."""
 
     events: tuple[Event, ...]
-    strict: frozenset[tuple[int, int]]
+    ancestors: tuple[int, ...]
 
     @staticmethod
     def build(
@@ -106,57 +160,43 @@ class EventSystem:
         """Build from any generating relation; closes transitively and
         rejects cycles and self-loops."""
         evs = tuple(e if isinstance(e, Event) else Event(*e) for e in events)
-        n = len(evs)
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise EventSystemError(f"order pair ({a},{b}) out of range")
-        closed = transitive_closure(n, pairs)
-        for a, b in closed:
-            if a == b or (b, a) in closed:
-                raise EventSystemError(f"order has a cycle through event {a}")
-        return EventSystem(evs, closed)
+        return EventSystem(evs, ancestor_masks(len(evs), pairs))
 
     @staticmethod
     def empty() -> "EventSystem":
-        return EventSystem((), frozenset())
+        return EventSystem((), ())
 
     @property
     def n_events(self) -> int:
         return len(self.events)
 
+    @property
+    def strict(self) -> frozenset[tuple[int, int]]:
+        """The strict order as the set of its pairs, derived from the masks."""
+        n = len(self.events)
+        return frozenset(
+            (a, b) for b, mask in enumerate(self.ancestors) for a in range(n) if mask >> a & 1
+        )
+
     def precedes(self, a: int, b: int) -> bool:
-        return (a, b) in self.strict
+        return self.ancestors[b] >> a & 1 == 1
 
     def comparable(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.strict or (b, a) in self.strict
-
-    def predecessors(self) -> list[set[int]]:
-        """Strict predecessors of every event, indexed like ``events``."""
-        preds: list[set[int]] = [set() for _ in self.events]
-        for a, b in self.strict:
-            preds[b].add(a)
-        return preds
+        return a == b or self.precedes(a, b) or self.precedes(b, a)
 
     def restrict(self, chans: Iterable[str]) -> "EventSystem":
         """Events filtered to ``chans`` with the induced order."""
         keep = frozenset(chans)
-        idx = [i for i, e in enumerate(self.events) if e.chan in keep]
-        remap = {old: new for new, old in enumerate(idx)}
-        evs = tuple(self.events[i] for i in idx)
-        pairs = frozenset(
-            (remap[a], remap[b]) for (a, b) in self.strict if a in remap and b in remap
-        )
-        return EventSystem(evs, pairs)
+        return self.induced(i for i, e in enumerate(self.events) if e.chan in keep)
 
     def induced(self, keep: Iterable[int]) -> "EventSystem":
         """Substructure on the given event indices (induced order)."""
         idx = sorted(set(keep))
-        remap = {old: new for new, old in enumerate(idx)}
-        evs = tuple(self.events[i] for i in idx)
-        pairs = frozenset(
-            (remap[a], remap[b]) for (a, b) in self.strict if a in remap and b in remap
+        anc = tuple(
+            sum(1 << new for new, old in enumerate(idx) if self.ancestors[b] >> old & 1)
+            for b in idx
         )
-        return EventSystem(evs, pairs)
+        return EventSystem(tuple(self.events[i] for i in idx), anc)
 
 
 # -- projection and execution checking ------------------------------------
@@ -169,7 +209,7 @@ def project(sys: EventSystem, frame: "Frame", loc_id: str) -> tuple["Label", ...
     """
     own = frame.chans(loc_id)
     members = [i for i, e in enumerate(sys.events) if e.chan in own]
-    idx, bad = chain_order(members, sys.predecessors())
+    idx, bad = chain_order(members, sys.ancestors)
     if bad is not None:
         raise LinearityError(f"projection onto {loc_id!r} is not linearly ordered", bad)
     return tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
@@ -195,10 +235,11 @@ def is_execution(sys: EventSystem, frame: "Frame") -> ExecutionCheck:
     for e in sys.events:
         frame.channel(e.chan)  # raises UnknownChannelError
     failures: list[tuple[str, str]] = []
-    preds = sys.predecessors()
     for loc in frame.locations:
         own = frame.chans(loc.id)
-        idx, bad = chain_order([i for i, e in enumerate(sys.events) if e.chan in own], preds)
+        idx, bad = chain_order(
+            [i for i, e in enumerate(sys.events) if e.chan in own], sys.ancestors
+        )
         if bad is not None:
             failures.append((loc.id, "linearity"))
             continue
@@ -220,22 +261,18 @@ def is_initial_substructure(sub: EventSystem, sup: EventSystem) -> bool:
         crun_sup = canonicalize(sup)
     except CanonicalizeError:
         return False
-    sup_msgs = dict(crun_sup.channels)
-    sub_ids: set[CanonicalId] = set()
-    for chan, msgs in crun_sub.channels:
-        have = sup_msgs.get(chan, ())
-        if len(msgs) > len(have) or have[: len(msgs)] != msgs:
-            return False
-        sub_ids.update((chan, i) for i in range(len(msgs)))
-    sup_order = _canonical_strict(crun_sup)
-    sub_order = _canonical_strict(crun_sub)
-    # Downward closure in sup.
-    for (a, b) in sup_order:
-        if b in sub_ids and a not in sub_ids:
-            return False
-    # Induced order.
-    induced = {(a, b) for (a, b) in sup_order if a in sub_ids and b in sub_ids}
-    return induced == sub_order
+    # sup with its events sorted by canonical id; sub names the first
+    # events of each of sup's channel chains.
+    full = crun_sup.to_event_system()
+    counts = {chan: len(msgs) for chan, msgs in crun_sub.channels}
+    ids = [(chan, i) for chan, msgs in crun_sup.channels for i in range(len(msgs))]
+    kept = [k for k, (chan, i) in enumerate(ids) if i < counts.get(chan, 0)]
+    mask = sum(1 << k for k in kept)
+    if any(full.ancestors[b] & ~mask for b in kept):
+        return False  # not downward closed in sup
+    # Equal canonical forms: the same per-channel prefixes and the same
+    # induced order.
+    return canonicalize(full.induced(kept)) == crun_sub
 
 
 # -- canonical runs --------------------------------------------------------
@@ -308,34 +345,19 @@ def canonicalize(sys: EventSystem) -> CanonicalRun:
     channel's chain, so the per-channel sequences plus the order on
     (channel, ordinal) pairs determine the system up to isomorphism.
     """
-    preds = sys.predecessors()
+    anc = sys.ancestors
     by_chan: dict[str, list[int]] = {}
     for i, e in enumerate(sys.events):
         by_chan.setdefault(e.chan, []).append(i)
     ordinal: dict[int, CanonicalId] = {}
     channels = []
     for chan in sorted(by_chan):
-        chain, bad = chain_order(by_chan[chan], preds)
+        chain, bad = chain_order(by_chan[chan], anc)
         if bad is not None:
             raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
         for k, ev_index in enumerate(chain):
             ordinal[ev_index] = (chan, k)
         channels.append((chan, tuple(sys.events[i].msg for i in chain)))
-    # a covers b when no predecessor of b lies above a: the transitive
-    # reduction, read off the predecessor sets.
-    order = []
-    for b, below in enumerate(preds):
-        if below:
-            covered = set().union(*(preds[a] for a in below))
-            order.extend((ordinal[a], ordinal[b]) for a in below - covered)
-    order.sort()
+    order = sorted((ordinal[a], ordinal[b]) for a, b in covering_pairs(anc, range(len(anc))))
     return CanonicalRun(tuple(channels), tuple(order))
 
-
-def _canonical_strict(run: CanonicalRun) -> frozenset[tuple[CanonicalId, CanonicalId]]:
-    """Full strict order of a run on canonical ids."""
-    sys = run.to_event_system()
-    ids: list[CanonicalId] = []
-    for chan, msgs in run.channels:
-        ids.extend((chan, i) for i in range(len(msgs)))
-    return frozenset((ids[a], ids[b]) for (a, b) in sys.strict)

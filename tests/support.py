@@ -281,6 +281,26 @@ def canonical_to_naive(run) -> tuple[list[tuple[str, str]], list[list[bool]]]:
     return labels, order
 
 
+def reference_closure(n: int, pairs) -> frozenset[tuple[int, int]]:
+    """Transitive closure of ``pairs`` on events ``0..n-1`` by repeated
+    relational squaring: the closure the library computed before it kept
+    orders as ancestor masks."""
+    succ: dict[int, set[int]] = {i: set() for i in range(n)}
+    for a, b in pairs:
+        succ[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            extra = set()
+            for b in succ[a]:
+                extra |= succ[b] - succ[a]
+            if extra:
+                succ[a] |= extra
+                changed = True
+    return frozenset((a, b) for a in range(n) for b in succ[a])
+
+
 # -- reference enumerator ---------------------------------------------------------
 
 
@@ -312,9 +332,7 @@ def reference_enumerate(frame: Frame, bound: int) -> list[tuple[CanonicalRun, Ev
                         pred |= {last[l]} | anc[last[l]]
                 events2 = events + [Event(chan.id, value)]
                 anc2 = anc + [frozenset(pred)]
-                sys = EventSystem(
-                    tuple(events2), frozenset((a, b) for b, ps in enumerate(anc2) for a in ps)
-                )
+                sys = EventSystem.build(events2, ((a, b) for b, ps in enumerate(anc2) for a in ps))
                 crun = canonicalize(sys)
                 if crun in found:
                     continue

@@ -15,13 +15,14 @@ from flowcut.events import (
     EventSystemError,
     LinearityError,
     canonicalize,
+    covering_pairs,
     is_execution,
     is_initial_substructure,
     project,
 )
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, UnknownChannelError
 
-from support import random_budget_complete_frame, reference_canonicalize
+from support import random_budget_complete_frame, reference_canonicalize, reference_closure
 
 
 def tiny_frame() -> Frame:
@@ -71,6 +72,14 @@ def test_project_linearity_error_carries_pair():
 def test_order_must_be_acyclic():
     with pytest.raises(EventSystemError):
         EventSystem.build([("c", "v"), ("c", "v")], [(0, 1), (1, 0)])
+    # Event 1 lies only downstream of the 2-3 cycle; the message names an
+    # event on the cycle.
+    with pytest.raises(EventSystemError, match="cycle through event 2$"):
+        EventSystem.build([("c", "v")] * 4, [(2, 3), (3, 2), (3, 1)])
+    with pytest.raises(EventSystemError, match="cycle through event 1$"):
+        EventSystem.build([("c", "v")] * 2, [(0, 1), (1, 1)])
+    with pytest.raises(EventSystemError, match="out of range"):
+        EventSystem.build([("c", "v")], [(0, 1)])
 
 
 def test_restrict_identity_and_empty():
@@ -148,10 +157,9 @@ def test_initial_substructures_of_executions_are_executions():
     exset = enumerate_executions(frame, Bound(4))
     for sys in exset.systems:
         n = sys.n_events
-        preds = sys.predecessors()
         for mask in range(1 << n):
             keep = [i for i in range(n) if mask >> i & 1]
-            downward = all(a in keep for b in keep for a in preds[b])
+            downward = all(a in keep for b in keep for a in range(n) if sys.precedes(a, b))
             if not downward:
                 continue
             sub = sys.induced(keep)
@@ -276,3 +284,50 @@ def test_canonicalize_and_reference_reject_the_same_systems(sys):
     got = _canonical_or_error(canonicalize, sys)
     assert got == _canonical_or_error(reference_canonicalize, sys)
     assert (got is CanonicalizeError) == (not linear)
+
+
+# -- ancestor masks against the pair-set closure ---------------------------------
+
+
+@st.composite
+def relations(draw):
+    """A random relation on up to eight events; cycles and self-loops
+    included."""
+    n = draw(st.integers(0, 8))
+    if not n:
+        return 0, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pair, max_size=10))
+
+
+@given(relations())
+@settings(max_examples=300, deadline=None)
+def test_build_matches_reference_closure_or_names_a_cycle(rel):
+    n, pairs = rel
+    closed = reference_closure(n, pairs)
+    events = [("c", "v")] * n
+    if any(a == b for a, b in closed):
+        with pytest.raises(EventSystemError) as info:
+            EventSystem.build(events, pairs)
+        named = int(str(info.value).rsplit(" ", 1)[1])
+        assert (named, named) in closed
+    else:
+        assert EventSystem.build(events, pairs).strict == closed
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_covering_pairs_match_brute_force_reduction(data):
+    n = data.draw(st.integers(0, 8))
+    forward = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = data.draw(st.sets(st.sampled_from(forward))) if forward else set()
+    perm = data.draw(st.permutations(range(n)))
+    sys = EventSystem.build([("c", "v")] * n, [(perm[a], perm[b]) for a, b in pairs])
+    kept = data.draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    induced = {(a, b) for a, b in sys.strict if a in kept and b in kept}
+    reduction = {
+        (a, b) for a, b in induced if not any((a, c) in induced and (c, b) in induced for c in kept)
+    }
+    got = covering_pairs(sys.ancestors, kept)
+    assert len(got) == len(reduction)
+    assert set(got) == reduction

@@ -292,7 +292,7 @@ def test_input_sequence_follows_the_chain_of_every_input_run():
     frame = star_frame(m)
     for run in enumerate_runs(frame, m.input_channels(), Bound(7)):
         sys = run.to_event_system()
-        chain, bad = chain_order(range(sys.n_events), sys.predecessors())
+        chain, bad = chain_order(range(sys.n_events), sys.ancestors)
         assert bad is None
         expected = tuple((sys.events[i].chan, sys.events[i].msg) for i in chain)
         assert input_sequence(m, run) == expected
