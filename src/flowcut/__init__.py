@@ -62,6 +62,7 @@ from .frames import (
     ExplicitTraces,
     Frame,
     FrameError,
+    InputError,
     Location,
     Lts,
     UnknownChannelError,

@@ -20,15 +20,15 @@ from typing import Callable, Hashable, Iterable
 from .cuts import ChannelSetTriple, is_cut
 from .disclosure import _cmpt_table
 from .enumeration import Bound, enumerate_runs
-from .events import CanonicalRun, canonicalize
-from .frames import Frame, shortest_language_difference, trace_specs_equal
+from .events import CanonicalRun
+from .frames import Frame, InputError, shortest_language_difference, trace_specs_equal
 
 
-class BlurError(ValueError):
+class BlurError(InputError):
     """Raised for runs outside the universe or malformed blur specs."""
 
 
-class SharedCoreError(ValueError):
+class SharedCoreError(InputError):
     """The claimed shared core fails endpoint or trace agreement, or its
     side condition is unverified."""
 
@@ -131,7 +131,7 @@ class PermutationBlur:
         seqs = dict(run.channels)
         shape = tuple((c, len(seq)) if c in moves else (c, seq) for c, seq in run.channels)
         pools = tuple(tuple(sorted(seqs[m] for m in g if m in seqs)) for g in movable)
-        return run.order, shape, pools
+        return run.ancestors, shape, pools
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,8 @@ class SelectionBlur:
         return True
 
     def key(self, run: CanonicalRun) -> Hashable:
-        sys = run.to_event_system()
-        keep = [i for i, e in enumerate(sys.events) if self.selects(e.chan, e.msg)]
-        return canonicalize(sys.induced(keep)).serialize()
+        events = run.to_event_system().events
+        return run.induced(i for i, e in enumerate(events) if self.selects(e.chan, e.msg))
 
 
 @dataclass(frozen=True)

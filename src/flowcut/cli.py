@@ -21,29 +21,25 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .blur import (
-    BlurError,
-    SharedCoreError,
     build_shared_core,
     f_limits_flow,
     validate_blur,
     verify_composition,
     verify_cut_blur,
 )
-from .cuts import ChannelSetTriple, CutSpecError, find_min_cut, is_cut
+from .cuts import ChannelSetTriple, find_min_cut, is_cut
 from .disclosure import CompatQuery, compatible_runs, no_disclosure
-from .enumeration import Bound, EnumerationError, enumerate_executions, enumerate_runs
+from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import CanonicalRun
 from .fileformat import (
-    FileFormatError,
     emit_frame_document,
     parse_frame_document,
     parse_machine_document,
 )
-from .frames import FrameError, validate_frame
-from .purge import MachineError, PurgeKind, check_nd, check_ni, purge_blur
+from .frames import InputError, validate_frame
+from .purge import PurgeKind, check_nd, check_ni, purge_blur
 from .scenarios import (
     FirewallParams,
-    ScenarioError,
     VotingParams,
     build_firewall,
     build_voting,
@@ -53,7 +49,7 @@ SCHEMA = "flowcut-report/1"
 DEFAULT_BOUND = 6
 
 
-class CliError(Exception):
+class CliError(InputError):
     """Usage-level failure; maps to exit code 2."""
 
 
@@ -465,7 +461,12 @@ def cmd_scenario(args) -> Report:
         )
         frame, named, blurs = scn.frame, scn.named_sets, scn.blurs
     else:
-        precincts = tuple(int(x) for x in args.precincts.split(","))
+        try:
+            precincts = tuple(int(x) for x in args.precincts.split(","))
+        except ValueError:
+            raise CliError(
+                f"--precincts takes comma-separated voter counts, got {args.precincts!r}"
+            ) from None
         candidates = tuple(args.candidates.split(","))
         scn = build_voting(VotingParams(precincts=precincts, candidates=candidates))
         frame, named, blurs = scn.frame, scn.named_sets, scn.blurs
@@ -622,18 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         report: Report = args.fn(args)
-    except (
-        CliError,
-        FileFormatError,
-        FrameError,
-        EnumerationError,
-        CutSpecError,
-        BlurError,
-        SharedCoreError,
-        MachineError,
-        ScenarioError,
-        ValueError,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a verdict: keep it off exit 1

@@ -13,10 +13,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .frames import Frame
+from .frames import Frame, InputError
 
 
-class CutSpecError(ValueError):
+class CutSpecError(InputError):
     """Raised for unknown channels or non-disjoint channel-set triples."""
 
 

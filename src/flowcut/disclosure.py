@@ -20,7 +20,6 @@ from .events import (
     CanonicalRun,
     EventSystem,
     EventSystemError,
-    canonicalize,
     is_execution,
 )
 from .frames import Frame
@@ -220,19 +219,17 @@ def merge_across_cut(
                 raise MergeError(f"runs disagree on channel {chan!r}")
             per_chan[chan] = msgs
 
-    union = CanonicalRun(tuple(sorted(per_chan.items())), b_lc.order + b_rc.order)
     try:
-        merged = union.to_event_system()
+        union = CanonicalRun.build(per_chan.items(), b_lc.order + b_rc.order)
     except EventSystemError as exc:
         raise MergeInvariantError(
             "least order extending the two runs is cyclic; inputs were not "
             "restrictions of executions agreeing on the cut"
         ) from exc
+    merged = union.to_event_system()
     check = is_execution(merged, frame_right)
     if not check.ok:
         raise MergeInvariantError(f"merged system is not an execution: {check.failures}")
-    if canonicalize(merged.restrict(left_chans)) != b_lc or canonicalize(
-        merged.restrict(right_chans)
-    ) != b_rc:
+    if union.restrict(left_chans) != b_lc or union.restrict(right_chans) != b_rc:
         raise MergeInvariantError("merged execution does not restrict back to its inputs")
     return merged

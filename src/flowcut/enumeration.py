@@ -17,17 +17,17 @@ sender and the k-th ``c`` label at the recipient are the same event, with
 canonical id ``(c, k)``.  Firing sequences that differ only in the order of
 independent events reach the same tuple, so the search dedups on it (the
 trace-theory view of an execution as its location projections).  Each
-distinct execution is built once, in compact form: the canonical id of
-every event in one firing order, each event's ancestors as an int bitmask
-over that order, and its covering pairs, grown one event at a time.  Its
-CanonicalRun is assembled once, at the end.
+distinct execution is grown once, one event at a time, as its labels in
+firing order and each event's direct predecessors (the last events of its
+endpoints).  Its CanonicalRun is built once, at the end, by one pass over
+the firing order that ORs each event's predecessors' ancestor masks,
+numbered in canonical-id order.
 
 Restricting an execution to a channel set C keeps every event on C, so
-canonical ids survive restriction and the restricted order is read off
-the ancestor masks (``ExecutionSet.runs_at`` through
-``events.covering_pairs``).  Every analysis result is
-relative to the bound, and callers are expected to surface that bound in
-their reports.
+canonical ids survive restriction and the restricted order is the masks
+compressed to the kept events (``ExecutionSet.runs_at`` through
+``CanonicalRun.restrict``).  Every analysis result is relative to the
+bound, and callers are expected to surface that bound in their reports.
 """
 
 from __future__ import annotations
@@ -36,16 +36,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .events import CanonicalId, CanonicalRun, Event, EventSystem, covering_pairs
+from .events import CanonicalRun, EventSystem
 from .frames import (
     Frame,
+    InputError,
     behavior_start,
     behavior_step,
     validate_frame,
 )
 
 
-class EnumerationError(ValueError):
+class EnumerationError(InputError):
     """Raised for malformed frames or bounds."""
 
 
@@ -71,48 +72,25 @@ class Bound:
 @dataclass(frozen=True)
 class ExecutionSet:
     """All minimal-order executions of a frame within a bound, one per
-    isomorphism class, sorted by canonical serialization.
-
-    Execution i is ``canonicals[i]``; ``ids[i]`` lists its events'
-    canonical ids in one firing order and ``ancestors[i]`` each event's
-    strict predecessors as a bitmask over that order."""
+    isomorphism class, sorted by canonical serialization."""
 
     frame: Frame
     bound: Bound
     canonicals: tuple[CanonicalRun, ...]
-    ids: tuple[tuple[CanonicalId, ...], ...]
-    ancestors: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.canonicals)
 
     @property
     def systems(self) -> tuple[EventSystem, ...]:
-        """Every execution as an event system, events in firing order,
-        with the stored ancestor masks.  Built on each access."""
-        out = []
-        for crun, ids, anc in zip(self.canonicals, self.ids, self.ancestors):
-            msgs = dict(crun.channels)
-            out.append(EventSystem(tuple(Event(chan, msgs[chan][k]) for chan, k in ids), anc))
-        return tuple(out)
+        """Every execution as an event system, events in canonical order.
+        Built on each access."""
+        return tuple(run.to_event_system() for run in self.canonicals)
 
     def runs_at(self, chans: Iterable[str]) -> tuple[CanonicalRun, ...]:
         """Every execution's local run at ``chans``, in execution order."""
         keep = self.frame.check_channels(chans)
-        empty = CanonicalRun.empty()
-        out = []
-        for crun, ids, anc in zip(self.canonicals, self.ids, self.ancestors):
-            channels = tuple(cm for cm in crun.channels if cm[0] in keep)
-            if len(channels) == len(crun.channels):
-                out.append(crun)
-                continue
-            if not channels:
-                out.append(empty)
-                continue
-            kept = [b for b, cid in enumerate(ids) if cid[0] in keep]
-            order = sorted((ids[a], ids[b]) for a, b in covering_pairs(anc, kept))
-            out.append(CanonicalRun(channels, tuple(order)))
-        return tuple(out)
+        return tuple(run.restrict(keep) for run in self.canonicals)
 
 
 def enumerate_executions(frame: Frame, bound: Bound) -> ExecutionSet:
@@ -159,14 +137,14 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
     per_loc = bound.max_events_per_location
     empty_key = ((),) * len(specs)
     # Dedup key (per-location label sequences) -> (labels in firing order,
-    # ancestor masks, covered events per event).
-    found: dict[tuple, tuple] = {empty_key: ((), (), ())}
+    # each event's two direct predecessors, -1 for none).
+    found: dict[tuple, tuple] = {empty_key: ((), ())}
     # Worklist entries: key, successor row per location, last event per
     # location (-1 for none), then the execution as stored in ``found``.
     start = tuple(row(i, behavior_start(spec)) for i, spec in enumerate(specs))
-    stack = [(empty_key, start, (-1,) * len(specs), (), (), ())]
+    stack = [(empty_key, start, (-1,) * len(specs), (), ())]
     while stack:
-        key, here, last, labels, anc, covers = stack.pop()
+        key, here, last, labels, preds = stack.pop()
         n = len(labels)
         if n >= total:
             continue
@@ -190,23 +168,7 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                 key2 = tuple(key2)
                 if key2 in found:
                     continue
-                a, b = last[s], last[r]
-                pred = 0
-                if a >= 0:
-                    pred = anc[a] | 1 << a
-                if b >= 0:
-                    pred |= anc[b] | 1 << b
-                # The new event covers each endpoint's last event that lies
-                # below neither of the others.
-                if a < 0:
-                    cov = () if b < 0 else (b,)
-                elif b < 0 or a == b or anc[a] >> b & 1:
-                    cov = (a,)
-                elif anc[b] >> a & 1:
-                    cov = (b,)
-                else:
-                    cov = (a, b)
-                record = (labels + (label,), anc + (pred,), covers + (cov,))
+                record = (labels + (label,), preds + ((last[s], last[r]),))
                 found[key2] = record
                 if n + 1 < total:
                     last2 = list(last)
@@ -216,38 +178,34 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                     here2[r] = row(r, next_r)
                     stack.append((key2, tuple(here2), tuple(last2)) + record)
 
-    # Canonical ids, covering pairs and channel entries recur across
-    # executions; one shared object per value keeps the set small.
+    # Channel entries recur across executions; one shared object per value
+    # keeps the set small.
     shared: dict = {}
     built = []
     while found:
-        labels, anc, covers = found.popitem()[1]
-        counts: dict[str, int] = {}
-        msgs: dict[str, list[str]] = {}
-        ids = []
-        for chan, value in labels:
-            k = counts.get(chan, 0)
-            counts[chan] = k + 1
-            cid = (chan, k)
-            ids.append(shared.setdefault(cid, cid))
-            msgs.setdefault(chan, []).append(value)
-        order = sorted(
-            shared.setdefault(pair, pair)
-            for pair in ((ids[a], ids[b]) for b, cov in enumerate(covers) for a in cov)
-        )
-        channels = ((chan, tuple(msgs[chan])) for chan in sorted(msgs))
-        crun = CanonicalRun(
-            tuple(shared.setdefault(cm, cm) for cm in channels), tuple(order)
-        )
-        built.append((crun.serialize(), crun, tuple(ids), anc))
+        labels, preds = found.popitem()[1]
+        by_chan: dict[str, list[int]] = {}
+        for f, (chan, _) in enumerate(labels):
+            by_chan.setdefault(chan, []).append(f)
+        canon = []  # firing indices in canonical-id order
+        channels = []
+        for chan in sorted(by_chan):
+            canon.extend(by_chan[chan])
+            cm = (chan, tuple(labels[f][1] for f in by_chan[chan]))
+            channels.append(shared.setdefault(cm, cm))
+        bit = [0] * len(canon)
+        for p, f in enumerate(canon):
+            bit[f] = 1 << p
+        # Firing order is topological, so each event's predecessors are
+        # done before it; up[f] is event f and everything below it, and
+        # up[-1], the slot past the end, stays 0 for "no predecessor".
+        up = [0] * (len(canon) + 1)
+        for f, (a, b) in enumerate(preds):
+            up[f] = bit[f] | up[a] | up[b]
+        crun = CanonicalRun(tuple(channels), tuple(up[f] ^ bit[f] for f in canon))
+        built.append((crun.serialize(), crun))
     built.sort(key=lambda entry: entry[0])
-    return ExecutionSet(
-        frame,
-        bound,
-        tuple(entry[1] for entry in built),
-        tuple(entry[2] for entry in built),
-        tuple(entry[3] for entry in built),
-    )
+    return ExecutionSet(frame, bound, tuple(crun for _, crun in built))
 
 
 def enumerate_runs(frame: Frame, chans: Iterable[str], bound: Bound) -> frozenset[CanonicalRun]:

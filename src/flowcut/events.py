@@ -6,25 +6,27 @@ partial order, stored as closed ancestor bitmasks: bit a of
 ``ancestors[b]`` is set iff event a lies strictly below event b.  This is
 the only stored form of an order.  ``ancestor_masks`` closes a generating
 relation in one topological pass, ``covering_pairs`` reads the transitive
-reduction of an induced order off the masks, and ``chain_order`` sorts a
+reduction off the masks, and ``chain_order`` sorts a
 chain by ancestor count.  Executions of a frame are event systems whose
 projection onto every location is a chain lying in that location's trace
-set.  ``enumeration.ExecutionSet`` keeps each enumerated execution as
-canonical ids with the same masks and wraps them as event systems on
-request.
+set.
 
 Equality of local runs is order-isomorphism: two restrictions count as the
 same run when a channel-, message-, and order-preserving bijection relates
 them.  Within any restriction of an execution the events on one channel
-are totally ordered, so (channel, ordinal) names events canonically, and a
-CanonicalRun (per-channel message sequences plus the transitive reduction
-of the order on canonical ids) is a complete isomorphism invariant.
+are totally ordered, so (channel, ordinal) names events canonically.  A
+CanonicalRun stores the per-channel message sequences and the closed
+ancestor masks of its events in canonical-id order (channels sorted, then
+ordinal); that is a complete isomorphism invariant.  A CanonicalRun and an
+EventSystem are two views of one mask form: ``to_event_system`` wraps the
+masks, and both restrict through the same mask compression.  Covering
+pairs are derived only to serialize a run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -57,12 +59,15 @@ class Event:
 CanonicalId = tuple[str, int]
 
 
-def ancestor_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+def ancestor_masks(
+    n: int, pairs: Iterable[tuple[int, int]], names: Sequence[object] | None = None
+) -> tuple[int, ...]:
     """Closed ancestor masks of the order that ``pairs`` generates on
     events ``0..n-1``, in one topological pass (Kahn).
 
     Raises EventSystemError for a pair out of range and for a cycle, a
-    self-loop included, naming an event on the cycle.
+    self-loop included, naming an event on the cycle (as ``names[event]``
+    when names are given).
     """
     below = [0] * n
     above: list[list[int]] = [[] for _ in range(n)]
@@ -91,25 +96,21 @@ def ancestor_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
             path.append(b)
             rest = below[b] & stuck
             b = (rest & -rest).bit_length() - 1
-        raise EventSystemError(f"order has a cycle through event {min(path[path.index(b):])}")
+        first = min(path[path.index(b) :])
+        name = names[first] if names else first
+        raise EventSystemError(f"order has a cycle through event {name}")
     return tuple(anc)
 
 
-def covering_pairs(anc: Sequence[int], kept: Iterable[int]) -> list[tuple[int, int]]:
-    """The covering pairs ``(a, b)`` of the order that the closed ancestor
-    masks ``anc`` induce on the events ``kept``, grouped by ``b`` in the
-    order of ``kept``.
+def covering_pairs(anc: Sequence[int]) -> list[tuple[int, int]]:
+    """The covering pairs ``(a, b)`` of the order with the closed ancestor
+    masks ``anc``, sorted.
 
-    A kept event's covers are its kept predecessors P minus everything
-    below some member of P.
+    An event's covers are its predecessors P minus everything below some
+    member of P.
     """
-    kept = list(kept)
-    mask = 0
-    for b in kept:
-        mask |= 1 << b
     out = []
-    for b in kept:
-        below = anc[b] & mask
+    for b, below in enumerate(anc):
         covered = 0
         rest = below
         while rest:
@@ -121,7 +122,23 @@ def covering_pairs(anc: Sequence[int], kept: Iterable[int]) -> list[tuple[int, i
             low = rest & -rest
             out.append((low.bit_length() - 1, b))
             rest ^= low
-    return out
+    return sorted(out)
+
+
+def _induced_masks(anc: Sequence[int], kept: Sequence[int]) -> tuple[int, ...]:
+    """The masks ``anc`` induce on the distinct indices ``kept``, event
+    ``kept[i]`` renumbered ``i``."""
+    new_bit = {1 << old: 1 << new for new, old in enumerate(kept)}
+    want = sum(new_bit)
+    out = []
+    for b in kept:
+        rest, mask = anc[b] & want, 0
+        while rest:
+            low = rest & -rest
+            mask |= new_bit[low]
+            rest ^= low
+        out.append(mask)
+    return tuple(out)
 
 
 def chain_order(
@@ -192,11 +209,7 @@ class EventSystem:
     def induced(self, keep: Iterable[int]) -> "EventSystem":
         """Substructure on the given event indices (induced order)."""
         idx = sorted(set(keep))
-        anc = tuple(
-            sum(1 << new for new, old in enumerate(idx) if self.ancestors[b] >> old & 1)
-            for b in idx
-        )
-        return EventSystem(tuple(self.events[i] for i in idx), anc)
+        return EventSystem(tuple(self.events[i] for i in idx), _induced_masks(self.ancestors, idx))
 
 
 # -- projection and execution checking ------------------------------------
@@ -261,18 +274,15 @@ def is_initial_substructure(sub: EventSystem, sup: EventSystem) -> bool:
         crun_sup = canonicalize(sup)
     except CanonicalizeError:
         return False
-    # sup with its events sorted by canonical id; sub names the first
-    # events of each of sup's channel chains.
-    full = crun_sup.to_event_system()
+    # sub names the first events of each of sup's channel chains.
     counts = {chan: len(msgs) for chan, msgs in crun_sub.channels}
-    ids = [(chan, i) for chan, msgs in crun_sup.channels for i in range(len(msgs))]
-    kept = [k for k, (chan, i) in enumerate(ids) if i < counts.get(chan, 0)]
+    kept = [k for k, (chan, i) in enumerate(crun_sup.ids) if i < counts.get(chan, 0)]
     mask = sum(1 << k for k in kept)
-    if any(full.ancestors[b] & ~mask for b in kept):
+    if any(crun_sup.ancestors[b] & ~mask for b in kept):
         return False  # not downward closed in sup
     # Equal canonical forms: the same per-channel prefixes and the same
     # induced order.
-    return canonicalize(full.induced(kept)) == crun_sub
+    return crun_sup.induced(kept) == crun_sub
 
 
 # -- canonical runs --------------------------------------------------------
@@ -282,58 +292,107 @@ def is_initial_substructure(sub: EventSystem, sup: EventSystem) -> bool:
 class CanonicalRun:
     """Order-isomorphism-invariant encoding of a per-channel-linear event
     system.  ``channels`` lists only channels carrying events, sorted;
-    ``order`` is the transitive reduction of the strict order on canonical
-    ids, sorted."""
+    ``ancestors[b]`` is the closed mask of the events strictly below event
+    ``b``, events numbered in canonical-id order."""
 
     channels: tuple[tuple[str, tuple[str, ...]], ...]
-    order: tuple[tuple[CanonicalId, CanonicalId], ...]
+    ancestors: tuple[int, ...]
 
     @staticmethod
     def empty() -> "CanonicalRun":
-        return CanonicalRun((), ())
+        return _EMPTY_RUN
+
+    @staticmethod
+    def build(
+        channels: Iterable[tuple[str, Sequence[str]]],
+        pairs: Iterable[tuple[CanonicalId, CanonicalId]] = (),
+    ) -> "CanonicalRun":
+        """The run with these per-channel messages, ordered by the relation
+        that ``pairs`` of canonical ids and every channel's chain generate.
+
+        Raises EventSystemError for an unknown id or a cycle, naming an
+        event on the cycle.
+        """
+        chans = tuple(sorted((chan, tuple(msgs)) for chan, msgs in channels))
+        ids = [(chan, i) for chan, msgs in chans for i in range(len(msgs))]
+        pos = {cid: k for k, cid in enumerate(ids)}
+        gen = [(k - 1, k) for k, (_, i) in enumerate(ids) if i]
+        for a, b in pairs:
+            if a not in pos or b not in pos:
+                raise EventSystemError(f"order references unknown canonical id {a} or {b}")
+            gen.append((pos[a], pos[b]))
+        return CanonicalRun(chans, ancestor_masks(len(ids), gen, ids))
 
     @property
     def n_events(self) -> int:
-        return sum(len(msgs) for _, msgs in self.channels)
+        return len(self.ancestors)
 
     @property
     def channel_ids(self) -> frozenset[str]:
         return frozenset(c for c, _ in self.channels)
 
+    @property
+    def ids(self) -> list[CanonicalId]:
+        """The canonical ids of the events, in canonical order."""
+        return [(chan, i) for chan, msgs in self.channels for i in range(len(msgs))]
+
+    @property
+    def order(self) -> tuple[tuple[CanonicalId, CanonicalId], ...]:
+        """The transitive reduction of the order on canonical ids, sorted."""
+        ids = self.ids
+        return tuple((ids[a], ids[b]) for a, b in covering_pairs(self.ancestors))
+
     def serialize(self) -> str:
-        """Stable textual form, bit-exact across runs."""
-        return json.dumps(
-            {
-                "ch": [[c, list(msgs)] for c, msgs in self.channels],
-                "ord": [[list(a), list(b)] for a, b in self.order],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        """Stable textual form, bit-exact across runs: compact JSON with
+        sorted keys, ``{"ch": [[channel, [message, ...]], ...], "ord":
+        order}`` with each canonical id as a ``[channel, ordinal]`` list,
+        written directly because it is the sort key of every execution."""
+        chans, ids = [], []
+        for chan, msgs in self.channels:
+            name = _quote(chan)
+            chans.append(f"[{name},[{','.join(map(_quote, msgs))}]]")
+            ids.extend(f"[{name},{i}]" for i in range(len(msgs)))
+        order = ",".join(f"[{ids[a]},{ids[b]}]" for a, b in covering_pairs(self.ancestors))
+        return f'{{"ch":[{",".join(chans)}],"ord":[{order}]}}'
 
     def to_event_system(self) -> EventSystem:
-        """Rebuild a concrete event system (events sorted by canonical id)."""
-        ids: list[CanonicalId] = []
-        events: list[Event] = []
-        for chan, msgs in self.channels:
-            for i, m in enumerate(msgs):
-                ids.append((chan, i))
-                events.append(Event(chan, m))
-        pos = {cid: k for k, cid in enumerate(ids)}
-        pairs = set()
-        for a, b in self.order:
-            if a not in pos or b not in pos:
-                raise EventSystemError(f"order references unknown canonical id {a} or {b}")
-            pairs.add((pos[a], pos[b]))
-        # Per-channel chains are part of the order even if the stored
-        # reduction leaves them implicit.
-        for chan, msgs in self.channels:
-            for i in range(len(msgs) - 1):
-                pairs.add((pos[(chan, i)], pos[(chan, i + 1)]))
-        return EventSystem.build(events, pairs)
+        """The run as an event system, events in canonical order."""
+        events = tuple(Event(chan, m) for chan, msgs in self.channels for m in msgs)
+        return EventSystem(events, self.ancestors)
+
+    def induced(self, kept: Iterable[int]) -> "CanonicalRun":
+        """Substructure on the events at the given canonical indices, with
+        the induced order.  Each channel keeps its events in chain order,
+        so the kept events stay in canonical order."""
+        idx = sorted(set(kept))
+        if not idx:
+            return _EMPTY_RUN
+        want = 0
+        for k in idx:
+            want |= 1 << k
+        channels = []
+        for entry in self.channels:  # a channel kept whole keeps its shared entry
+            msgs = entry[1]
+            bits = want & (1 << len(msgs)) - 1
+            want >>= len(msgs)
+            if bits == (1 << len(msgs)) - 1:
+                channels.append(entry)
+            elif bits:
+                channels.append((entry[0], tuple(m for j, m in enumerate(msgs) if bits >> j & 1)))
+        return CanonicalRun(tuple(channels), _induced_masks(self.ancestors, idx))
 
     def restrict(self, chans: Iterable[str]) -> "CanonicalRun":
-        return canonicalize(self.to_event_system().restrict(chans))
+        """Events filtered to ``chans`` with the induced order."""
+        keep = frozenset(chans)
+        kept, start = [], 0
+        for chan, msgs in self.channels:
+            if chan in keep:
+                kept.extend(range(start, start + len(msgs)))
+            start += len(msgs)
+        return self if len(kept) == len(self.ancestors) else self.induced(kept)
+
+
+_EMPTY_RUN = CanonicalRun((), ())
 
 
 def canonicalize(sys: EventSystem) -> CanonicalRun:
@@ -345,19 +404,16 @@ def canonicalize(sys: EventSystem) -> CanonicalRun:
     channel's chain, so the per-channel sequences plus the order on
     (channel, ordinal) pairs determine the system up to isomorphism.
     """
-    anc = sys.ancestors
     by_chan: dict[str, list[int]] = {}
     for i, e in enumerate(sys.events):
         by_chan.setdefault(e.chan, []).append(i)
-    ordinal: dict[int, CanonicalId] = {}
+    canon: list[int] = []  # event indices in canonical order
     channels = []
     for chan in sorted(by_chan):
-        chain, bad = chain_order(by_chan[chan], anc)
+        chain, bad = chain_order(by_chan[chan], sys.ancestors)
         if bad is not None:
             raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
-        for k, ev_index in enumerate(chain):
-            ordinal[ev_index] = (chan, k)
+        canon.extend(chain)
         channels.append((chan, tuple(sys.events[i].msg for i in chain)))
-    order = sorted((ordinal[a], ordinal[b]) for a, b in covering_pairs(anc, range(len(anc))))
-    return CanonicalRun(tuple(channels), tuple(order))
+    return CanonicalRun(tuple(channels), _induced_masks(sys.ancestors, canon))
 

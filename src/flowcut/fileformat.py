@@ -19,11 +19,11 @@ from typing import Any, Callable, TypeVar
 import yaml
 
 from .blur import AllBlur, BlurSpec, IdentityBlur, PermutationBlur, SelectionBlur
-from .frames import Channel, ExplicitTraces, Frame, Location, Lts
+from .frames import Channel, ExplicitTraces, Frame, InputError, Location, Lts
 from .purge import MachineSpec
 
 
-class FileFormatError(ValueError):
+class FileFormatError(InputError):
     """Raised for unparseable or malformed frame/machine files."""
 
 

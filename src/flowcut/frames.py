@@ -20,7 +20,13 @@ Label = tuple[str, str]
 Trace = tuple[Label, ...]
 
 
-class FrameError(ValueError):
+class InputError(ValueError):
+    """Bad input: a file, a frame, a bound, a channel set, a blur or a
+    command line the user can fix.  The CLI exits 2 on it; every other
+    exception is an internal error."""
+
+
+class FrameError(InputError):
     """Raised for malformed frames or unresolvable references."""
 
 
@@ -136,12 +142,6 @@ class Frame:
                 return c
         raise UnknownChannelError(f"unknown channel: {chan_id!r}")
 
-    def sender(self, chan_id: str) -> str:
-        return self.channel(chan_id).sender
-
-    def recipient(self, chan_id: str) -> str:
-        return self.channel(chan_id).recipient
-
     def chans(self, locs: str | Iterable[str]) -> frozenset[str]:
         """Channels with an endpoint at any of the given locations."""
         if isinstance(locs, str):
@@ -159,17 +159,6 @@ class Frame:
             out.add(c.sender)
             out.add(c.recipient)
         return frozenset(out)
-
-    def label_kind(self, loc_id: str, chan_id: str) -> str:
-        """Classify a label on ``chan_id`` relative to ``loc_id``."""
-        c = self.channel(chan_id)
-        if c.sender == loc_id == c.recipient:
-            return "local"
-        if c.sender == loc_id:
-            return "transmission"
-        if c.recipient == loc_id:
-            return "reception"
-        raise FrameError(f"channel {chan_id!r} is not at location {loc_id!r}")
 
     def check_channels(self, chans: Iterable[str]) -> frozenset[str]:
         """Validate a channel-id collection, returning it as a frozenset."""

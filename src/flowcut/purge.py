@@ -26,11 +26,11 @@ from typing import Callable, Iterable, Sequence
 
 from .blur import PartitionBlur
 from .enumeration import Bound, enumerate_executions, enumerate_runs
-from .events import CanonicalRun, EventSystem, canonicalize, is_execution
-from .frames import Channel, Frame, Label, Location, Lts
+from .events import CanonicalRun, EventSystem, canonicalize, chain_order, is_execution
+from .frames import Channel, Frame, InputError, Label, Location, Lts
 
 
-class MachineError(ValueError):
+class MachineError(InputError):
     """Raised for malformed machine specifications."""
 
 
@@ -218,21 +218,13 @@ def input_sequence(machine: MachineSpec, run: CanonicalRun) -> tuple[Label, ...]
     """Flatten an input-channel run of the star frame into a sequence.
 
     Star-frame executions are totally ordered, so their input restrictions
-    are chains, and the covering pairs of a chain form one path.
+    are chains.
     """
-    succ = dict(run.order)
-    ids = {(chan, i) for chan, msgs in run.channels for i in range(len(msgs))}
-    heads = ids - set(succ.values())
-    chain: list = []
-    if len(heads) == 1 and len(succ) == len(run.order) == len(set(succ.values())):
-        cid = heads.pop()
-        while cid is not None:
-            chain.append(cid)
-            cid = succ.get(cid)
-    if len(chain) != len(ids):
+    chain, bad = chain_order(range(run.n_events), run.ancestors)
+    if bad is not None:
         raise MachineError("input run of a star frame must be totally ordered")
-    msgs = dict(run.channels)
-    return tuple((chan, msgs[chan][i]) for chan, i in chain)
+    labels = [(chan, m) for chan, msgs in run.channels for m in msgs]
+    return tuple(labels[i] for i in chain)
 
 
 def purge_sequence(machine: MachineSpec, kind: PurgeKind, inputs: Sequence[Label]) -> PurgedValue:

@@ -24,10 +24,10 @@ import itertools
 from dataclasses import dataclass
 
 from .blur import BlurSpec, PermutationBlur, SelectionBlur
-from .frames import Channel, Frame, Label, Location, Lts
+from .frames import Channel, Frame, InputError, Label, Location, Lts
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """Raised for inconsistent scenario parameters."""
 
 

@@ -387,7 +387,7 @@ def oracle_act(pi: dict[str, str], run: CanonicalRun) -> CanonicalRun | None:
     for chan in pi:
         if chan not in msgs and msgs.get(pi[chan], ()):
             return None
-    return CanonicalRun(tuple(new_channels), run.order)
+    return CanonicalRun(tuple(new_channels), run.ancestors)
 
 
 def oracle_orbit(blur, run: CanonicalRun) -> frozenset[CanonicalRun]:
@@ -476,12 +476,12 @@ def machine_document(machine: MachineSpec) -> str:
 def reference_canonicalize(sys: EventSystem) -> CanonicalRun:
     """The canonical form computed the direct way: each channel's chain
     sorted by its members' predecessor counts within the chain, after a
-    pairwise comparability check, and the order reduced by testing every
-    pair against every possible middle event (cubic in the event count)."""
+    pairwise comparability check, and each pair of ``sys.strict`` set as
+    one bit of the masks in canonical order."""
     by_chan: dict[str, list[int]] = {}
     for i, e in enumerate(sys.events):
         by_chan.setdefault(e.chan, []).append(i)
-    ordinal = {}
+    pos: dict[int, int] = {}  # event index -> canonical index
     channels = []
     for chan in sorted(by_chan):
         idx = by_chan[chan]
@@ -491,14 +491,20 @@ def reference_canonicalize(sys: EventSystem) -> CanonicalRun:
                     raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
         members = tuple(idx)
         idx.sort(key=lambda a: sum(1 for b in members if sys.precedes(b, a)))
-        for k, ev_index in enumerate(idx):
-            ordinal[ev_index] = (chan, k)
+        for ev_index in idx:
+            pos[ev_index] = len(pos)
         channels.append((chan, tuple(sys.events[i].msg for i in idx)))
-    closed = sys.strict
-    reduction = [
+    anc = [0] * sys.n_events
+    for a, b in sys.strict:
+        anc[pos[b]] |= 1 << pos[a]
+    return CanonicalRun(tuple(channels), tuple(anc))
+
+
+def reference_reduction(closed, n: int) -> set[tuple[int, int]]:
+    """The transitive reduction of the closed order ``closed`` on events
+    ``0..n-1``, testing every pair against every possible middle event."""
+    return {
         (a, b)
         for (a, b) in closed
-        if not any((a, c) in closed and (c, b) in closed for c in range(sys.n_events))
-    ]
-    order = tuple(sorted((ordinal[a], ordinal[b]) for a, b in reduction))
-    return CanonicalRun(tuple(channels), order)
+        if not any((a, c) in closed and (c, b) in closed for c in range(n))
+    }

@@ -120,7 +120,7 @@ def test_criterion_1_definition_and_lemma_suite():
         )
         if via_empty != runs1:
             failures.append(f"frame {idx}: lruns-via-empty broken")
-        bogus = CanonicalRun(((min(frame.channel_ids), ("no-such-value",)),), ())
+        bogus = CanonicalRun.build(((min(frame.channel_ids), ("no-such-value",)),))
         if compatible_runs(frame, CompatQuery(c1, c2, bogus, BOUND)) != frozenset():
             failures.append(f"frame {idx}: non-run compatibility not empty")
         for b in runs1:

@@ -62,7 +62,7 @@ def test_identity_and_all_blur(run_universe):
 
 def test_blur_apply_rejects_runs_outside_universe(run_universe):
     _, universe = run_universe
-    alien = CanonicalRun((("zz", ("zz",)),), ())
+    alien = CanonicalRun.build((("zz", ("zz",)),))
     with pytest.raises(BlurError):
         blur_apply(IdentityBlur(), {alien}, universe)
 

@@ -421,6 +421,26 @@ def test_unexpected_exception_exits_3_on_one_line(frame_file, capsys, monkeypatc
     assert captured.err.count("\n") == 1
 
 
+def test_internal_value_error_exits_3_not_2(frame_file, capsys, monkeypatch):
+    # A CanonicalizeError is a ValueError, but not an input error: reaching
+    # main means a bug, so it must not read as bad input.
+    import flowcut.cli as cli
+    from flowcut.events import EventSystem, canonicalize
+
+    def unordered_runs(frame, chans, bound):
+        return {canonicalize(EventSystem.build([("a", "0"), ("a", "1")]))}
+
+    monkeypatch.setattr(cli, "enumerate_runs", unordered_runs)
+    assert main(["runs", frame_file, "--channels", "src"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: CanonicalizeError(")
+
+
+def test_precincts_that_are_not_numbers_exit_2(capsys):
+    assert main(["scenario", "voting", "--precincts", "2,x"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --precincts takes comma-separated voter counts, got '2,x'\n"
+
+
 needs_libyaml = pytest.mark.skipif(
     not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
 )

@@ -57,9 +57,7 @@ def test_degenerate_lemma_clauses():
             compat = compatible_runs(frame, CompatQuery(chans, other, run, B))
             assert compat <= enumerate_runs(frame, other, B)
         # A non-run has an empty compatibility set.
-        bogus = CanonicalRun(
-            ((min(chans), ("definitely-not-a-value",)),), ()
-        )
+        bogus = CanonicalRun.build(((min(chans), ("definitely-not-a-value",)),))
         assert compatible_runs(frame, CompatQuery(chans, chans, bogus, B)) == frozenset()
 
 
@@ -128,7 +126,7 @@ def test_obs_equivalence_relation_laws():
 
 def test_obs_equivalence_rejects_non_runs():
     frame = relay_frame()
-    bogus = CanonicalRun((("a", ("7",)),), ())
+    bogus = CanonicalRun.build((("a", ("7",)),))
     with pytest.raises(ValueError):
         obs_equivalent(frame, {"a"}, {"b"}, bogus, bogus, Bound(4))
 

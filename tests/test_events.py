@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -22,7 +23,12 @@ from flowcut.events import (
 )
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, UnknownChannelError
 
-from support import random_budget_complete_frame, reference_canonicalize, reference_closure
+from support import (
+    random_budget_complete_frame,
+    reference_canonicalize,
+    reference_closure,
+    reference_reduction,
+)
 
 
 def tiny_frame() -> Frame:
@@ -149,6 +155,9 @@ def test_initial_substructure_basics():
     )
     tail_only = EventSystem.build([("c", "w")])
     assert not is_initial_substructure(tail_only, sys2)
+    # The same events with less order are not order-induced.
+    ordered = EventSystem.build([("a", "v"), ("b", "v")], [(0, 1)])
+    assert not is_initial_substructure(EventSystem.build([("a", "v"), ("b", "v")]), ordered)
 
 
 def test_initial_substructures_of_executions_are_executions():
@@ -286,6 +295,66 @@ def test_canonicalize_and_reference_reject_the_same_systems(sys):
     assert (got is CanonicalizeError) == (not linear)
 
 
+# -- canonical runs against the direct canonical form -----------------------------
+
+
+def _json_serialization(run: CanonicalRun) -> str:
+    return json.dumps(
+        {
+            "ch": [[c, list(msgs)] for c, msgs in run.channels],
+            "ord": [[list(a), list(b)] for a, b in run.order],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+@given(event_systems(linear=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_restrict_and_induced_match_reference(sys, data):
+    run = canonicalize(sys)
+    assert run == reference_canonicalize(sys)
+    chans = data.draw(st.sets(st.sampled_from("abc")))
+    assert run.restrict(chans) == reference_canonicalize(sys.restrict(chans))
+    # Canonical indices of the run are the event indices of its system.
+    full = run.to_event_system()
+    assert reference_canonicalize(full) == run
+    n = run.n_events
+    kept = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    sub = full.induced(kept)
+    new = {old: k for k, old in enumerate(sorted(kept))}
+    assert sub.strict == {(new[a], new[b]) for a, b in full.strict if a in kept and b in kept}
+    assert run.induced(kept) == reference_canonicalize(sub)
+    ids = [(chan, i) for chan, msgs in run.channels for i in range(len(msgs))]
+    covers = reference_reduction(full.strict, n)
+    assert run.order == tuple(sorted((ids[a], ids[b]) for a, b in covers))
+    assert CanonicalRun.build(run.channels, run.order) == run
+    assert run.serialize() == _json_serialization(run)
+
+
+def test_serialize_escapes_like_json():
+    channels = [('c"1', ("\u00e9", "\\", "\n")), ("b", ("x",))]
+    run = CanonicalRun.build(channels, [(("b", 0), ('c"1', 1))])
+    assert run.serialize() == _json_serialization(run)
+    assert json.loads(run.serialize())["ord"] == [
+        [["b", 0], ['c"1', 1]],
+        [['c"1', 0], ['c"1', 1]],
+        [['c"1', 1], ['c"1', 2]],
+    ]
+
+
+def test_build_names_a_canonical_id_on_a_cycle():
+    # a0 < a1 by the chain, a1 < b0 < a0 by the pairs; b1 lies only above it.
+    channels = [("b", ("z", "w")), ("a", ("x", "y"))]
+    with pytest.raises(EventSystemError, match=r"cycle through event \('a', 0\)$"):
+        CanonicalRun.build(channels, [(("a", 1), ("b", 0)), (("b", 0), ("a", 0))])
+    with pytest.raises(EventSystemError, match="unknown canonical id"):
+        CanonicalRun.build(channels, [(("a", 2), ("b", 0))])
+    run = CanonicalRun.build(channels, [(("a", 1), ("b", 0))])
+    assert run.channels == (("a", ("x", "y")), ("b", ("z", "w")))
+    assert run.order == ((("a", 0), ("a", 1)), (("a", 1), ("b", 0)), (("b", 0), ("b", 1)))
+
+
 # -- ancestor masks against the pair-set closure ---------------------------------
 
 
@@ -328,6 +397,6 @@ def test_covering_pairs_match_brute_force_reduction(data):
     reduction = {
         (a, b) for a, b in induced if not any((a, c) in induced and (c, b) in induced for c in kept)
     }
-    got = covering_pairs(sys.ancestors, kept)
-    assert len(got) == len(reduction)
-    assert set(got) == reduction
+    new = {old: k for k, old in enumerate(sorted(kept))}
+    got = covering_pairs(sys.induced(kept).ancestors)
+    assert got == sorted((new[a], new[b]) for a, b in reduction)

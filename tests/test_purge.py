@@ -309,7 +309,7 @@ def test_input_sequence_follows_the_chain_of_every_input_run():
 )
 def test_input_sequence_rejects_a_run_that_is_not_a_chain(order):
     m = downgrader_machine()
-    run = CanonicalRun((("in_d0", ("set1",)), ("in_d1", ("rel",)), ("in_d2", ("look",))), order)
+    run = CanonicalRun.build((("in_d0", ("set1",)), ("in_d1", ("rel",)), ("in_d2", ("look",))), order)
     with pytest.raises(MachineError, match="must be totally ordered"):
         input_sequence(m, run)
 

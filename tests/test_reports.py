@@ -9,7 +9,8 @@ alter report bytes rewrites the file with
 
     PYTHONPATH=src:tests python tests/test_reports.py --write
 
-and says why.
+and says why.  ``python tests/test_reports.py --print DIR`` prints the
+digests computed in ``DIR`` without writing them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,11 +103,39 @@ def test_report_digests_match_corpus(tmp_path):
     assert compute_digests(tmp_path) == expected
 
 
+def test_report_digests_do_not_depend_on_the_hash_seed(tmp_path):
+    # Reports are built from sets of runs, whose iteration order follows the
+    # runs' hashes and so the string hash seed.  Each child computes the
+    # whole corpus with the flowcut this process imported.
+    import flowcut
+
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])}
+    children = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        children.append(
+            subprocess.Popen(
+                [sys.executable, __file__, "--print", str(tmp_path / seed)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**env, "PYTHONHASHSEED": seed},
+            )
+        )
+    expected = json.loads(DIGESTS.read_text())
+    for seed, child in zip(("0", "1"), children):
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, (seed, err.decode(errors="replace"))
+        assert json.loads(out) == expected, seed
+
+
 if __name__ == "__main__":
     import tempfile
 
+    if len(sys.argv) == 3 and sys.argv[1] == "--print":
+        print(json.dumps(compute_digests(Path(sys.argv[2]))))
+        sys.exit()
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_reports.py --write")
+        sys.exit("usage: test_reports.py --write | --print DIR")
     with tempfile.TemporaryDirectory() as tmp:
         DIGESTS.write_text(json.dumps(compute_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
