@@ -10,18 +10,23 @@ local-run sets, and blur application never escapes the universe.
 The theorem-shaped operations here (cut-blur, composition) report their
 antecedent and consequent separately instead of assuming the implication:
 a failed implication flags an implementation bug, not a refuted theorem.
+
+The flow checks import ``disclosure``, ``cuts`` and ``enumeration`` when
+they are called, so a frame file that declares blurs parses with only
+this module, ``events`` and ``frames`` loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
-from .cuts import ChannelSetTriple, is_cut
-from .disclosure import _cmpt_table
-from .enumeration import Bound, enumerate_runs
 from .events import CanonicalRun
 from .frames import Frame, InputError, shortest_language_difference, trace_specs_equal
+
+if TYPE_CHECKING:
+    from .cuts import ChannelSetTriple
+    from .enumeration import Bound
 
 
 class BlurError(InputError):
@@ -311,6 +316,8 @@ def f_limits_flow(
     On failure, reports the observed run plus a run the blur adds to the
     compatibility set without it being compatible.
     """
+    from .disclosure import _cmpt_table
+
     src = frame.check_channels(source)
     obs = frame.check_channels(observed)
     table = _cmpt_table(frame, obs, src, bound)
@@ -348,6 +355,8 @@ def verify_cut_blur(
     The implication (flow limited to the cut implies flow limited to the
     sink) should never fail; a failure detects an implementation bug.
     """
+    from .cuts import is_cut
+
     check = is_cut(frame, triple)
     if not check.is_cut:
         raise BlurError("the given triple is not a cut")
@@ -394,6 +403,8 @@ def build_shared_core(frame1: Frame, frame2: Frame, l0: Iterable[str], bound: Bo
     otherwise.  The side condition (the second frame has no new cut runs)
     is checked by enumeration and recorded, not assumed.
     """
+    from .enumeration import enumerate_runs
+
     core = frozenset(l0)
     for frame, tag in ((frame1, "first"), (frame2, "second")):
         missing = core - set(frame.location_ids)
@@ -473,6 +484,8 @@ def verify_composition(
     for every cut run both frames can produce, their compatibility sets
     back into the core coincide.
     """
+    from .disclosure import _cmpt_table
+
     src = frozenset(source)
     obs = frozenset(observed)
     if not src <= core.left0:

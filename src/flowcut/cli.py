@@ -9,6 +9,10 @@ usage or parse errors, 3 for an internal error.  Reports always carry the
 bound and a reminder that verdicts are bound-relative; wall-clock timing
 is omitted unless requested so identical inputs produce byte-identical
 reports.
+
+Only the file format and ``frames`` load with this module; each command
+imports the analysis modules it runs when it runs, so ``validate`` loads
+no enumeration and only ``scenario`` loads the scenario builders.
 """
 
 from __future__ import annotations
@@ -19,31 +23,18 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .blur import (
-    build_shared_core,
-    f_limits_flow,
-    validate_blur,
-    verify_composition,
-    verify_cut_blur,
-)
-from .cuts import ChannelSetTriple, find_min_cut, is_cut
-from .disclosure import CompatQuery, compatible_runs, no_disclosure
-from .enumeration import Bound, enumerate_executions, enumerate_runs
-from .events import CanonicalRun
 from .fileformat import (
     emit_frame_document,
     parse_frame_document,
     parse_machine_document,
 )
 from .frames import InputError, validate_frame
-from .purge import PurgeKind, check_nd, check_ni, purge_blur
-from .scenarios import (
-    FirewallParams,
-    VotingParams,
-    build_firewall,
-    build_voting,
-)
+
+if TYPE_CHECKING:
+    from .enumeration import Bound
+    from .purge import PurgeKind
 
 SCHEMA = "flowcut-report/1"
 DEFAULT_BOUND = 6
@@ -121,6 +112,8 @@ def _resolve_set(arg: str, named: dict[str, frozenset[str]]) -> frozenset[str]:
 
 
 def _bound(args) -> tuple[Bound, list[str]]:
+    from .enumeration import Bound
+
     notes = []
     if args.bound is None:
         notes.append(
@@ -159,6 +152,8 @@ def cmd_validate(args) -> Report:
 
 
 def cmd_enumerate(args) -> Report:
+    from .enumeration import enumerate_executions
+
     frame, _, _ = _load_frame(args.file)
     bound, notes = _bound(args)
     exset = enumerate_executions(frame, bound)
@@ -176,6 +171,9 @@ def cmd_enumerate(args) -> Report:
 
 
 def cmd_runs(args) -> Report:
+    from .enumeration import enumerate_runs
+    from .events import CanonicalRun
+
     frame, named, _ = _load_frame(args.file)
     bound, notes = _bound(args)
     chans = _resolve_set(args.channels, named)
@@ -191,6 +189,10 @@ def cmd_runs(args) -> Report:
 
 
 def cmd_cmpt(args) -> Report:
+    from .disclosure import CompatQuery, compatible_runs
+    from .enumeration import enumerate_runs
+    from .events import CanonicalRun
+
     frame, named, _ = _load_frame(args.file)
     bound, notes = _bound(args)
     observed = _resolve_set(args.observed, named)
@@ -222,6 +224,8 @@ def cmd_cmpt(args) -> Report:
 
 
 def cmd_nodisclosure(args) -> Report:
+    from .disclosure import no_disclosure
+
     frame, named, _ = _load_frame(args.file)
     bound, notes = _bound(args)
     source = _resolve_set(args.source, named)
@@ -249,6 +253,9 @@ def _named_blur(args, blurs):
 
 
 def cmd_check_blur(args) -> Report:
+    from .blur import f_limits_flow, validate_blur
+    from .enumeration import enumerate_runs
+
     frame, named, blurs = _load_frame(args.file)
     bound, notes = _bound(args)
     source = _resolve_set(args.source, named)
@@ -285,6 +292,8 @@ def cmd_check_blur(args) -> Report:
 
 
 def cmd_check_cut(args) -> Report:
+    from .cuts import ChannelSetTriple, is_cut
+
     frame, named, _ = _load_frame(args.file)
     triple = ChannelSetTriple(
         _resolve_set(args.source, named),
@@ -310,6 +319,8 @@ def cmd_check_cut(args) -> Report:
 
 
 def cmd_min_cut(args) -> Report:
+    from .cuts import find_min_cut
+
     frame, named, _ = _load_frame(args.file)
     source = _resolve_set(args.source, named)
     observed = _resolve_set(args.observed, named)
@@ -328,6 +339,9 @@ def cmd_min_cut(args) -> Report:
 
 
 def cmd_verify_cutblur(args) -> Report:
+    from .blur import verify_cut_blur
+    from .cuts import ChannelSetTriple
+
     frame, named, blurs = _load_frame(args.file)
     bound, notes = _bound(args)
     triple = ChannelSetTriple(
@@ -362,6 +376,8 @@ def cmd_verify_cutblur(args) -> Report:
 
 
 def cmd_compose(args) -> Report:
+    from .blur import build_shared_core, verify_composition
+
     frame1, named1, blurs1 = _load_frame(args.file1)
     frame2, named2, _ = _load_frame(args.file2)
     bound, notes = _bound(args)
@@ -397,10 +413,14 @@ def cmd_compose(args) -> Report:
 
 
 def _purge_args(args) -> PurgeKind:
+    from .purge import PurgeKind
+
     return PurgeKind(args.purge, args.target)
 
 
 def cmd_ni(args) -> Report:
+    from .purge import check_ni
+
     machine = _load_machine(args.file)
     bound, notes = _bound(args)
     kind = _purge_args(args)
@@ -420,6 +440,8 @@ def cmd_ni(args) -> Report:
 
 
 def cmd_nd(args) -> Report:
+    from .purge import check_nd
+
     machine = _load_machine(args.file)
     bound, notes = _bound(args)
     kind = _purge_args(args)
@@ -439,6 +461,8 @@ def cmd_nd(args) -> Report:
 
 
 def cmd_purge_blur(args) -> Report:
+    from .purge import purge_blur
+
     machine = _load_machine(args.file)
     bound, notes = _bound(args)
     kind = _purge_args(args)
@@ -455,6 +479,8 @@ def cmd_purge_blur(args) -> Report:
 
 
 def cmd_scenario(args) -> Report:
+    from .scenarios import FirewallParams, VotingParams, build_firewall, build_voting
+
     if args.which == "firewall":
         scn = build_firewall(
             FirewallParams(filtering=args.filtering, region_sends=args.region_sends)

@@ -107,16 +107,18 @@ def covering_pairs(anc: Sequence[int]) -> list[tuple[int, int]]:
     masks ``anc``, sorted.
 
     An event's covers are its predecessors P minus everything below some
-    member of P.
+    member of P.  P is visited from the highest index down, skipping what
+    a visited member already has below it, so a chain costs one step per
+    event.
     """
     out = []
     for b, below in enumerate(anc):
         covered = 0
         rest = below
         while rest:
-            low = rest & -rest
-            covered |= anc[low.bit_length() - 1]
-            rest ^= low
+            top = rest.bit_length() - 1
+            covered |= anc[top]
+            rest &= ~(anc[top] | 1 << top)
         rest = below & ~covered
         while rest:
             low = rest & -rest

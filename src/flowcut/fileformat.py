@@ -14,13 +14,15 @@ parsed again in pure Python, so error messages are the same either way.
 
 from __future__ import annotations
 
-from typing import Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import yaml
 
 from .blur import AllBlur, BlurSpec, IdentityBlur, PermutationBlur, SelectionBlur
 from .frames import Channel, ExplicitTraces, Frame, InputError, Location, Lts
-from .purge import MachineSpec
+
+if TYPE_CHECKING:
+    from .purge import MachineSpec
 
 
 class FileFormatError(InputError):
@@ -219,6 +221,8 @@ def parse_frame_document(
 
 def parse_machine_document(text: str) -> MachineSpec:
     """Parse a machine file.  Reflexive influence pairs are implicit."""
+    from .purge import MachineSpec
+
     doc = _load_yaml(text)
     _reject_unknown(doc, {"machine"}, "document")
     body = _field(doc, "machine", "document", _mapping)

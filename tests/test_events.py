@@ -400,3 +400,14 @@ def test_covering_pairs_match_brute_force_reduction(data):
     new = {old: k for k, old in enumerate(sorted(kept))}
     got = covering_pairs(sys.induced(kept).ancestors)
     assert got == sorted((new[a], new[b]) for a, b in reduction)
+
+
+def test_covering_pairs_of_a_40_event_chain():
+    # Each event of a chain has every earlier event below it; only the one
+    # just before it is a cover, whether indices follow the chain or not.
+    shuffled = list(range(40))
+    random.Random(40).shuffle(shuffled)
+    for chain in (list(range(40)), shuffled):
+        links = list(zip(chain, chain[1:]))
+        sys = EventSystem.build([("c", "v")] * 40, links)
+        assert covering_pairs(sys.ancestors) == sorted(links)

@@ -1,0 +1,187 @@
+"""
+What importing flowcut loads: each CLI command imports only the modules it
+runs, and the package's lazy exports resolve to the same objects the
+submodules define.  Import state is per process, so every check of what
+is loaded runs in a fresh child interpreter.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import flowcut
+from flowcut.fileformat import emit_frame_document
+from flowcut.scenarios import FirewallParams, build_firewall
+
+from support import downgrader_machine, machine_document
+
+#: The names ``flowcut`` re-exports, by home module.
+EXPORTS = {
+    "blur": [
+        "AllBlur",
+        "BlurError",
+        "BlurSpec",
+        "IdentityBlur",
+        "PartitionBlur",
+        "PermutationBlur",
+        "SelectionBlur",
+        "SharedCore",
+        "SharedCoreError",
+        "TableBlur",
+        "blur_apply",
+        "build_shared_core",
+        "f_limits_flow",
+        "validate_blur",
+        "verify_composition",
+        "verify_cut_blur",
+    ],
+    "cuts": ["ChannelSetTriple", "CutSpecError", "find_min_cut", "is_cut"],
+    "disclosure": [
+        "CompatQuery",
+        "MergeError",
+        "MergeInvariantError",
+        "check_symmetry",
+        "cmpt_propagation_check",
+        "compatible_runs",
+        "merge_across_cut",
+        "no_disclosure",
+        "obs_equivalent",
+    ],
+    "enumeration": ["Bound", "EnumerationError", "ExecutionSet", "enumerate_executions", "enumerate_runs"],
+    "events": [
+        "CanonicalRun",
+        "CanonicalizeError",
+        "Event",
+        "EventSystem",
+        "LinearityError",
+        "canonicalize",
+        "is_execution",
+        "is_initial_substructure",
+        "project",
+    ],
+    "fileformat": ["FileFormatError", "emit_frame_document", "parse_frame_document", "parse_machine_document"],
+    "frames": [
+        "Channel",
+        "ExplicitTraces",
+        "Frame",
+        "FrameError",
+        "InputError",
+        "Location",
+        "Lts",
+        "UnknownChannelError",
+        "location_language",
+        "validate_frame",
+    ],
+    "purge": [
+        "MachineError",
+        "MachineSpec",
+        "PurgeKind",
+        "check_nd",
+        "check_ni",
+        "purge",
+        "purge_blur",
+        "star_frame",
+        "validate_purge",
+    ],
+    "scenarios": [
+        "FirewallParams",
+        "FirewallScenario",
+        "ScenarioError",
+        "VotingParams",
+        "VotingScenario",
+        "build_firewall",
+        "build_voting",
+    ],
+}
+
+VALIDATE_SET = {"cli", "fileformat", "frames", "blur", "events"}
+
+
+def _child(code: str, *args: str, cwd: Path | None = None) -> subprocess.Popen:
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=cwd,
+        env=env,
+    )
+
+
+def _finish(child: subprocess.Popen) -> str:
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err.decode(errors="replace")
+    return out.decode()
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    scn = build_firewall(FirewallParams())
+    (tmp_path / "fw.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets, scn.blurs))
+    (tmp_path / "m.yaml").write_text(machine_document(downgrader_machine()))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import flowcut.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('flowcut.'))]))\n"
+    )
+    cases = [
+        (["validate", "fw.yaml"], {0}, set()),
+        (["enumerate", "fw.yaml", "--bound", "4"], {0}, {"enumeration"}),
+        (["min-cut", "fw.yaml", "--source", "chans_i", "--observed", "chans_n"], {0}, {"cuts"}),
+        (
+            ["nodisclosure", "fw.yaml", "--source", "chans_i", "--observed", "chans_n", "--bound", "4"],
+            {0, 1},
+            {"enumeration", "disclosure"},
+        ),
+        (["nd", "m.yaml", "--target", "d2", "--bound", "5"], {0, 1}, {"enumeration", "purge"}),
+        (["scenario", "firewall"], {0}, {"scenarios"}),
+    ]
+    children = [_child(code, *argv, cwd=tmp_path) for argv, _, _ in cases]
+    for (argv, statuses, extra), child in zip(cases, children):
+        status, loaded = json.loads(_finish(child))
+        assert status in statuses, argv
+        assert set(loaded) == {f"flowcut.{m}" for m in VALIDATE_SET | extra}, argv
+
+
+def test_package_exports_are_unchanged():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert len(names) == 73
+    assert sorted(flowcut.__all__) == sorted(names)
+    for home, group in EXPORTS.items():
+        module = importlib.import_module(f"flowcut.{home}")
+        for name in group:
+            assert getattr(flowcut, name) is getattr(module, name), name
+    namespace: dict = {}
+    exec("from flowcut import *", namespace)
+    assert set(names) <= set(namespace)
+    assert set(names) <= set(dir(flowcut))
+
+
+def test_purge_names_the_function_in_either_import_order():
+    # ``purge`` is both a submodule and a function the package re-exports;
+    # the name must stay the function whichever is imported first.
+    function_first = (
+        "import sys, types\n"
+        "import flowcut\n"
+        "assert not [m for m in sys.modules if m.startswith('flowcut.')]\n"
+        "from flowcut import purge as before\n"
+        "import flowcut.purge\n"
+        "from flowcut import purge as after\n"
+        "assert isinstance(before, types.FunctionType) and after is before\n"
+        "assert flowcut.purge is sys.modules['flowcut.purge'].purge\n"
+    )
+    module_first = (
+        "import sys, types\n"
+        "import flowcut.purge\n"
+        "from flowcut import purge\n"
+        "assert isinstance(purge, types.FunctionType)\n"
+        "assert purge is sys.modules['flowcut.purge'].purge\n"
+        "assert flowcut.purge is purge\n"
+    )
+    for child in [_child(function_first), _child(module_first)]:
+        _finish(child)
