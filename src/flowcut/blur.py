@@ -158,14 +158,15 @@ class SelectionBlur:
         return True
 
     def key(self, run: CanonicalRun) -> Hashable:
-        events = run.to_event_system().events
-        return run.induced(i for i, e in enumerate(events) if self.selects(e.chan, e.msg))
+        picked = (self.selects(chan, m) for chan, msgs in run.channels for m in msgs)
+        return run.induced(i for i, keep in enumerate(picked) if keep)
 
 
 @dataclass(frozen=True)
 class TableBlur:
     """Explicit action on singletons, extended by union.  Inclusion on
-    singletons is enforced at construction; idempotence is validated, not
+    singletons is enforced at construction, so Inclusion and Union hold
+    by construction; Idempotence is decided by ``validate_blur``, not
     assumed, which admits blurs no partition generates.  A run's image is
     its first row."""
 
@@ -236,59 +237,36 @@ def blur_apply(
 
 @dataclass(frozen=True)
 class BlurValidation:
-    inclusion_ok: bool
     idempotence_ok: bool
-    union_ok: bool
     partition_generated: bool
+    # Every form's class of a run holds the run, and f(S) is the union of
+    # the classes of S's runs, so these two laws hold by construction.
+    inclusion_ok = True
+    union_ok = True
 
     @property
     def is_blur(self) -> bool:
-        return self.inclusion_ok and self.idempotence_ok and self.union_ok
+        return self.idempotence_ok
 
     def __bool__(self) -> bool:
         return self.is_blur
 
 
 def validate_blur(blur: BlurSpec, universe: Iterable[CanonicalRun]) -> BlurValidation:
-    """Check Inclusion, Idempotence, and Union on the bounded universe.
+    """Decide the blur laws on the bounded universe.
 
-    Union is checked on singleton decompositions and a split of the
-    universe; every form here computes f(S) from singleton images, so a
-    union failure indicates a broken spec rather than a broken law.  The
-    report also says whether the blur is generated by a partition: a blur
-    can pass all three laws while no equivalence relation produces it.
+    Inclusion and Union hold for every form by construction.  A blur that
+    commutes with unions is idempotent iff it is idempotent on singletons,
+    so Idempotence is tested exactly, on each run's image.  The report also
+    says whether the blur is generated by a partition: a blur can pass all
+    three laws while no equivalence relation produces it.
     """
-    uni = frozenset(universe)
-    runs = sorted(uni, key=CanonicalRun.serialize)
-    f = _ClassIndex(blur, uni).apply
-    singleton_image = {r: f(frozenset({r})) for r in runs}
-
-    inclusion = all(r in singleton_image[r] for r in runs)
-
-    samples: list[frozenset[CanonicalRun]] = [frozenset({r}) for r in runs]
-    samples.append(uni)
-    half = frozenset(runs[: len(runs) // 2])
-    samples.extend([half, uni - half])
-    # Blurs act on non-empty sets: every compatibility set holds its own
-    # source run, and the all-blur maps the empty set to the universe.
-    samples = [s for s in samples if s]
-    idempotence = True
-    for s in samples:
-        once = f(s)
-        if f(once) != once:
-            idempotence = False
-            break
-
-    union = all(
-        f(s) == frozenset().union(*{singleton_image[r] for r in s}) for s in samples
-    )
-    partition = all(
-        singleton_image.get(b) == image
-        for image in set(singleton_image.values())
-        for b in image
-    )
-
-    return BlurValidation(inclusion, idempotence, union, partition)
+    index = _ClassIndex(blur, frozenset(universe))
+    runs = sorted(index.universe, key=CanonicalRun.serialize)
+    image = {r: index.apply(frozenset({r})) for r in runs}
+    idempotence = all(index.apply(image[r]) == image[r] for r in runs)
+    partition = all(image.get(b) == c for c in set(image.values()) for b in c)
+    return BlurValidation(idempotence, partition)
 
 
 # -- limited flow ----------------------------------------------------------
@@ -297,6 +275,7 @@ def validate_blur(blur: BlurSpec, universe: Iterable[CanonicalRun]) -> BlurValid
 @dataclass(frozen=True)
 class FlowCheck:
     holds: bool
+    laws: BlurValidation
     failing_observed: CanonicalRun | None = None
     unblurred: CanonicalRun | None = None
 
@@ -314,7 +293,8 @@ def f_limits_flow(
     """True iff every observation's compatibility set is fixed by the blur.
 
     On failure, reports the observed run plus a run the blur adds to the
-    compatibility set without it being compatible.
+    compatibility set without it being compatible.  The blur's laws on the
+    source universe come with the result.
     """
     from .disclosure import _cmpt_table
 
@@ -323,15 +303,14 @@ def f_limits_flow(
     table = _cmpt_table(frame, obs, src, bound)
     # Every execution's source run is compatible with its observed run, so
     # the table's values cover the source universe.
-    f = _ClassIndex(blur, frozenset().union(*table.values())).apply
+    universe = frozenset().union(*table.values())
+    laws = validate_blur(blur, universe)
+    f = _ClassIndex(blur, universe).apply
     for b_o in sorted(table, key=CanonicalRun.serialize):
-        compat = table[b_o]
-        blurred = f(compat)
-        if blurred != compat:
-            extra = blurred - compat
-            witness = min(extra, key=CanonicalRun.serialize) if extra else None
-            return FlowCheck(False, b_o, witness)
-    return FlowCheck(True)
+        extra = f(table[b_o]) - table[b_o]
+        if extra:
+            return FlowCheck(False, laws, b_o, min(extra, key=CanonicalRun.serialize))
+    return FlowCheck(True, laws)
 
 
 @dataclass(frozen=True)

@@ -89,20 +89,19 @@ class Report:
         return "\n".join(lines)
 
 
-def _load_frame(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    return parse_frame_document(text)
+
+
+def _load_frame(path: str):
+    return parse_frame_document(_read(path))
 
 
 def _load_machine(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    return parse_machine_document(text)
+    return parse_machine_document(_read(path))
 
 
 def _resolve_set(arg: str, named: dict[str, frozenset[str]]) -> frozenset[str]:
@@ -253,17 +252,15 @@ def _named_blur(args, blurs):
 
 
 def cmd_check_blur(args) -> Report:
-    from .blur import f_limits_flow, validate_blur
-    from .enumeration import enumerate_runs
+    from .blur import f_limits_flow
 
     frame, named, blurs = _load_frame(args.file)
     bound, notes = _bound(args)
     source = _resolve_set(args.source, named)
     observed = _resolve_set(args.observed, named)
     blur = _named_blur(args, blurs)
-    universe = enumerate_runs(frame, source, bound)
-    laws = validate_blur(blur, universe)
     res = f_limits_flow(frame, source, observed, blur, bound)
+    laws = res.laws
     details: dict = {
         "blur_laws": {
             "inclusion": laws.inclusion_ok,
@@ -272,9 +269,8 @@ def cmd_check_blur(args) -> Report:
             "partition_generated": laws.partition_generated,
         }
     }
-    if res.failing_observed is not None:
+    if not res.holds:
         details["failing_observed"] = res.failing_observed.serialize()
-    if res.unblurred is not None:
         details["unblurred"] = res.unblurred.serialize()
     return Report(
         command="check-blur",

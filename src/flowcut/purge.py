@@ -281,12 +281,43 @@ def _purge_fn(machine: MachineSpec, kind: PurgeKind) -> PurgeFn:
 
 @dataclass(frozen=True)
 class PurgeValidation:
-    inputs_only_ok: bool
     visible_inputs_ok: bool
     witness: tuple[CanonicalRun, CanonicalRun] | None = None
+    # Every purge value is computed from the execution's input sequence,
+    # so equal inputs give equal purges by construction.
+    inputs_only_ok = True
 
     def __bool__(self) -> bool:
-        return self.inputs_only_ok and self.visible_inputs_ok
+        return self.visible_inputs_ok
+
+
+def _execution_rows(
+    machine: MachineSpec,
+    kind: PurgeKind,
+    bound: Bound,
+    view: Iterable[str] | None = None,
+    purge_fn: PurgeFn | None = None,
+):
+    """The star frame and, per bounded execution, its purge value, its
+    input run and its run at ``view`` (default: the target's channels)."""
+    frame = star_frame(machine)
+    fn = purge_fn if purge_fn is not None else _purge_fn(machine, kind)
+    view = machine.domain_channels(kind.target) if view is None else view
+    exset = enumerate_executions(frame, bound)
+    rows = []
+    for in_run, view_run in zip(exset.runs_at(machine.input_channels()), exset.runs_at(view)):
+        rows.append((fn(input_sequence(machine, in_run)), in_run, view_run))
+    return frame, rows
+
+
+def _view_conflict(rows) -> tuple[CanonicalRun, CanonicalRun] | None:
+    """The input runs of the first two purge-equal rows whose views differ."""
+    first: dict[tuple, tuple[CanonicalRun, CanonicalRun]] = {}
+    for value, in_run, view_run in rows:
+        in_run_0, view_run_0 = first.setdefault(value, (in_run, view_run))
+        if view_run_0 != view_run:
+            return in_run_0, in_run
+    return None
 
 
 def validate_purge(
@@ -295,37 +326,18 @@ def validate_purge(
     bound: Bound,
     purge_fn: PurgeFn | None = None,
 ) -> PurgeValidation:
-    """Check the two purge-function laws over all bounded executions:
-    equal inputs give equal purges, and equal purges give equal
-    restrictions to the target's visible input channels.
+    """Check the purge-function laws over all bounded executions.  Equal
+    inputs give equal purges by construction; equal purges must give
+    equal restrictions to the target's visible input channels, and the
+    witness is the input runs of the first two executions that do not.
 
     ``purge_fn`` substitutes a custom purge of input sequences, which is
     how broken purges are exercised as negative controls.
     """
-    frame = star_frame(machine)
-    fn = purge_fn if purge_fn is not None else _purge_fn(machine, kind)
-    in_chans = machine.input_channels()
     vis = machine.visible_inputs(kind.target)
-
-    exset = enumerate_executions(frame, bound)
-    rows = []
-    for in_run, vis_run in zip(exset.runs_at(in_chans), exset.runs_at(vis)):
-        rows.append((in_run, fn(input_sequence(machine, in_run)), vis_run))
-
-    # Purges computed from input runs satisfy the first law by
-    # construction; recheck anyway since purge_fn is arbitrary.
-    by_inputs: dict[CanonicalRun, tuple] = {}
-    for in_run, value, _ in rows:
-        if by_inputs.setdefault(in_run, value) != value:
-            return PurgeValidation(False, False, None)
-
-    by_value: dict[tuple, tuple[CanonicalRun, CanonicalRun]] = {}
-    for in_run, value, vis_run in rows:
-        if value not in by_value:
-            by_value[value] = (in_run, vis_run)
-        elif by_value[value][1] != vis_run:
-            return PurgeValidation(True, False, (by_value[value][0], in_run))
-    return PurgeValidation(True, True)
+    _, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
+    witness = _view_conflict(rows)
+    return PurgeValidation(witness is None, witness)
 
 
 # -- noninterference and nondeducibility -------------------------------------
@@ -340,29 +352,12 @@ class PurgeVerdict:
         return self.holds
 
 
-def _execution_rows(machine: MachineSpec, kind: PurgeKind, bound: Bound):
-    frame = star_frame(machine)
-    in_chans = machine.input_channels()
-    ci = machine.domain_channels(kind.target)
-    fn = _purge_fn(machine, kind)
-    exset = enumerate_executions(frame, bound)
-    rows = []
-    for in_run, ci_run in zip(exset.runs_at(in_chans), exset.runs_at(ci)):
-        rows.append((fn(input_sequence(machine, in_run)), in_run, ci_run))
-    return frame, rows
-
-
 def check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Noninterference: purge-equal executions look identical on the
     target domain's own channels."""
     _, rows = _execution_rows(machine, kind, bound)
-    by_value: dict[tuple, tuple[CanonicalRun, CanonicalRun]] = {}
-    for value, in_run, ci_run in rows:
-        if value not in by_value:
-            by_value[value] = (in_run, ci_run)
-        elif by_value[value][1] != ci_run:
-            return PurgeVerdict(False, (by_value[value][0], in_run))
-    return PurgeVerdict(True)
+    witness = _view_conflict(rows)
+    return PurgeVerdict(witness is None, witness)
 
 
 def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:

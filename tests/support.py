@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from flowcut.blur import blur_apply
 from flowcut.enumeration import Bound, enumerate_executions
 from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem, canonicalize
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
@@ -411,6 +412,41 @@ def oracle_selection_apply(blur, s, universe) -> frozenset[CanonicalRun]:
     wanted = {selected(r) for r in s}
     return frozenset(r for r in universe if selected(r) in wanted)
 
+
+def reference_validate_blur(blur, universe) -> tuple[bool, bool, bool, bool]:
+    """The blur laws checked by sampling, as ``validate_blur`` first did:
+    Inclusion on singletons, Idempotence and Union on the singletons, the
+    universe and a split of it.  Returns (inclusion, idempotence, union,
+    partition_generated); raises what ``blur_apply`` raises."""
+    uni = frozenset(universe)
+    runs = sorted(uni, key=CanonicalRun.serialize)
+
+    def f(s):
+        return blur_apply(blur, s, uni)
+
+    singleton_image = {r: f(frozenset({r})) for r in runs}
+    inclusion = all(r in singleton_image[r] for r in runs)
+    samples = [frozenset({r}) for r in runs]
+    half = frozenset(runs[: len(runs) // 2])
+    samples.extend([uni, half, uni - half])
+    # Blurs act on non-empty sets: the all-blur maps the empty set to the
+    # universe.
+    samples = [s for s in samples if s]
+    idempotence = True
+    for s in samples:
+        once = f(s)
+        if f(once) != once:
+            idempotence = False
+            break
+    union = all(
+        f(s) == frozenset().union(*{singleton_image[r] for r in s}) for s in samples
+    )
+    partition = all(
+        singleton_image.get(b) == image
+        for image in set(singleton_image.values())
+        for b in image
+    )
+    return inclusion, idempotence, union, partition
 
 # -- a fixed three-domain machine ------------------------------------------------
 

@@ -40,6 +40,7 @@ from support import (
     oracle_selection_apply,
     random_budget_complete_frame,
     random_channel_subset,
+    reference_validate_blur,
 )
 
 B = Bound(5)
@@ -146,6 +147,57 @@ def test_table_blur_idempotence_is_checked_not_assumed(run_universe):
     report = validate_blur(drifting, frozenset({a, b, c}))
     assert report.inclusion_ok and report.union_ok
     assert not report.idempotence_ok
+
+
+# The 13 voter runs of two voters at bound 8, and two runs outside them.
+_TWO_VOTERS = build_voting(VotingParams(precincts=(2,)))
+VOTER_RUNS = sorted(
+    enumerate_runs(_TWO_VOTERS.frame, _TWO_VOTERS.named_sets["voters"], Bound(8)),
+    key=CanonicalRun.serialize,
+)
+ALIENS = [CanonicalRun.build((("zz", ("zz",)),)), CanonicalRun.build((("zz", ("a", "b")),))]
+
+
+@st.composite
+def tabled_and_partitioned_blurs(draw):
+    """A universe of voter runs and a table or partition blur over voter
+    runs and aliens: blocks may overlap or miss universe runs, and images
+    may leave the universe."""
+    universe = draw(st.frozensets(st.sampled_from(VOTER_RUNS)))
+    inside = sorted(universe, key=CanonicalRun.serialize) or VOTER_RUNS
+    run_sets = st.frozensets(st.sampled_from(inside), max_size=5) | st.frozensets(
+        st.sampled_from(VOTER_RUNS + ALIENS), max_size=5
+    )
+    # Whether every universe run is sure to have a class.
+    covered = draw(st.booleans())
+    if draw(st.booleans()):
+        blocks = draw(st.lists(run_sets, max_size=6))
+        if covered:
+            blocks.append(universe)
+        return PartitionBlur(tuple(blocks)), universe
+    rows = draw(st.lists(st.tuples(st.sampled_from(VOTER_RUNS + ALIENS), run_sets), max_size=8))
+    if covered:
+        rows.extend((run, draw(run_sets)) for run in inside)
+    return TableBlur(tuple((run, image | {run}) for run, image in rows)), universe
+
+
+def _outcome(check):
+    try:
+        return check()
+    except BlurError as exc:
+        return f"BlurError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tabled_and_partitioned_blurs())
+def test_validate_blur_matches_sampled_reference(case):
+    blur, universe = case
+
+    def flags():
+        rep = validate_blur(blur, universe)
+        return rep.inclusion_ok, rep.idempotence_ok, rep.union_ok, rep.partition_generated
+
+    assert _outcome(flags) == _outcome(lambda: reference_validate_blur(blur, universe))
 
 
 def test_permutation_blur_on_two_voters():

@@ -279,6 +279,29 @@ def test_cli_scenario_voting_roundtrips_through_analysis(tmp_path, capsys):
     )
 
 
+def test_check_blur_restricts_the_executions_once_per_channel_set(tmp_path, monkeypatch):
+    # The compatibility table restricts every execution to the observed and
+    # the source channels; the blur laws read the source universe off the
+    # table instead of restricting a third time.
+    from flowcut.disclosure import _cmpt_table
+    from flowcut.enumeration import ExecutionSet
+
+    out = tmp_path / "v.yaml"
+    assert main(["scenario", "voting", "--precincts", "2", "--out", str(out)]) == 0
+    _cmpt_table.cache_clear()
+    runs_at = ExecutionSet.runs_at
+    calls = []
+
+    def counted(self, chans):
+        calls.append(chans)
+        return runs_at(self, chans)
+
+    monkeypatch.setattr(ExecutionSet, "runs_at", counted)
+    argv = ["check-blur", str(out), "--blur", "f0", "--source", "voters", "--observed", "p", "--bound", "8"]
+    assert main(argv) == 0
+    assert len(calls) == 2
+
+
 def test_cli_reports_are_byte_deterministic(frame_file, capsys):
     argv = [
         "cmpt",

@@ -200,7 +200,13 @@ def test_validate_purge_flags_broken_purge():
     report = validate_purge(m, PurgeKind("gm", "dc"), B, purge_fn=broken)
     assert report.inputs_only_ok
     assert not report.visible_inputs_ok
-    assert report.witness is not None
+    # The witness is two input runs that purge equally under the broken
+    # purge while the target's visible inputs tell them apart.
+    in1, in2 = report.witness
+    assert in1.channel_ids | in2.channel_ids <= m.input_channels()
+    assert broken(input_sequence(m, in1)) == broken(input_sequence(m, in2))
+    vis = m.visible_inputs("dc")
+    assert in1.restrict(vis) != in2.restrict(vis)
 
 
 def test_ni_holds_vacuously_without_transitions():
