@@ -18,11 +18,17 @@ this module, ``events`` and ``frames`` loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from .events import CanonicalRun
-from .frames import Frame, InputError, shortest_language_difference, trace_specs_equal
+from .frames import (
+    Frame,
+    InputError,
+    _compared_by,
+    _Record,
+    shortest_language_difference,
+    trace_specs_equal,
+)
 
 if TYPE_CHECKING:
     from .cuts import ChannelSetTriple
@@ -46,30 +52,34 @@ class SharedCoreError(InputError):
 # of one universe once per call, and f(S) is the union of the classes of S.
 
 
-@dataclass(frozen=True)
-class IdentityBlur:
+class IdentityBlur(_Record):
     """The maximally permissive policy: f(S) = S."""
+
+    __slots__ = ()
 
     def key(self, run: CanonicalRun) -> Hashable:
         return run
 
 
-@dataclass(frozen=True)
-class AllBlur:
+class AllBlur(_Record):
     """The no-disclosure policy: f(S) = the whole (bounded) universe, for
     the empty set too."""
+
+    __slots__ = ()
 
     def key(self, run: CanonicalRun) -> Hashable:
         return ()
 
 
-@dataclass(frozen=True)
-class PartitionBlur:
+class PartitionBlur(_Record):
     """Union of the equivalence classes meeting S, for an explicitly given
     partition of the run universe.  A run's class is the first block that
     holds it."""
 
-    blocks: tuple[frozenset[CanonicalRun], ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[frozenset[CanonicalRun], ...]) -> None:
+        self._fill(blocks)
 
     @staticmethod
     def from_equivalence(
@@ -104,8 +114,7 @@ class PartitionBlur:
         return PartitionBlur(tuple(frozenset(b) for b in blocks))
 
 
-@dataclass(frozen=True)
-class PermutationBlur:
+class PermutationBlur(_Record):
     """Closure under value-reallocating permutations of member channels.
 
     A permutation maps each member channel's message sequence to another
@@ -115,15 +124,19 @@ class PermutationBlur:
     only map to themselves.
     """
 
-    members: tuple[str, ...]
-    blocks: tuple[frozenset[str], ...] | None = None
-    fixed: frozenset[str] = frozenset()
+    __slots__ = ("members", "blocks", "fixed")
 
-    def __post_init__(self) -> None:
-        if self.blocks is not None:
-            flat = [m for b in self.blocks for m in b]
-            if sorted(flat) != sorted(self.members):
+    def __init__(
+        self,
+        members: tuple[str, ...],
+        blocks: tuple[frozenset[str], ...] | None = None,
+        fixed: frozenset[str] = frozenset(),
+    ) -> None:
+        if blocks is not None:
+            flat = [m for b in blocks for m in b]
+            if sorted(flat) != sorted(members):
                 raise BlurError("blocks must partition the member channels")
+        self._fill(members, blocks, fixed)
 
     def key(self, run: CanonicalRun) -> Hashable:
         """Two runs share a key exactly when a permutation maps one onto the
@@ -139,16 +152,22 @@ class PermutationBlur:
         return run.ancestors, shape, pools
 
 
-@dataclass(frozen=True)
-class SelectionBlur:
+class SelectionBlur(_Record):
     """Two runs are equivalent when their restrictions to the selected
     events are isomorphic; selection is declarative over (channel, value)
     so blur specs can live in frame files.  The name is reporting
     metadata and does not affect equality."""
 
-    name: str = field(default="selection", compare=False)
-    channels: frozenset[str] | None = None
-    values: frozenset[str] | None = None
+    __slots__ = ("name", "channels", "values")
+    __eq__, __hash__ = _compared_by("channels", "values")
+
+    def __init__(
+        self,
+        name: str = "selection",
+        channels: frozenset[str] | None = None,
+        values: frozenset[str] | None = None,
+    ) -> None:
+        self._fill(name, channels, values)
 
     def selects(self, chan: str, msg: str) -> bool:
         if self.channels is not None and chan not in self.channels:
@@ -162,20 +181,20 @@ class SelectionBlur:
         return run.induced(i for i, keep in enumerate(picked) if keep)
 
 
-@dataclass(frozen=True)
-class TableBlur:
+class TableBlur(_Record):
     """Explicit action on singletons, extended by union.  Inclusion on
     singletons is enforced at construction, so Inclusion and Union hold
     by construction; Idempotence is decided by ``validate_blur``, not
     assumed, which admits blurs no partition generates.  A run's image is
     its first row."""
 
-    table: tuple[tuple[CanonicalRun, frozenset[CanonicalRun]], ...]
+    __slots__ = ("table",)
 
-    def __post_init__(self) -> None:
-        for run, image in self.table:
+    def __init__(self, table: tuple[tuple[CanonicalRun, frozenset[CanonicalRun]], ...]) -> None:
+        for run, image in table:
             if run not in image:
                 raise BlurError("table violates Inclusion: a run misses its own image")
+        self._fill(table)
 
 
 BlurSpec = IdentityBlur | AllBlur | PartitionBlur | PermutationBlur | SelectionBlur | TableBlur
@@ -184,8 +203,8 @@ BlurSpec = IdentityBlur | AllBlur | PartitionBlur | PermutationBlur | SelectionB
 class _ClassIndex:
     """One blur's classes over one universe, numbered when built: the key
     forms group the universe by key, a partition blur numbers its blocks
-    and a table blur its rows.  It lives for one call; nothing is cached
-    between calls."""
+    and a table blur its rows.  It lives for one call, which builds it
+    once; nothing is cached between calls."""
 
     def __init__(self, blur: BlurSpec, universe: frozenset[CanonicalRun]) -> None:
         self.universe = universe
@@ -222,6 +241,14 @@ class _ClassIndex:
             return self.classes[ids.pop()]
         return frozenset().union(*(self.classes[i] for i in ids))
 
+    def laws(self) -> BlurValidation:
+        """The blur laws on the universe; see ``validate_blur``."""
+        runs = sorted(self.universe, key=CanonicalRun.serialize)
+        image = {r: self.apply(frozenset({r})) for r in runs}
+        idempotence = all(self.apply(image[r]) == image[r] for r in runs)
+        partition = all(image.get(b) == c for c in set(image.values()) for b in c)
+        return BlurValidation(idempotence, partition)
+
 
 def blur_apply(
     blur: BlurSpec,
@@ -235,14 +262,15 @@ def blur_apply(
 # -- blur validation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlurValidation:
-    idempotence_ok: bool
-    partition_generated: bool
+class BlurValidation(_Record):
+    __slots__ = ("idempotence_ok", "partition_generated")
     # Every form's class of a run holds the run, and f(S) is the union of
     # the classes of S's runs, so these two laws hold by construction.
     inclusion_ok = True
     union_ok = True
+
+    def __init__(self, idempotence_ok: bool, partition_generated: bool) -> None:
+        self._fill(idempotence_ok, partition_generated)
 
     @property
     def is_blur(self) -> bool:
@@ -261,23 +289,23 @@ def validate_blur(blur: BlurSpec, universe: Iterable[CanonicalRun]) -> BlurValid
     says whether the blur is generated by a partition: a blur can pass all
     three laws while no equivalence relation produces it.
     """
-    index = _ClassIndex(blur, frozenset(universe))
-    runs = sorted(index.universe, key=CanonicalRun.serialize)
-    image = {r: index.apply(frozenset({r})) for r in runs}
-    idempotence = all(index.apply(image[r]) == image[r] for r in runs)
-    partition = all(image.get(b) == c for c in set(image.values()) for b in c)
-    return BlurValidation(idempotence, partition)
+    return _ClassIndex(blur, frozenset(universe)).laws()
 
 
 # -- limited flow ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowCheck:
-    holds: bool
-    laws: BlurValidation
-    failing_observed: CanonicalRun | None = None
-    unblurred: CanonicalRun | None = None
+class FlowCheck(_Record):
+    __slots__ = ("holds", "laws", "failing_observed", "unblurred")
+
+    def __init__(
+        self,
+        holds: bool,
+        laws: BlurValidation,
+        failing_observed: CanonicalRun | None = None,
+        unblurred: CanonicalRun | None = None,
+    ) -> None:
+        self._fill(holds, laws, failing_observed, unblurred)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -294,7 +322,8 @@ def f_limits_flow(
 
     On failure, reports the observed run plus a run the blur adds to the
     compatibility set without it being compatible.  The blur's laws on the
-    source universe come with the result.
+    source universe come with the result; they and the flow loop share one
+    class index.
     """
     from .disclosure import _cmpt_table
 
@@ -304,8 +333,9 @@ def f_limits_flow(
     # Every execution's source run is compatible with its observed run, so
     # the table's values cover the source universe.
     universe = frozenset().union(*table.values())
-    laws = validate_blur(blur, universe)
-    f = _ClassIndex(blur, universe).apply
+    index = _ClassIndex(blur, universe)
+    laws = index.laws()
+    f = index.apply
     for b_o in sorted(table, key=CanonicalRun.serialize):
         extra = f(table[b_o]) - table[b_o]
         if extra:
@@ -313,11 +343,11 @@ def f_limits_flow(
     return FlowCheck(True, laws)
 
 
-@dataclass(frozen=True)
-class CutBlurVerdict:
-    antecedent: FlowCheck
-    consequent: FlowCheck
-    implication_holds: bool
+class CutBlurVerdict(_Record):
+    __slots__ = ("antecedent", "consequent", "implication_holds")
+
+    def __init__(self, antecedent: FlowCheck, consequent: FlowCheck, implication_holds: bool) -> None:
+        self._fill(antecedent, consequent, implication_holds)
 
     def __bool__(self) -> bool:
         return self.implication_holds
@@ -347,21 +377,32 @@ def verify_cut_blur(
 # -- shared cores and composition -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharedCore:
+class SharedCore(_Record):
     """A location set common to two frames with identical endpoints and
     traces; its boundary channels form the cut for composition."""
 
-    frame1: Frame
-    frame2: Frame
-    core_locations: frozenset[str]
-    left0: frozenset[str]
-    cut0: frozenset[str]
-    right1: frozenset[str]
-    right2: frozenset[str]
-    run_inclusion_ok: bool
-    run_inclusion_counterexample: CanonicalRun | None
-    bound: Bound
+    __slots__ = (
+        "frame1", "frame2", "core_locations", "left0", "cut0", "right1", "right2",
+        "run_inclusion_ok", "run_inclusion_counterexample", "bound",
+    )
+
+    def __init__(
+        self,
+        frame1: Frame,
+        frame2: Frame,
+        core_locations: frozenset[str],
+        left0: frozenset[str],
+        cut0: frozenset[str],
+        right1: frozenset[str],
+        right2: frozenset[str],
+        run_inclusion_ok: bool,
+        run_inclusion_counterexample: CanonicalRun | None,
+        bound: Bound,
+    ) -> None:
+        self._fill(
+            frame1, frame2, core_locations, left0, cut0, right1, right2,
+            run_inclusion_ok, run_inclusion_counterexample, bound,
+        )
 
 
 def _pends_of(frame: Frame, loc: str) -> frozenset[tuple[str, str]]:
@@ -437,12 +478,13 @@ def build_shared_core(frame1: Frame, frame2: Frame, l0: Iterable[str], bound: Bo
     )
 
 
-@dataclass(frozen=True)
-class CompositionVerdict:
-    antecedent: FlowCheck
-    consequent: FlowCheck
-    locality_ok: bool
-    implication_holds: bool
+class CompositionVerdict(_Record):
+    __slots__ = ("antecedent", "consequent", "locality_ok", "implication_holds")
+
+    def __init__(
+        self, antecedent: FlowCheck, consequent: FlowCheck, locality_ok: bool, implication_holds: bool
+    ) -> None:
+        self._fill(antecedent, consequent, locality_ok, implication_holds)
 
     def __bool__(self) -> bool:
         return self.implication_holds and self.locality_ok

@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,7 +29,7 @@ from .fileformat import (
     parse_frame_document,
     parse_machine_document,
 )
-from .frames import InputError, validate_frame
+from .frames import InputError, _Record, validate_frame
 
 if TYPE_CHECKING:
     from .enumeration import Bound
@@ -44,15 +43,30 @@ class CliError(InputError):
     """Usage-level failure; maps to exit code 2."""
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    verdict: bool | None
-    details: dict
-    notes: list[str] = dc_field(default_factory=list)
-    bound: dict | None = None
-    timing_s: float | None = None
+    """A command's result; ``main`` adds the seed and the timing to it."""
+
+    __slots__ = ("command", "params", "verdict", "details", "notes", "bound", "timing_s")
+    __repr__ = _Record.__repr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        command: str,
+        params: dict,
+        verdict: bool | None,
+        details: dict,
+        notes: list[str] | None = None,
+        bound: dict | None = None,
+        timing_s: float | None = None,
+    ) -> None:
+        self.command = command
+        self.params = params
+        self.verdict = verdict
+        self.details = details
+        self.notes = [] if notes is None else notes
+        self.bound = bound
+        self.timing_s = timing_s
 
     def to_json(self) -> str:
         doc = {

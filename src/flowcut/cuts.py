@@ -10,21 +10,20 @@ cut members only vacuously.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import Iterable
 
-from .frames import Frame, InputError
+from .frames import Frame, InputError, _compared_by, _Record
 
 
 class CutSpecError(InputError):
     """Raised for unknown channels or non-disjoint channel-set triples."""
 
 
-@dataclass(frozen=True)
-class ChannelSetTriple:
-    source: frozenset[str]
-    cut: frozenset[str]
-    sink: frozenset[str]
+class ChannelSetTriple(_Record):
+    __slots__ = ("source", "cut", "sink")
+
+    def __init__(self, source: frozenset[str], cut: frozenset[str], sink: frozenset[str]) -> None:
+        self._fill(source, cut, sink)
 
     @staticmethod
     def of(source: Iterable[str], cut: Iterable[str], sink: Iterable[str]) -> "ChannelSetTriple":
@@ -35,19 +34,23 @@ class ChannelSetTriple:
             raise CutSpecError("source, cut, and sink channel sets must be pairwise disjoint")
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(_Record):
     """An undirected path avoiding the cut: alternating location and
     channel ids, starting and ending at locations."""
 
-    locations: tuple[str, ...]
-    channels: tuple[str, ...]
+    __slots__ = ("locations", "channels")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, locations: tuple[str, ...], channels: tuple[str, ...]) -> None:
+        self._fill(locations, channels)
 
 
-@dataclass(frozen=True)
-class CutCheck:
-    is_cut: bool
-    witness: PathWitness | None = None
+class CutCheck(_Record):
+    __slots__ = ("is_cut", "witness")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, is_cut: bool, witness: PathWitness | None = None) -> None:
+        self._fill(is_cut, witness)
 
     def __bool__(self) -> bool:
         return self.is_cut
@@ -106,11 +109,12 @@ def _backtrack(parent: dict, end: str) -> PathWitness:
     return PathWitness(tuple(reversed(locs)), tuple(reversed(chans)))
 
 
-@dataclass(frozen=True)
-class MinCutResult:
-    cut: frozenset[str] | None
-    impossible: bool = False
-    reason: str = ""
+class MinCutResult(_Record):
+    __slots__ = ("cut", "impossible", "reason")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, cut: frozenset[str] | None, impossible: bool = False, reason: str = "") -> None:
+        self._fill(cut, impossible, reason)
 
 
 def find_min_cut(frame: Frame, source: Iterable[str], sink: Iterable[str]) -> MinCutResult:

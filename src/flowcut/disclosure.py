@@ -11,7 +11,6 @@ enumeration bound and reports must say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, TYPE_CHECKING
 
@@ -22,7 +21,7 @@ from .events import (
     EventSystemError,
     is_execution,
 )
-from .frames import Frame
+from .frames import Frame, _Record
 
 if TYPE_CHECKING:
     from .blur import SharedCore
@@ -37,12 +36,13 @@ class MergeInvariantError(RuntimeError):
     indicates a violated precondition or an internal bug."""
 
 
-@dataclass(frozen=True)
-class CompatQuery:
-    observed: frozenset[str]
-    source: frozenset[str]
-    observed_run: CanonicalRun
-    bound: Bound
+class CompatQuery(_Record):
+    __slots__ = ("observed", "source", "observed_run", "bound")
+
+    def __init__(
+        self, observed: frozenset[str], source: frozenset[str], observed_run: CanonicalRun, bound: Bound
+    ) -> None:
+        self._fill(observed, source, observed_run, bound)
 
     @staticmethod
     def of(
@@ -78,10 +78,13 @@ def compatible_runs(frame: Frame, query: CompatQuery) -> frozenset[CanonicalRun]
     return table.get(query.observed_run, frozenset())
 
 
-@dataclass(frozen=True)
-class DisclosureResult:
-    holds: bool
-    counterexample: tuple[CanonicalRun, CanonicalRun] | None = None
+class DisclosureResult(_Record):
+    __slots__ = ("holds", "counterexample")
+
+    def __init__(
+        self, holds: bool, counterexample: tuple[CanonicalRun, CanonicalRun] | None = None
+    ) -> None:
+        self._fill(holds, counterexample)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -137,11 +140,16 @@ def obs_equivalent(
     return all((b1 in compat) == (b2 in compat) for compat in table.values())
 
 
-@dataclass(frozen=True)
-class PropagationResult:
-    holds: bool
-    counterexample: tuple[CanonicalRun, CanonicalRun] | None = None
-    strict_somewhere: bool = False
+class PropagationResult(_Record):
+    __slots__ = ("holds", "counterexample", "strict_somewhere")
+
+    def __init__(
+        self,
+        holds: bool,
+        counterexample: tuple[CanonicalRun, CanonicalRun] | None = None,
+        strict_somewhere: bool = False,
+    ) -> None:
+        self._fill(holds, counterexample, strict_somewhere)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -32,7 +32,6 @@ bound, and callers are expected to surface that bound in their reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -40,6 +39,8 @@ from .events import CanonicalRun, EventSystem
 from .frames import (
     Frame,
     InputError,
+    _compared_by,
+    _Record,
     behavior_start,
     behavior_step,
     validate_frame,
@@ -50,33 +51,33 @@ class EnumerationError(InputError):
     """Raised for malformed frames or bounds."""
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(_Record):
     """Event budget for enumeration.  ``max_total_events`` bounds the
     whole execution; the optional per-location cap counts the events a
     location participates in (a self-loop event counts once)."""
 
-    max_total_events: int
-    max_events_per_location: int | None = None
+    __slots__ = ("max_total_events", "max_events_per_location")
+    __eq__, __hash__ = _compared_by(*__slots__)
 
-    def __post_init__(self) -> None:
-        if self.max_total_events < 0:
+    def __init__(self, max_total_events: int, max_events_per_location: int | None = None) -> None:
+        if max_total_events < 0:
             raise EnumerationError("max_total_events must be >= 0")
-        per = self.max_events_per_location
+        per = max_events_per_location
         if per is not None and per < 0:
             raise EnumerationError("max_events_per_location must be >= 0")
-        if per is not None and per > self.max_total_events:
+        if per is not None and per > max_total_events:
             raise EnumerationError("per-location bound must not exceed the total bound")
+        self._fill(max_total_events, per)
 
 
-@dataclass(frozen=True)
-class ExecutionSet:
+class ExecutionSet(_Record):
     """All minimal-order executions of a frame within a bound, one per
     isomorphism class, sorted by canonical serialization."""
 
-    frame: Frame
-    bound: Bound
-    canonicals: tuple[CanonicalRun, ...]
+    __slots__ = ("frame", "bound", "canonicals")
+
+    def __init__(self, frame: Frame, bound: Bound, canonicals: tuple[CanonicalRun, ...]) -> None:
+        self._fill(frame, bound, canonicals)
 
     def __len__(self) -> int:
         return len(self.canonicals)

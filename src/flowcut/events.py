@@ -25,9 +25,10 @@ pairs are derived only to serialize a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence, TYPE_CHECKING
+
+from .frames import _compared_by, _Record, _set
 
 if TYPE_CHECKING:
     from .frames import Frame, Label
@@ -49,10 +50,13 @@ class CanonicalizeError(ValueError):
     """Same-channel events are incomparable, so no canonical form exists."""
 
 
-@dataclass(frozen=True)
-class Event:
-    chan: str
-    msg: str
+class Event(_Record):
+    __slots__ = ("chan", "msg")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, chan: str, msg: str) -> None:
+        _set(self, "chan", chan)
+        _set(self, "msg", msg)
 
 
 #: Canonical event identity within a run: (channel id, 0-based ordinal).
@@ -162,14 +166,15 @@ def chain_order(
     return chain, None
 
 
-@dataclass(frozen=True)
-class EventSystem:
+class EventSystem(_Record):
     """Events are addressed by index into ``events``; ``ancestors[b]`` is
     the bitmask of the events strictly below event ``b``, transitively
     closed."""
 
-    events: tuple[Event, ...]
-    ancestors: tuple[int, ...]
+    __slots__ = ("events", "ancestors")
+
+    def __init__(self, events: tuple[Event, ...], ancestors: tuple[int, ...]) -> None:
+        self._fill(events, ancestors)
 
     @staticmethod
     def build(
@@ -230,10 +235,11 @@ def project(sys: EventSystem, frame: "Frame", loc_id: str) -> tuple["Label", ...
     return tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
 
 
-@dataclass(frozen=True)
-class ExecutionCheck:
-    ok: bool
-    failures: tuple[tuple[str, str], ...] = ()
+class ExecutionCheck(_Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...] = ()) -> None:
+        self._fill(ok, failures)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -290,15 +296,27 @@ def is_initial_substructure(sub: EventSystem, sup: EventSystem) -> bool:
 # -- canonical runs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalRun:
+class CanonicalRun(_Record):
     """Order-isomorphism-invariant encoding of a per-channel-linear event
     system.  ``channels`` lists only channels carrying events, sorted;
     ``ancestors[b]`` is the closed mask of the events strictly below event
     ``b``, events numbered in canonical-id order."""
 
-    channels: tuple[tuple[str, tuple[str, ...]], ...]
-    ancestors: tuple[int, ...]
+    __slots__ = ("channels", "ancestors")
+
+    def __init__(
+        self, channels: tuple[tuple[str, tuple[str, ...]], ...], ancestors: tuple[int, ...]
+    ) -> None:
+        _set(self, "channels", channels)
+        _set(self, "ancestors", ancestors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.channels == other.channels and self.ancestors == other.ancestors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.channels, self.ancestors))
 
     @staticmethod
     def empty() -> "CanonicalRun":

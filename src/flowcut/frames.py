@@ -8,11 +8,15 @@ self-loop.  Behaviors may be given either as an explicit finite trace set
 (the test-fixture form) or as a finite labeled transition system (the
 machine form).  Frames are immutable after construction and all operations
 here are pure functions.
+
+Every command loads this module, so it also holds the base that all the
+package's record types share: plain ``__slots__`` classes, which no
+module builds with ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Union
 
 #: A label is a (channel id, data value) pair.
@@ -34,26 +38,82 @@ class UnknownChannelError(FrameError):
     """A channel id does not name a channel of the frame."""
 
 
-@dataclass(frozen=True)
-class Channel:
+# -- records ---------------------------------------------------------------
+#
+# Every record type of the package is a plain class whose ``__slots__``
+# name its fields in constructor order.  ``_Record`` gives it the ``repr``
+# of a dataclass, read-only fields and pickling; the types that are
+# compared or used as keys add ``__eq__`` and ``__hash__`` from
+# ``_compared_by``.  Nothing is generated from source text at import.
+
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the read-only records.  ``__init__`` stores the fields
+    through ``_set`` (``_fill`` stores them all, in ``__slots__`` order);
+    assigning to a record afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _compared_by(*names: str):
+    """``__eq__`` and ``__hash__`` over the fields ``names``: a record
+    equals only a record of its own class with equal fields."""
+    key = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    return __eq__, __hash__
+
+
+class Channel(_Record):
     """A one-directional conduit; ``sender`` holds the entry endpoint,
     ``recipient`` the exit endpoint.  Self-loop iff sender == recipient."""
 
-    id: str
-    sender: str
-    recipient: str
+    __slots__ = ("id", "sender", "recipient")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, id: str, sender: str, recipient: str) -> None:
+        self._fill(id, sender, recipient)
 
     @property
     def is_self_loop(self) -> bool:
         return self.sender == self.recipient
 
 
-@dataclass(frozen=True)
-class ExplicitTraces:
+class ExplicitTraces(_Record):
     """A finite, explicitly listed trace set.  Must be prefix-closed; the
     empty trace is always a member of a well-formed set."""
 
-    traces: frozenset[Trace]
+    __slots__ = ("traces",)
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, traces: frozenset[Trace]) -> None:
+        self._fill(traces)
 
     @staticmethod
     def of(*traces: Iterable[Label]) -> "ExplicitTraces":
@@ -79,14 +139,17 @@ class ExplicitTraces:
         return {lab for t in self.traces for lab in t}
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(_Record):
     """A finite labeled transition system; generates a prefix-closed trace
     set by construction.  May be nondeterministic."""
 
-    states: frozenset[str]
-    initial: str
-    transitions: frozenset[tuple[str, Label, str]]
+    __slots__ = ("states", "initial", "transitions")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(
+        self, states: frozenset[str], initial: str, transitions: frozenset[tuple[str, Label, str]]
+    ) -> None:
+        self._fill(states, initial, transitions)
 
     def labels(self) -> set[Label]:
         return {lab for _, lab, _ in self.transitions}
@@ -95,20 +158,25 @@ class Lts:
 TraceSpec = Union[ExplicitTraces, Lts]
 
 
-@dataclass(frozen=True)
-class Location:
-    id: str
-    behavior: TraceSpec
+class Location(_Record):
+    __slots__ = ("id", "behavior")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, id: str, behavior: TraceSpec) -> None:
+        self._fill(id, behavior)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """An immutable frame.  ``locations`` and ``channels`` are kept sorted
     by id so equal frames hash and compare equal."""
 
-    locations: tuple[Location, ...]
-    channels: tuple[Channel, ...]
-    data: frozenset[str]
+    __slots__ = ("locations", "channels", "data")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(
+        self, locations: tuple[Location, ...], channels: tuple[Channel, ...], data: frozenset[str]
+    ) -> None:
+        self._fill(locations, channels, data)
 
     @staticmethod
     def build(
@@ -214,15 +282,18 @@ def accepts_trace(spec: TraceSpec, trace: Iterable[Label]) -> bool:
 # -- validation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(_Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        self._fill(code, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(_Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()) -> None:
+        self._fill(violations)
 
     @property
     def ok(self) -> bool:

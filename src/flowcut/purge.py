@@ -20,14 +20,13 @@ inputs and collapse to the simple purge under transitive policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .blur import PartitionBlur
 from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import CanonicalRun, EventSystem, canonicalize, chain_order, is_execution
-from .frames import Channel, Frame, InputError, Label, Location, Lts
+from .frames import Channel, Frame, InputError, Label, Location, Lts, _compared_by, _Record
 
 
 class MachineError(InputError):
@@ -37,23 +36,34 @@ class MachineError(InputError):
 HUB = "M"
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(_Record):
     """Finite nondeterministic state machine with security domains.
 
     ``influence`` must be reflexive; transitivity is not required.  The
     transition relation may be partial.
     """
 
-    domains: tuple[str, ...]
-    influence: frozenset[tuple[str, str]]
-    actions: tuple[str, ...]
-    action_domain: tuple[tuple[str, str], ...]
-    outputs: tuple[str, ...]
-    states: tuple[str, ...]
-    initial: str
-    transitions: frozenset[tuple[str, str, str]]
-    obs: tuple[tuple[tuple[str, str], str], ...]
+    __slots__ = (
+        "domains", "influence", "actions", "action_domain", "outputs", "states", "initial",
+        "transitions", "obs",
+    )
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(
+        self,
+        domains: tuple[str, ...],
+        influence: frozenset[tuple[str, str]],
+        actions: tuple[str, ...],
+        action_domain: tuple[tuple[str, str], ...],
+        outputs: tuple[str, ...],
+        states: tuple[str, ...],
+        initial: str,
+        transitions: frozenset[tuple[str, str, str]],
+        obs: tuple[tuple[tuple[str, str], str], ...],
+    ) -> None:
+        self._fill(
+            domains, influence, actions, action_domain, outputs, states, initial, transitions, obs
+        )
 
     @staticmethod
     def build(
@@ -144,17 +154,16 @@ class MachineSpec:
         )
 
 
-@dataclass(frozen=True)
-class PurgeKind:
+class PurgeKind(_Record):
     """``kind`` is "gm" (retain inputs visible to the target) or "hy"
     (retain inputs chained to the target through the influence order)."""
 
-    kind: str
-    target: str
+    __slots__ = ("kind", "target")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("gm", "hy"):
-            raise MachineError(f"unknown purge kind {self.kind!r}")
+    def __init__(self, kind: str, target: str) -> None:
+        if kind not in ("gm", "hy"):
+            raise MachineError(f"unknown purge kind {kind!r}")
+        self._fill(kind, target)
 
 
 @lru_cache(maxsize=128)
@@ -279,13 +288,16 @@ def _purge_fn(machine: MachineSpec, kind: PurgeKind) -> PurgeFn:
     return lambda inputs: purge_sequence(machine, kind, inputs)
 
 
-@dataclass(frozen=True)
-class PurgeValidation:
-    visible_inputs_ok: bool
-    witness: tuple[CanonicalRun, CanonicalRun] | None = None
+class PurgeValidation(_Record):
+    __slots__ = ("visible_inputs_ok", "witness")
     # Every purge value is computed from the execution's input sequence,
     # so equal inputs give equal purges by construction.
     inputs_only_ok = True
+
+    def __init__(
+        self, visible_inputs_ok: bool, witness: tuple[CanonicalRun, CanonicalRun] | None = None
+    ) -> None:
+        self._fill(visible_inputs_ok, witness)
 
     def __bool__(self) -> bool:
         return self.visible_inputs_ok
@@ -343,10 +355,11 @@ def validate_purge(
 # -- noninterference and nondeducibility -------------------------------------
 
 
-@dataclass(frozen=True)
-class PurgeVerdict:
-    holds: bool
-    witness: tuple[CanonicalRun, CanonicalRun] | None = None
+class PurgeVerdict(_Record):
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: tuple[CanonicalRun, CanonicalRun] | None = None) -> None:
+        self._fill(holds, witness)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -21,10 +21,9 @@ and a public sink.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .blur import BlurSpec, PermutationBlur, SelectionBlur
-from .frames import Channel, Frame, InputError, Label, Location, Lts
+from .frames import Channel, Frame, InputError, Label, Location, Lts, _Record
 
 
 class ScenarioError(InputError):
@@ -47,37 +46,51 @@ def datagram_fields(d: str) -> tuple[str, str, str, str]:
     return src, dst, sport, dport
 
 
-@dataclass(frozen=True)
-class FirewallParams:
-    external_addrs: tuple[str, ...] = ("ext",)
-    n1_addrs: tuple[str, ...] = ("www",)
-    n2_addrs: tuple[str, ...] = ("h2",)
-    web_server: str = "www"
-    filtering: str = "standard"  # or "discard_all"
-    #: datagrams each region may originate (None picks a small default
-    #: catalog with importable/exportable and junk representatives)
-    i_emissions: tuple[str, ...] | None = None
-    n1_emissions: tuple[str, ...] | None = None
-    n2_emissions: tuple[str, ...] | None = None
-    #: internal datagrams deliverable on each region's self-loop
-    i_local: tuple[str, ...] = ()
-    n1_local: tuple[str, ...] = ()
-    n2_local: tuple[str, ...] = ()
-    #: originations allowed per region before it goes quiet
-    region_sends: int = 1
-    buffer_capacity: int = 1
+class FirewallParams(_Record):
+    """``filtering`` is "standard" or "discard_all".  The ``*_emissions``
+    are the datagrams each region may originate (None picks a small
+    default catalog with importable/exportable and junk representatives);
+    the ``*_local`` are the internal datagrams deliverable on each region's
+    self-loop; ``region_sends`` is the originations allowed per region
+    before it goes quiet."""
 
-    def __post_init__(self) -> None:
-        if self.filtering not in ("standard", "discard_all"):
-            raise ScenarioError(f"unknown filtering mode {self.filtering!r}")
-        if self.web_server not in self.n1_addrs:
+    __slots__ = (
+        "external_addrs", "n1_addrs", "n2_addrs", "web_server", "filtering",
+        "i_emissions", "n1_emissions", "n2_emissions", "i_local", "n1_local", "n2_local",
+        "region_sends", "buffer_capacity",
+    )
+
+    def __init__(
+        self,
+        external_addrs: tuple[str, ...] = ("ext",),
+        n1_addrs: tuple[str, ...] = ("www",),
+        n2_addrs: tuple[str, ...] = ("h2",),
+        web_server: str = "www",
+        filtering: str = "standard",
+        i_emissions: tuple[str, ...] | None = None,
+        n1_emissions: tuple[str, ...] | None = None,
+        n2_emissions: tuple[str, ...] | None = None,
+        i_local: tuple[str, ...] = (),
+        n1_local: tuple[str, ...] = (),
+        n2_local: tuple[str, ...] = (),
+        region_sends: int = 1,
+        buffer_capacity: int = 1,
+    ) -> None:
+        if filtering not in ("standard", "discard_all"):
+            raise ScenarioError(f"unknown filtering mode {filtering!r}")
+        if web_server not in n1_addrs:
             raise ScenarioError("the web server address must belong to region n1")
-        pools = [set(self.external_addrs), set(self.n1_addrs), set(self.n2_addrs)]
+        pools = [set(external_addrs), set(n1_addrs), set(n2_addrs)]
         for a, b in itertools.combinations(pools, 2):
             if a & b:
                 raise ScenarioError("region address sets must be disjoint")
-        if self.region_sends < 0 or self.buffer_capacity < 1:
+        if region_sends < 0 or buffer_capacity < 1:
             raise ScenarioError("region_sends must be >= 0 and buffer_capacity >= 1")
+        self._fill(
+            external_addrs, n1_addrs, n2_addrs, web_server, filtering,
+            i_emissions, n1_emissions, n2_emissions, i_local, n1_local, n2_local,
+            region_sends, buffer_capacity,
+        )
 
     @property
     def internal_addrs(self) -> tuple[str, ...]:
@@ -100,14 +113,19 @@ class FirewallParams:
         return src in self.internal_addrs and dport == "web" and sport == "hi"
 
 
-@dataclass(frozen=True)
-class FirewallScenario:
-    frame: Frame
-    params: FirewallParams
-    named_sets: dict[str, frozenset[str]]
-    blurs: dict[str, BlurSpec]
-    importable: frozenset[str]
-    exportable: frozenset[str]
+class FirewallScenario(_Record):
+    __slots__ = ("frame", "params", "named_sets", "blurs", "importable", "exportable")
+
+    def __init__(
+        self,
+        frame: Frame,
+        params: FirewallParams,
+        named_sets: dict[str, frozenset[str]],
+        blurs: dict[str, BlurSpec],
+        importable: frozenset[str],
+        exportable: frozenset[str],
+    ) -> None:
+        self._fill(frame, params, named_sets, blurs, importable, exportable)
 
 
 def _buffered_hop(
@@ -336,29 +354,41 @@ def build_firewall(params: FirewallParams) -> FirewallScenario:
 # -- voting -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VotingParams:
-    precincts: tuple[int, ...] = (2,)
-    candidates: tuple[str, ...] = ("0", "1")
-    #: voters whose positions the commissioner blur keeps fixed, as
-    #: (precinct index, voter index) pairs, both 1-based
-    commissioners: tuple[tuple[int, int], ...] = ()
+class VotingParams(_Record):
+    """``commissioners`` are the voters whose positions the commissioner
+    blur keeps fixed, as (precinct index, voter index) pairs, both
+    1-based."""
 
-    def __post_init__(self) -> None:
-        if not self.precincts or any(k < 1 for k in self.precincts):
+    __slots__ = ("precincts", "candidates", "commissioners")
+
+    def __init__(
+        self,
+        precincts: tuple[int, ...] = (2,),
+        candidates: tuple[str, ...] = ("0", "1"),
+        commissioners: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        if not precincts or any(k < 1 for k in precincts):
             raise ScenarioError("need at least one precinct with at least one voter")
-        if len(self.candidates) < 2:
+        if len(candidates) < 2:
             raise ScenarioError("need at least two candidates for nontrivial blurs")
+        self._fill(precincts, candidates, commissioners)
 
 
-@dataclass(frozen=True)
-class VotingScenario:
-    frame: Frame
-    params: VotingParams
-    named_sets: dict[str, frozenset[str]]
-    blurs: dict[str, BlurSpec]
-    #: voter channels per precinct, 1-based index order
-    voter_channels: tuple[tuple[str, ...], ...]
+class VotingScenario(_Record):
+    """``voter_channels`` lists the voter channels per precinct, in
+    1-based index order."""
+
+    __slots__ = ("frame", "params", "named_sets", "blurs", "voter_channels")
+
+    def __init__(
+        self,
+        frame: Frame,
+        params: VotingParams,
+        named_sets: dict[str, frozenset[str]],
+        blurs: dict[str, BlurSpec],
+        voter_channels: tuple[tuple[str, ...], ...],
+    ) -> None:
+        self._fill(frame, params, named_sets, blurs, voter_channels)
 
 
 def _tally_value(counts: dict[str, int]) -> str:

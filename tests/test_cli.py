@@ -302,6 +302,26 @@ def test_check_blur_restricts_the_executions_once_per_channel_set(tmp_path, monk
     assert len(calls) == 2
 
 
+def test_each_flow_check_groups_its_universe_once(tmp_path, monkeypatch):
+    # The blur laws and the flow loop of one flow check share one class
+    # index, so each source run is keyed once per flow check.
+    from flowcut.blur import SelectionBlur
+
+    out = tmp_path / "fw.yaml"
+    assert main(["scenario", "firewall", "--out", str(out)]) == 0
+    key = SelectionBlur.key
+    calls = []
+
+    def counted(self, run):
+        calls.append(run)
+        return key(self, run)
+
+    monkeypatch.setattr(SelectionBlur, "key", counted)
+    argv = ["verify-cutblur", str(out), "--blur", "f_i", "--source", "chans_i", "--cut", "cut"]
+    assert main(argv + ["--observed", "chans_n", "--bound", "14"]) == 1
+    assert len(calls) == 36
+
+
 def test_cli_reports_are_byte_deterministic(frame_file, capsys):
     argv = [
         "cmpt",

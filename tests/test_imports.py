@@ -1,12 +1,14 @@
 """
 What importing flowcut loads: each CLI command imports only the modules it
-runs, and the package's lazy exports resolve to the same objects the
-submodules define.  Import state is per process, so every check of what
-is loaded runs in a fresh child interpreter.
+runs, no command loads ``dataclasses`` or ``inspect``, and the package's
+lazy exports resolve to the same objects the submodules define.  Import
+state is per process, so every check of what is loaded runs in a fresh
+child interpreter.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import subprocess
@@ -127,7 +129,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "import flowcut.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('flowcut.'))]))\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('flowcut.'))\n"
+        "generators = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([status, loaded, generators]))\n"
     )
     cases = [
         (["validate", "fw.yaml"], {0}, set()),
@@ -143,9 +147,29 @@ def test_each_command_loads_only_its_modules(tmp_path):
     ]
     children = [_child(code, *argv, cwd=tmp_path) for argv, _, _ in cases]
     for (argv, statuses, extra), child in zip(cases, children):
-        status, loaded = json.loads(_finish(child))
+        status, loaded, generators = json.loads(_finish(child))
         assert status in statuses, argv
         assert set(loaded) == {f"flowcut.{m}" for m in VALIDATE_SET | extra}, argv
+        assert generators == [], argv
+
+
+def test_no_module_imports_dataclasses_or_calls_exec_or_eval():
+    # Records are plain ``__slots__`` classes: no module may bring back
+    # methods generated from source text at import.
+    banned = {"dataclasses", "exec()", "eval()"}
+    found = []
+    for path in sorted(Path(flowcut.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [f"{node.func.id}()"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
+    assert found == []
 
 
 def test_package_exports_are_unchanged():
