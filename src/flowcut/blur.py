@@ -27,7 +27,6 @@ from .frames import (
     _compared_by,
     _Record,
     shortest_language_difference,
-    trace_specs_equal,
 )
 
 if TYPE_CHECKING:
@@ -242,12 +241,15 @@ class _ClassIndex:
         return frozenset().union(*(self.classes[i] for i in ids))
 
     def laws(self) -> BlurValidation:
-        """The blur laws on the universe; see ``validate_blur``."""
-        runs = sorted(self.universe, key=CanonicalRun.serialize)
-        image = {r: self.apply(frozenset({r})) for r in runs}
-        idempotence = all(self.apply(image[r]) == image[r] for r in runs)
+        """The blur laws on the universe; see ``validate_blur``.  Raises
+        BlurError when the least run, by serialization, whose image is not
+        fixed has an image outside the universe."""
+        image = {r: self.apply(frozenset({r})) for r in self.universe}
+        drifting = [r for r, c in image.items() if not c <= self.universe or self.apply(c) != c]
+        if drifting:
+            self.apply(image[min(drifting, key=CanonicalRun.serialize)])
         partition = all(image.get(b) == c for c in set(image.values()) for b in c)
-        return BlurValidation(idempotence, partition)
+        return BlurValidation(not drifting, partition)
 
 
 def blur_apply(
@@ -325,22 +327,17 @@ def f_limits_flow(
     source universe come with the result; they and the flow loop share one
     class index.
     """
-    from .disclosure import _cmpt_table
+    from .disclosure import _cmpt_table, _first_leak
 
     src = frame.check_channels(source)
     obs = frame.check_channels(observed)
     table = _cmpt_table(frame, obs, src, bound)
     # Every execution's source run is compatible with its observed run, so
     # the table's values cover the source universe.
-    universe = frozenset().union(*table.values())
-    index = _ClassIndex(blur, universe)
+    index = _ClassIndex(blur, frozenset().union(*table.values()))
     laws = index.laws()
-    f = index.apply
-    for b_o in sorted(table, key=CanonicalRun.serialize):
-        extra = f(table[b_o]) - table[b_o]
-        if extra:
-            return FlowCheck(False, laws, b_o, min(extra, key=CanonicalRun.serialize))
-    return FlowCheck(True, laws)
+    leak = _first_leak(table, index.apply)
+    return FlowCheck(leak is None, laws, *(leak or ()))
 
 
 class CutBlurVerdict(_Record):
@@ -418,10 +415,12 @@ def _pends_of(frame: Frame, loc: str) -> frozenset[tuple[str, str]]:
 def build_shared_core(frame1: Frame, frame2: Frame, l0: Iterable[str], bound: Bound) -> SharedCore:
     """Validate a shared location set and derive the channel partition.
 
-    Endpoint sets must agree exactly on the core; trace sets are compared
-    exactly for explicit/LTS pairs of the same form and to the bound
-    otherwise.  The side condition (the second frame has no new cut runs)
-    is checked by enumeration and recorded, not assumed.
+    Endpoint sets must agree exactly on the core, and so must trace sets:
+    one walk over pairs of behavior states compares each core location's
+    two trace sets exactly, whatever their forms and the bound, and a
+    mismatch names the shortest trace in only one of them.  The side
+    condition (the second frame has no new cut runs) is checked by
+    enumeration and recorded, not assumed.
     """
     from .enumeration import enumerate_runs
 
@@ -431,7 +430,6 @@ def build_shared_core(frame1: Frame, frame2: Frame, l0: Iterable[str], bound: Bo
         if missing:
             raise SharedCoreError(f"core location {min(missing)!r} missing from the {tag} frame")
 
-    depth = bound.max_total_events
     for loc in sorted(core):
         p1, p2 = _pends_of(frame1, loc), _pends_of(frame2, loc)
         if p1 != p2:
@@ -439,8 +437,8 @@ def build_shared_core(frame1: Frame, frame2: Frame, l0: Iterable[str], bound: Bo
             raise SharedCoreError(f"endpoint mismatch at {loc!r}: {diff} held in one frame only")
         b1 = frame1.location(loc).behavior
         b2 = frame2.location(loc).behavior
-        if not trace_specs_equal(b1, b2, depth):
-            witness = shortest_language_difference(b1, b2, depth + 1)
+        witness = shortest_language_difference(b1, b2)
+        if witness is not None:
             raise SharedCoreError(f"trace mismatch at {loc!r}: first differing trace {witness}")
 
     left0: set[str] = set()

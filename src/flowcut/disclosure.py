@@ -12,7 +12,7 @@ enumeration bound and reports must say so.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, TYPE_CHECKING
+from typing import Callable, Iterable, TYPE_CHECKING
 
 from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import (
@@ -68,6 +68,20 @@ def _cmpt_table(
     return {k: frozenset(v) for k, v in table.items()}
 
 
+def _first_leak(
+    table: dict[CanonicalRun, frozenset[CanonicalRun]],
+    f: Callable[[frozenset[CanonicalRun]], frozenset[CanonicalRun]],
+) -> tuple[CanonicalRun, CanonicalRun] | None:
+    """The least observed run (by serialization) whose compatibility set
+    ``f`` enlarges, and the least run ``f`` adds to it; None when ``f``
+    fixes every compatibility set of the table."""
+    for b in sorted(table, key=CanonicalRun.serialize):
+        extra = f(table[b]) - table[b]
+        if extra:
+            return b, min(extra, key=CanonicalRun.serialize)
+    return None
+
+
 def compatible_runs(frame: Frame, query: CompatQuery) -> frozenset[CanonicalRun]:
     """The source-runs compatible with the observed run.
 
@@ -96,7 +110,8 @@ def no_disclosure(
     """True iff every observed run is compatible with every source run.
 
     The counterexample, when present, is an observed run B and a source
-    run B' that never occur together in one bounded execution.
+    run B' that never occur together in one bounded execution: the
+    witness of flow limited by the all-blur.
     """
     obs = frame.check_channels(observed)
     src = frame.check_channels(source)
@@ -104,11 +119,8 @@ def no_disclosure(
     # Every execution's source run is compatible with its observed run, so
     # the table's values cover the source universe.
     all_src = frozenset().union(*table.values())
-    for b in sorted(table, key=CanonicalRun.serialize):
-        missing = all_src - table[b]
-        if missing:
-            return DisclosureResult(False, (b, min(missing, key=CanonicalRun.serialize)))
-    return DisclosureResult(True)
+    leak = _first_leak(table, lambda compat: all_src)
+    return DisclosureResult(leak is None, leak)
 
 
 def check_symmetry(

@@ -257,14 +257,11 @@ def is_execution(sys: EventSystem, frame: "Frame") -> ExecutionCheck:
         frame.channel(e.chan)  # raises UnknownChannelError
     failures: list[tuple[str, str]] = []
     for loc in frame.locations:
-        own = frame.chans(loc.id)
-        idx, bad = chain_order(
-            [i for i, e in enumerate(sys.events) if e.chan in own], sys.ancestors
-        )
-        if bad is not None:
+        try:
+            seq = project(sys, frame, loc.id)
+        except LinearityError:
             failures.append((loc.id, "linearity"))
             continue
-        seq = tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
         if not accepts_trace(loc.behavior, seq):
             failures.append((loc.id, "trace membership"))
     return ExecutionCheck(not failures, tuple(failures))

@@ -16,6 +16,7 @@ module builds with ``dataclasses``.
 
 from __future__ import annotations
 
+from collections import deque
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -424,57 +425,21 @@ def location_language(loc: Location, max_len: int) -> set[Trace]:
     return out
 
 
-def shortest_language_difference(
-    a: TraceSpec, b: TraceSpec, max_len: int
-) -> Trace | None:
-    """Shortest label sequence (up to ``max_len``) in exactly one of the
-    two trace sets, or None if they agree to that depth."""
-    queue: list[tuple[Trace, object, object]] = [((), behavior_start(a), behavior_start(b))]
-    seen: set[Trace] = {()}
-    while queue:
-        trace, sa, sb = queue.pop(0)
-        labels = set()
-        if sa is not None:
-            labels |= behavior_enabled(a, sa)
-        if sb is not None:
-            labels |= behavior_enabled(b, sb)
-        if len(trace) >= max_len:
-            continue
-        for lab in sorted(labels):
-            na = behavior_step(a, sa, lab) if sa is not None else None
-            nb = behavior_step(b, sb, lab) if sb is not None else None
-            if (na is None) != (nb is None):
-                return trace + (lab,)
-            t2 = trace + (lab,)
-            if na is not None and t2 not in seen:
-                seen.add(t2)
-                queue.append((t2, na, nb))
-    return None
-
-
-def trace_specs_equal(a: TraceSpec, b: TraceSpec, depth: int) -> bool:
-    """Trace-set equality.  Exact for two ExplicitTraces and for two Lts
-    (determinized product walk); bounded to ``depth`` for mixed forms."""
-    if isinstance(a, ExplicitTraces) and isinstance(b, ExplicitTraces):
-        return a.traces == b.traces
-    if isinstance(a, Lts) and isinstance(b, Lts):
-        return _dfa_equal(a, b)
-    return shortest_language_difference(a, b, depth) is None
-
-
-def _dfa_equal(a: Lts, b: Lts) -> bool:
-    """Language equality of two LTSs via determinized product search."""
+def shortest_language_difference(a: TraceSpec, b: TraceSpec) -> Trace | None:
+    """Shortest label sequence in exactly one of the two trace sets, or
+    None if they are equal.  A breadth-first walk visits each pair of
+    behavior states once; both forms have finitely many, so the answer is
+    exact for explicit sets, LTSs and mixed pairs alike."""
     start = (behavior_start(a), behavior_start(b))
     seen = {start}
-    queue = [start]
+    queue = deque([((), *start)])
     while queue:
-        sa, sb = queue.pop(0)
-        ea, eb = behavior_enabled(a, sa), behavior_enabled(b, sb)
-        if ea != eb:
-            return False
-        for lab in ea:
-            nxt = (behavior_step(a, sa, lab), behavior_step(b, sb, lab))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+        trace, sa, sb = queue.popleft()
+        for lab in sorted(behavior_enabled(a, sa) | behavior_enabled(b, sb)):
+            na, nb = behavior_step(a, sa, lab), behavior_step(b, sb, lab)
+            if na is None or nb is None:
+                return trace + (lab,)
+            if (na, nb) not in seen:
+                seen.add((na, nb))
+                queue.append((trace + (lab,), na, nb))
+    return None

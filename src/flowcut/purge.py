@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .blur import PartitionBlur
+from .blur import PartitionBlur, _ClassIndex
 from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import CanonicalRun, EventSystem, canonicalize, chain_order, is_execution
 from .frames import Channel, Frame, InputError, Label, Location, Lts, _compared_by, _Record
@@ -375,32 +375,34 @@ def check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdic
 
 def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Nondeducibility: for purge-equal executions, the second's inputs
-    are compatible with the first's view of the target channels."""
-    _, rows = _execution_rows(machine, kind, bound)
-    # The target's view of each execution and the inputs co-realized with it.
-    table: dict[CanonicalRun, set[CanonicalRun]] = {}
-    groups: dict[tuple, list[tuple[CanonicalRun, CanonicalRun]]] = {}
-    for value, in_run, ci_run in rows:
-        table.setdefault(ci_run, set()).add(in_run)
-        groups.setdefault(value, []).append((in_run, ci_run))
-    for members in groups.values():
-        ins = dict.fromkeys(in_run for in_run, _ in members)
-        for in_run_a, ci_run_a in members:
-            compat = table[ci_run_a]
-            for in_run_b in ins:
-                if in_run_b not in compat:
-                    return PurgeVerdict(False, (ci_run_a, in_run_b))
-    return PurgeVerdict(True)
+    are compatible with the first's view of the target channels; that is,
+    the purge blur limits flow from the inputs to the target's channels,
+    with the witness ``f_limits_flow`` gives."""
+    from .disclosure import _cmpt_table, _first_leak
+
+    table = _cmpt_table(
+        star_frame(machine), machine.domain_channels(kind.target), machine.input_channels(), bound
+    )
+    universe = frozenset().union(*table.values())
+    blur = PartitionBlur(_purge_classes(machine, kind, universe))
+    leak = _first_leak(table, _ClassIndex(blur, universe).apply)
+    return PurgeVerdict(leak is None, leak)
+
+
+def _purge_classes(
+    machine: MachineSpec, kind: PurgeKind, runs: Iterable[CanonicalRun]
+) -> tuple[frozenset[CanonicalRun], ...]:
+    """Input runs grouped by purged value."""
+    fn = _purge_fn(machine, kind)
+    blocks: dict[PurgedValue, set[CanonicalRun]] = {}
+    for run in runs:
+        blocks.setdefault(fn(input_sequence(machine, run)), set()).add(run)
+    return tuple(frozenset(block) for block in blocks.values())
 
 
 def purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
     """The blur induced by a purge: input runs are equivalent when they
     purge equally.  Its universe is the realized bounded input runs."""
-    frame = star_frame(machine)
-    fn = _purge_fn(machine, kind)
-    universe = enumerate_runs(frame, machine.input_channels(), bound)
-    blocks: dict[tuple, set[CanonicalRun]] = {}
-    for run in universe:
-        blocks.setdefault(fn(input_sequence(machine, run)), set()).add(run)
-    ordered = sorted(blocks.items(), key=lambda kv: sorted(r.serialize() for r in kv[1]))
-    return PartitionBlur(tuple(frozenset(v) for _, v in ordered))
+    universe = enumerate_runs(star_frame(machine), machine.input_channels(), bound)
+    blocks = _purge_classes(machine, kind, universe)
+    return PartitionBlur(tuple(sorted(blocks, key=lambda b: sorted(r.serialize() for r in b))))

@@ -19,7 +19,7 @@ from flowcut.blur import blur_apply
 from flowcut.enumeration import Bound, enumerate_executions
 from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem, canonicalize
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
-from flowcut.purge import MachineSpec
+from flowcut.purge import MachineSpec, PurgeKind, PurgeVerdict, _execution_rows
 
 
 # -- random budget-complete frames -------------------------------------------
@@ -173,6 +173,29 @@ def random_machine(rng: random.Random, transitive: bool = False) -> MachineSpec:
         transitions=transitions,
         obs=obs,
     )
+
+
+def reference_check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
+    """Nondeducibility read straight off its definition, without blurs:
+    group the executions by purged value, and within each group check that
+    every member's view of the target channels is compatible with every
+    member's input run.  Its witness is the first failure in execution
+    order, so only its verdict is comparable with ``check_nd``."""
+    _, rows = _execution_rows(machine, kind, bound)
+    # The target's view of each execution and the inputs co-realized with it.
+    table: dict[CanonicalRun, set[CanonicalRun]] = {}
+    groups: dict[tuple, list[tuple[CanonicalRun, CanonicalRun]]] = {}
+    for value, in_run, ci_run in rows:
+        table.setdefault(ci_run, set()).add(in_run)
+        groups.setdefault(value, []).append((in_run, ci_run))
+    for members in groups.values():
+        ins = dict.fromkeys(in_run for in_run, _ in members)
+        for in_run_a, ci_run_a in members:
+            compat = table[ci_run_a]
+            for in_run_b in ins:
+                if in_run_b not in compat:
+                    return PurgeVerdict(False, (ci_run_a, in_run_b))
+    return PurgeVerdict(True)
 
 
 # -- naive oracle ---------------------------------------------------------------

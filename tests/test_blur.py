@@ -27,7 +27,7 @@ from flowcut.cuts import ChannelSetTriple
 from flowcut.disclosure import no_disclosure
 from flowcut.enumeration import Bound, enumerate_runs
 from flowcut.events import CanonicalRun
-from flowcut.frames import Channel, ExplicitTraces, Frame, Location
+from flowcut.frames import Channel, ExplicitTraces, Frame, Location, Lts
 from flowcut.scenarios import (
     FirewallParams,
     VotingParams,
@@ -331,6 +331,7 @@ def test_all_blur_limits_flow_iff_no_disclosure(seed):
     flow = f_limits_flow(frame, src, obs, AllBlur(), B)
     nd = no_disclosure(frame, obs, src, B)
     assert flow.holds == nd.holds
+    assert nd.counterexample == (None if flow.holds else (flow.failing_observed, flow.unblurred))
 
 
 def test_flow_failure_reports_unblurred_witness():
@@ -370,6 +371,44 @@ def test_shared_core_trace_mismatch_is_named():
     with pytest.raises(SharedCoreError) as info:
         build_shared_core(v1.frame, v2.frame, {"v1_1"}, Bound(6))
     assert "v1_1" in str(info.value)
+
+
+def _chain_lts(n: int) -> Lts:
+    """Sends ``n`` zeros on channel c, one after another."""
+    return Lts(
+        frozenset(f"s{i}" for i in range(n + 1)),
+        "s0",
+        frozenset((f"s{i}", ("c", "0"), f"s{i + 1}") for i in range(n)),
+    )
+
+
+def _sender_frame(behavior) -> Frame:
+    """A sends on c to B, which takes any number of zeros."""
+    sink = Lts(frozenset({"idle"}), "idle", frozenset({("idle", ("c", "0"), "idle")}))
+    return Frame.build(
+        [Location("A", behavior), Location("B", sink)], [Channel("c", "A", "B")], ["0"]
+    )
+
+
+def test_shared_core_names_a_trace_mismatch_past_the_bound():
+    # At bound 2 the two senders agree on every run, but their trace sets
+    # differ at the sixth send.
+    with pytest.raises(SharedCoreError) as info:
+        build_shared_core(_sender_frame(_chain_lts(6)), _sender_frame(_chain_lts(5)), {"A"}, Bound(2))
+    assert str((("c", "0"),) * 6) in str(info.value)
+
+
+def test_shared_core_compares_explicit_traces_with_an_lts_past_the_bound():
+    six = ExplicitTraces.of([("c", "0")] * 6)
+    with pytest.raises(SharedCoreError) as info:
+        build_shared_core(_sender_frame(six), _sender_frame(_chain_lts(5)), {"A"}, Bound(2))
+    assert str((("c", "0"),) * 6) in str(info.value)
+
+
+def test_shared_core_accepts_equal_explicit_and_lts_behaviors():
+    six = ExplicitTraces.of([("c", "0")] * 6)
+    core = build_shared_core(_sender_frame(six), _sender_frame(_chain_lts(6)), {"A"}, Bound(2))
+    assert core.cut0 == frozenset({"c"}) and core.run_inclusion_ok
 
 
 def test_shared_core_missing_location_rejected():

@@ -142,7 +142,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
             {0, 1},
             {"enumeration", "disclosure"},
         ),
-        (["nd", "m.yaml", "--target", "d2", "--bound", "5"], {0, 1}, {"enumeration", "purge"}),
+        (["nd", "m.yaml", "--target", "d2", "--bound", "5"], {0, 1}, {"enumeration", "purge", "disclosure"}),
         (["scenario", "firewall"], {0}, {"scenarios"}),
     ]
     children = [_child(code, *argv, cwd=tmp_path) for argv, _, _ in cases]

@@ -9,8 +9,10 @@ alter report bytes rewrites the file with
 
     PYTHONPATH=src:tests python tests/test_reports.py --write
 
-and says why.  ``python tests/test_reports.py --print DIR`` prints the
-digests computed in ``DIR`` without writing them.
+and says why; it prints the name of every entry it changed, added or
+removed, to check against the stated changes.  ``python
+tests/test_reports.py --print DIR`` prints the digests computed in ``DIR``
+without writing them.
 """
 
 from __future__ import annotations
@@ -136,6 +138,11 @@ if __name__ == "__main__":
         sys.exit()
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_reports.py --write | --print DIR")
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        DIGESTS.write_text(json.dumps(compute_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
+        new = compute_digests(Path(tmp))
+    DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            print(f"changed: {name}")
