@@ -176,7 +176,7 @@ def cmd_enumerate(args) -> Report:
         verdict=None,
         details={
             "count": len(exset),
-            "executions": [c.serialize() for c in exset.canonicals],
+            "executions": sorted(c.serialize() for c in exset.canonicals),
         },
         notes=notes,
         bound=_bound_dict(bound),

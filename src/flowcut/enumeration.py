@@ -21,7 +21,11 @@ distinct execution is grown once, one event at a time, as its labels in
 firing order and each event's direct predecessors (the last events of its
 endpoints).  Its CanonicalRun is built once, at the end, by one pass over
 the firing order that ORs each event's predecessors' ancestor masks,
-numbered in canonical-id order.
+numbered in canonical-id order.  Executions come out in the reverse of
+the order the search first reached them; that order follows only the
+frame's channel order and sorted values, never string hashing, so it is
+the same in every process.  No run is written out as text here; a report
+that prints executions puts them in order itself.
 
 Restricting an execution to a channel set C keeps every event on C, so
 canonical ids survive restriction and the restricted order is the masks
@@ -72,7 +76,7 @@ class Bound(_Record):
 
 class ExecutionSet(_Record):
     """All minimal-order executions of a frame within a bound, one per
-    isomorphism class, sorted by canonical serialization."""
+    isomorphism class, in the search's deterministic order."""
 
     __slots__ = ("frame", "bound", "canonicals")
 
@@ -203,10 +207,8 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
         up = [0] * (len(canon) + 1)
         for f, (a, b) in enumerate(preds):
             up[f] = bit[f] | up[a] | up[b]
-        crun = CanonicalRun(tuple(channels), tuple(up[f] ^ bit[f] for f in canon))
-        built.append((crun.serialize(), crun))
-    built.sort(key=lambda entry: entry[0])
-    return ExecutionSet(frame, bound, tuple(crun for _, crun in built))
+        built.append(CanonicalRun(tuple(channels), tuple(up[f] ^ bit[f] for f in canon)))
+    return ExecutionSet(frame, bound, tuple(built))
 
 
 def enumerate_runs(frame: Frame, chans: Iterable[str], bound: Bound) -> frozenset[CanonicalRun]:

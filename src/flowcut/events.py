@@ -363,7 +363,7 @@ class CanonicalRun(_Record):
         """Stable textual form, bit-exact across runs: compact JSON with
         sorted keys, ``{"ch": [[channel, [message, ...]], ...], "ord":
         order}`` with each canonical id as a ``[channel, ordinal]`` list,
-        written directly because it is the sort key of every execution."""
+        written directly because reports and witness rules sort by it."""
         chans, ids = [], []
         for chan, msgs in self.channels:
             name = _quote(chan)

@@ -236,30 +236,43 @@ def input_sequence(machine: MachineSpec, run: CanonicalRun) -> tuple[Label, ...]
     return tuple(labels[i] for i in chain)
 
 
+PurgeFn = Callable[[Sequence[Label]], PurgedValue]
+
+
+def _purge_fn(machine: MachineSpec, kind: PurgeKind) -> PurgeFn:
+    """The purge of input sequences for the target domain, with the
+    channel-to-domain map and the target's visible inputs computed once."""
+    chan_dom = {machine.in_chan(d): d for d in machine.domains}
+    vis = machine.visible_inputs(kind.target)
+
+    def purge_inputs(inputs: Sequence[Label]) -> PurgedValue:
+        for chan, _ in inputs:
+            if chan not in chan_dom:
+                raise MachineError(f"non-input channel {chan!r} in purge input")
+        if kind.kind == "gm":
+            return tuple(ev for ev in inputs if ev[0] in vis)
+        # Chain purge: event i is retained when an increasing subsequence of
+        # pairwise-influencing events starting at i ends in an event whose
+        # domain influences the target.
+        n = len(inputs)
+        retained = [False] * n
+        for i in range(n - 1, -1, -1):
+            d_i = chan_dom[inputs[i][0]]
+            if machine.influences(d_i, kind.target):
+                retained[i] = True
+                continue
+            retained[i] = any(
+                retained[j] and machine.influences(d_i, chan_dom[inputs[j][0]])
+                for j in range(i + 1, n)
+            )
+        return tuple(ev for i, ev in enumerate(inputs) if retained[i])
+
+    return purge_inputs
+
+
 def purge_sequence(machine: MachineSpec, kind: PurgeKind, inputs: Sequence[Label]) -> PurgedValue:
     """Purge an input sequence for the target domain."""
-    chan_dom = {machine.in_chan(d): d for d in machine.domains}
-    for chan, _ in inputs:
-        if chan not in chan_dom:
-            raise MachineError(f"non-input channel {chan!r} in purge input")
-    if kind.kind == "gm":
-        vis = machine.visible_inputs(kind.target)
-        return tuple(ev for ev in inputs if ev[0] in vis)
-    # Chain purge: event i is retained when an increasing subsequence of
-    # pairwise-influencing events starting at i ends in an event whose
-    # domain influences the target.
-    n = len(inputs)
-    retained = [False] * n
-    for i in range(n - 1, -1, -1):
-        d_i = chan_dom[inputs[i][0]]
-        if machine.influences(d_i, kind.target):
-            retained[i] = True
-            continue
-        retained[i] = any(
-            retained[j] and machine.influences(d_i, chan_dom[inputs[j][0]])
-            for j in range(i + 1, n)
-        )
-    return tuple(ev for i, ev in enumerate(inputs) if retained[i])
+    return _purge_fn(machine, kind)(inputs)
 
 
 def purge(machine: MachineSpec, kind: PurgeKind, execution: EventSystem) -> PurgedValue:
@@ -279,13 +292,6 @@ def purge(machine: MachineSpec, kind: PurgeKind, execution: EventSystem) -> Purg
 
 
 # -- validation of the purge laws -------------------------------------------
-
-
-PurgeFn = Callable[[Sequence[Label]], PurgedValue]
-
-
-def _purge_fn(machine: MachineSpec, kind: PurgeKind) -> PurgeFn:
-    return lambda inputs: purge_sequence(machine, kind, inputs)
 
 
 class PurgeValidation(_Record):
@@ -316,16 +322,34 @@ def _execution_rows(
     fn = purge_fn if purge_fn is not None else _purge_fn(machine, kind)
     view = machine.domain_channels(kind.target) if view is None else view
     exset = enumerate_executions(frame, bound)
+    values: dict[CanonicalRun, PurgedValue] = {}  # each distinct input run purged once
     rows = []
     for in_run, view_run in zip(exset.runs_at(machine.input_channels()), exset.runs_at(view)):
-        rows.append((fn(input_sequence(machine, in_run)), in_run, view_run))
+        value = values.get(in_run)
+        if value is None:
+            value = values[in_run] = fn(input_sequence(machine, in_run))
+        rows.append((value, in_run, view_run))
     return frame, rows
 
 
-def _view_conflict(rows) -> tuple[CanonicalRun, CanonicalRun] | None:
-    """The input runs of the first two purge-equal rows whose views differ."""
-    first: dict[tuple, tuple[CanonicalRun, CanonicalRun]] = {}
-    for value, in_run, view_run in rows:
+def _view_conflict(
+    rows, executions: Sequence[CanonicalRun]
+) -> tuple[CanonicalRun, CanonicalRun] | None:
+    """The input runs of the first two purge-equal rows whose views differ,
+    the rows taken in the serialization order of their executions
+    (``executions[i]`` is row i's).  Only a group holding two views can
+    conflict, and its first row in any order is one of its own, so only
+    the rows of such groups are sorted."""
+    first_view: dict[PurgedValue, CanonicalRun] = {}
+    mixed: set[PurgedValue] = set()
+    for value, _, view_run in rows:
+        if first_view.setdefault(value, view_run) != view_run:
+            mixed.add(value)
+    order = [i for i, row in enumerate(rows) if row[0] in mixed]
+    order.sort(key=lambda i: executions[i].serialize())
+    first: dict[PurgedValue, tuple[CanonicalRun, CanonicalRun]] = {}
+    for i in order:
+        value, in_run, view_run = rows[i]
         in_run_0, view_run_0 = first.setdefault(value, (in_run, view_run))
         if view_run_0 != view_run:
             return in_run_0, in_run
@@ -341,14 +365,15 @@ def validate_purge(
     """Check the purge-function laws over all bounded executions.  Equal
     inputs give equal purges by construction; equal purges must give
     equal restrictions to the target's visible input channels, and the
-    witness is the input runs of the first two executions that do not.
+    witness is the input runs of the first two executions, in
+    serialization order, that do not.
 
     ``purge_fn`` substitutes a custom purge of input sequences, which is
     how broken purges are exercised as negative controls.
     """
     vis = machine.visible_inputs(kind.target)
-    _, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
-    witness = _view_conflict(rows)
+    frame, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
+    witness = _view_conflict(rows, enumerate_executions(frame, bound).canonicals)
     return PurgeValidation(witness is None, witness)
 
 
@@ -368,8 +393,8 @@ class PurgeVerdict(_Record):
 def check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Noninterference: purge-equal executions look identical on the
     target domain's own channels."""
-    _, rows = _execution_rows(machine, kind, bound)
-    witness = _view_conflict(rows)
+    frame, rows = _execution_rows(machine, kind, bound)
+    witness = _view_conflict(rows, enumerate_executions(frame, bound).canonicals)
     return PurgeVerdict(witness is None, witness)
 
 
@@ -392,17 +417,16 @@ def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdic
 def _purge_classes(
     machine: MachineSpec, kind: PurgeKind, runs: Iterable[CanonicalRun]
 ) -> tuple[frozenset[CanonicalRun], ...]:
-    """Input runs grouped by purged value."""
+    """Input runs grouped by purged value, the groups in purged-value order."""
     fn = _purge_fn(machine, kind)
     blocks: dict[PurgedValue, set[CanonicalRun]] = {}
     for run in runs:
         blocks.setdefault(fn(input_sequence(machine, run)), set()).add(run)
-    return tuple(frozenset(block) for block in blocks.values())
+    return tuple(frozenset(blocks[value]) for value in sorted(blocks))
 
 
 def purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
     """The blur induced by a purge: input runs are equivalent when they
     purge equally.  Its universe is the realized bounded input runs."""
     universe = enumerate_runs(star_frame(machine), machine.input_channels(), bound)
-    blocks = _purge_classes(machine, kind, universe)
-    return PartitionBlur(tuple(sorted(blocks, key=lambda b: sorted(r.serialize() for r in b))))
+    return PartitionBlur(_purge_classes(machine, kind, universe))

@@ -19,7 +19,14 @@ from flowcut.blur import blur_apply
 from flowcut.enumeration import Bound, enumerate_executions
 from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem, canonicalize
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
-from flowcut.purge import MachineSpec, PurgeKind, PurgeVerdict, _execution_rows
+from flowcut.purge import (
+    MachineSpec,
+    PurgeKind,
+    PurgeVerdict,
+    _execution_rows,
+    input_sequence,
+    star_frame,
+)
 
 
 # -- random budget-complete frames -------------------------------------------
@@ -196,6 +203,39 @@ def reference_check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> P
                 if in_run_b not in compat:
                     return PurgeVerdict(False, (ci_run_a, in_run_b))
     return PurgeVerdict(True)
+
+
+def reference_view_conflict(machine: MachineSpec, bound: Bound, view, purge_fn):
+    """The witness rule of ``check_ni`` and ``validate_purge`` read off its
+    statement: take every execution in serialization order and return the
+    input runs of the first two whose ``purge_fn`` values agree while their
+    runs at ``view`` differ; None when there are none."""
+    executions = sorted(
+        enumerate_executions(star_frame(machine), bound).canonicals, key=CanonicalRun.serialize
+    )
+    first: dict[tuple, tuple[CanonicalRun, CanonicalRun]] = {}
+    for crun in executions:
+        in_run = crun.restrict(machine.input_channels())
+        view_run = crun.restrict(view)
+        in_run_0, view_run_0 = first.setdefault(
+            purge_fn(input_sequence(machine, in_run)), (in_run, view_run)
+        )
+        if view_run_0 != view_run:
+            return in_run_0, in_run
+    return None
+
+
+def count_serializations(monkeypatch) -> list[int]:
+    """Wrap ``CanonicalRun.serialize`` by a counter; returns its one-cell tally."""
+    calls = [0]
+    serialize = CanonicalRun.serialize
+
+    def counted(run):
+        calls[0] += 1
+        return serialize(run)
+
+    monkeypatch.setattr(CanonicalRun, "serialize", counted)
+    return calls
 
 
 # -- naive oracle ---------------------------------------------------------------

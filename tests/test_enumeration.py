@@ -25,6 +25,7 @@ from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, buil
 
 from support import (
     canonical_to_naive,
+    count_serializations,
     naive_histories,
     naive_iso,
     naive_poset,
@@ -131,14 +132,59 @@ def test_projection_completeness(seed):
             assert project(sys, frame, loc.id) in location_language(loc, 5)
 
 
+_ORDER_DIGEST = """
+import hashlib, random
+from flowcut.enumeration import Bound, enumerate_executions
+from flowcut.scenarios import FirewallParams, build_firewall
+from support import random_budget_complete_frame
+for frame, bound in (
+    (random_budget_complete_frame(random.Random(9), 5), 5),
+    (build_firewall(FirewallParams()).frame, 7),
+):
+    joined = "\\n".join(c.serialize() for c in enumerate_executions(frame, Bound(bound)).canonicals)
+    print(hashlib.sha256(joined.encode()).hexdigest())
+"""
+
+
 def test_determinism_across_fresh_enumerations():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flowcut
+
     rng = random.Random(9)
     frame = random_budget_complete_frame(rng, 5)
     first = [c.serialize() for c in enumerate_executions(frame, Bound(5)).canonicals]
     _enumerate_cached.cache_clear()
     second = [c.serialize() for c in enumerate_executions(frame, Bound(5)).canonicals]
     assert first == second
-    assert first == sorted(first)
+    # The order is the search's own, so it must not follow string hashing:
+    # fresh processes under two hash seeds list the executions alike.
+    paths = [Path(flowcut.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    outputs = []
+    for seed in ("0", "2"):
+        child = subprocess.run(
+            [sys.executable, "-c", _ORDER_DIGEST],
+            capture_output=True,
+            env={
+                "PATH": "/usr/bin:/bin",
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": ":".join(map(str, paths)),
+            },
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        outputs.append(child.stdout.decode().split())
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == hashlib.sha256("\n".join(first).encode()).hexdigest()
+
+
+def test_enumeration_serializes_no_execution(monkeypatch):
+    calls = count_serializations(monkeypatch)
+    _enumerate_cached.cache_clear()
+    exset = enumerate_executions(build_firewall(FirewallParams()).frame, Bound(8))
+    assert len(exset) > 100
+    assert calls[0] == 0
 
 
 def test_runs_empty_channel_set_is_single_empty_run():
@@ -182,11 +228,12 @@ def test_runs_are_restrictions_of_enumerated_executions():
 
 
 def test_firewall_region_sends_2_at_bound_8_is_pinned():
-    """Count and digest of every canonical execution, recorded with the
-    enumerator that canonicalized each firing sequence."""
+    """Count and digest of every canonical execution (its serializations,
+    sorted), recorded with the enumerator that canonicalized each firing
+    sequence."""
     scn = build_firewall(FirewallParams(region_sends=2))
     exset = enumerate_executions(scn.frame, Bound(8))
-    joined = "\n".join(c.serialize() for c in exset.canonicals)
+    joined = "\n".join(sorted(c.serialize() for c in exset.canonicals))
     assert len(exset) == 9244
     assert (
         hashlib.sha256(joined.encode()).hexdigest()
@@ -219,17 +266,19 @@ def test_canonicals_match_the_naive_oracle(seed):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_executions_and_runs_match_the_reference_enumerator(seed):
-    """Same canonicals in the same order as canonicalizing every firing
-    sequence, and each bitmask restriction equals the canonical form of
-    the reference execution restricted as an event system."""
+    """The same canonicals, each once, as canonicalizing every firing
+    sequence, and each execution's bitmask restriction equals the
+    canonical form of its reference execution restricted as an event
+    system."""
     rng = random.Random(seed)
     frame = random_budget_complete_frame(rng, 5)
     exset = enumerate_executions(frame, Bound(5))
-    reference = reference_enumerate(frame, 5)
-    assert exset.canonicals == tuple(crun for crun, _ in reference)
+    reference = dict(reference_enumerate(frame, 5))
+    assert len(exset.canonicals) == len(reference)
+    assert set(exset.canonicals) == set(reference)
     for chans in [frozenset(), frozenset(frame.channel_ids)] + [
         random_channel_subset(rng, frame) for _ in range(4)
     ]:
-        expected = tuple(canonicalize(sys.restrict(chans)) for _, sys in reference)
+        expected = tuple(canonicalize(reference[crun].restrict(chans)) for crun in exset.canonicals)
         assert exset.runs_at(chans) == expected
         assert tuple(canonicalize(sys.restrict(chans)) for sys in exset.systems) == expected

@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcut.blur import f_limits_flow, validate_blur
-from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
+from flowcut.enumeration import Bound, _enumerate_cached, enumerate_executions, enumerate_runs
 from flowcut.events import CanonicalRun, canonicalize, chain_order
 from flowcut.frames import validate_frame
 from flowcut.purge import (
@@ -22,7 +23,14 @@ from flowcut.purge import (
     validate_purge,
 )
 
-from support import downgrader_machine, machine_document, random_machine, reference_check_nd
+from support import (
+    count_serializations,
+    downgrader_machine,
+    machine_document,
+    random_machine,
+    reference_check_nd,
+    reference_view_conflict,
+)
 
 B = Bound(8)
 
@@ -288,6 +296,37 @@ def test_nd_verdicts_match_the_group_reference(seed):
             assert check_nd(m, pk, Bound(6)).holds == reference_check_nd(m, pk, Bound(6)).holds
 
 
+#: Purges that break the law on visible inputs, so that ``validate_purge``
+#: has witnesses to choose among.
+BROKEN_PURGES = (lambda inputs: (), lambda inputs: tuple(inputs[:-1]))
+
+
+def assert_witnesses_follow_the_reference_rule(m: MachineSpec, bound: Bound) -> None:
+    for target in m.domains:
+        for kind in ("gm", "hy"):
+            pk = PurgeKind(kind, target)
+            fn = lambda inputs: purge_sequence(m, pk, inputs)
+            expected = reference_view_conflict(m, bound, m.domain_channels(target), fn)
+            assert check_ni(m, pk, bound).witness == expected, (target, kind)
+            vis = m.visible_inputs(target)
+            for purge_fn in (None,) + BROKEN_PURGES:
+                expected = reference_view_conflict(m, bound, vis, purge_fn or fn)
+                assert validate_purge(m, pk, bound, purge_fn).witness == expected, (target, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_ni_and_purge_law_witnesses_follow_the_reference_rule(seed):
+    """The first conflict among all executions in serialization order,
+    whatever order the enumeration lists them in."""
+    assert_witnesses_follow_the_reference_rule(random_machine(random.Random(seed)), Bound(6))
+
+
+@pytest.mark.parametrize("bound", (5, 9))
+def test_downgrader_witnesses_follow_the_reference_rule(bound):
+    assert_witnesses_follow_the_reference_rule(downgrader_machine(), Bound(bound))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_transitive_influence_collapses_hy_to_gm(seed):
     rng = random.Random(seed)
@@ -343,6 +382,14 @@ def test_purge_blur_identity_when_everything_visible():
     )
     blur = purge_blur(m, PurgeKind("gm", "y"), Bound(6))
     assert all(len(block) == 1 for block in blur.blocks)
+
+
+def test_purge_blur_serializes_no_run(monkeypatch):
+    calls = count_serializations(monkeypatch)
+    _enumerate_cached.cache_clear()
+    blur = purge_blur(downgrader_machine(), PurgeKind("hy", "d2"), Bound(9))
+    assert len(blur.blocks) > 1
+    assert calls[0] == 0
 
 
 def test_purge_blur_collapses_invisible_domains():
