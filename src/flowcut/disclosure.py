@@ -11,7 +11,6 @@ enumeration bound and reports must say so.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, TYPE_CHECKING
 
 from .enumeration import Bound, enumerate_executions, enumerate_runs
@@ -54,11 +53,11 @@ class CompatQuery(_Record):
         return CompatQuery(frozenset(observed), frozenset(source), observed_run, bound)
 
 
-@lru_cache(maxsize=1024)
 def _cmpt_table(
     frame: Frame, observed: frozenset[str], source: frozenset[str], bound: Bound
 ) -> dict[CanonicalRun, frozenset[CanonicalRun]]:
-    """Map each observed run to the set of source runs co-realized with it."""
+    """Map each observed run to the set of source runs co-realized with it.
+    Built on each call from the execution set's memoized local runs."""
     frame.check_channels(observed)
     frame.check_channels(source)
     exset = enumerate_executions(frame, bound)

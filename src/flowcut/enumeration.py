@@ -30,7 +30,9 @@ that prints executions puts them in order itself.
 Restricting an execution to a channel set C keeps every event on C, so
 canonical ids survive restriction and the restricted order is the masks
 compressed to the kept events (``ExecutionSet.runs_at`` through
-``CanonicalRun.restrict``).  Every analysis result is relative to the
+``CanonicalRun.restrict``, once per channel set and execution set).  The
+execution sets themselves are cached per (frame, bound); that cache is the
+package's only process-level one.  Every analysis result is relative to the
 bound, and callers are expected to surface that bound in their reports.
 """
 
@@ -76,12 +78,17 @@ class Bound(_Record):
 
 class ExecutionSet(_Record):
     """All minimal-order executions of a frame within a bound, one per
-    isomorphism class, in the search's deterministic order."""
+    isomorphism class, in the search's deterministic order.
 
-    __slots__ = ("frame", "bound", "canonicals")
+    The set memoizes its executions' local runs: each channel set is
+    restricted once, on the first ``runs_at`` call, and kept as long as the
+    set.  The memo is private state, not a field, so it takes no part in
+    ``repr`` or pickling; equality is identity."""
+
+    __slots__ = ("frame", "bound", "canonicals", "_runs")
 
     def __init__(self, frame: Frame, bound: Bound, canonicals: tuple[CanonicalRun, ...]) -> None:
-        self._fill(frame, bound, canonicals)
+        self._fill(frame, bound, canonicals, {})
 
     def __len__(self) -> int:
         return len(self.canonicals)
@@ -95,7 +102,10 @@ class ExecutionSet(_Record):
     def runs_at(self, chans: Iterable[str]) -> tuple[CanonicalRun, ...]:
         """Every execution's local run at ``chans``, in execution order."""
         keep = self.frame.check_channels(chans)
-        return tuple(run.restrict(keep) for run in self.canonicals)
+        runs = self._runs.get(keep)
+        if runs is None:
+            runs = self._runs[keep] = tuple(run.restrict(keep) for run in self.canonicals)
+        return runs
 
 
 def enumerate_executions(frame: Frame, bound: Bound) -> ExecutionSet:

@@ -45,7 +45,9 @@ class UnknownChannelError(FrameError):
 # name its fields in constructor order.  ``_Record`` gives it the ``repr``
 # of a dataclass, read-only fields and pickling; the types that are
 # compared or used as keys add ``__eq__`` and ``__hash__`` from
-# ``_compared_by``.  Nothing is generated from source text at import.
+# ``_compared_by``.  A slot whose name starts with an underscore is private
+# state, not a field: ``repr`` and pickling skip it.  Nothing is generated
+# from source text at import.
 
 _set = object.__setattr__
 
@@ -62,7 +64,9 @@ class _Record:
             _set(self, name, value)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -72,7 +76,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
 
 def _compared_by(*names: str):

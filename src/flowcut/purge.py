@@ -20,7 +20,6 @@ inputs and collapse to the simple purge under transitive policies.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .blur import PartitionBlur, _ClassIndex
@@ -166,7 +165,6 @@ class PurgeKind(_Record):
         self._fill(kind, target)
 
 
-@lru_cache(maxsize=128)
 def star_frame(machine: MachineSpec) -> Frame:
     """The frame of a machine: hub plus one location per domain.
 
@@ -239,9 +237,17 @@ def input_sequence(machine: MachineSpec, run: CanonicalRun) -> tuple[Label, ...]
 PurgeFn = Callable[[Sequence[Label]], PurgedValue]
 
 
+def _check_target(machine: MachineSpec, kind: PurgeKind) -> None:
+    if kind.target not in machine.domains:
+        raise MachineError(
+            f"unknown purge target {kind.target!r}; declared domains: {list(machine.domains)}"
+        )
+
+
 def _purge_fn(machine: MachineSpec, kind: PurgeKind) -> PurgeFn:
     """The purge of input sequences for the target domain, with the
     channel-to-domain map and the target's visible inputs computed once."""
+    _check_target(machine, kind)
     chan_dom = {machine.in_chan(d): d for d in machine.domains}
     vis = machine.visible_inputs(kind.target)
 
@@ -371,6 +377,7 @@ def validate_purge(
     ``purge_fn`` substitutes a custom purge of input sequences, which is
     how broken purges are exercised as negative controls.
     """
+    _check_target(machine, kind)
     vis = machine.visible_inputs(kind.target)
     frame, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
     witness = _view_conflict(rows, enumerate_executions(frame, bound).canonicals)
@@ -405,20 +412,20 @@ def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdic
     with the witness ``f_limits_flow`` gives."""
     from .disclosure import _cmpt_table, _first_leak
 
+    fn = _purge_fn(machine, kind)
     table = _cmpt_table(
         star_frame(machine), machine.domain_channels(kind.target), machine.input_channels(), bound
     )
     universe = frozenset().union(*table.values())
-    blur = PartitionBlur(_purge_classes(machine, kind, universe))
+    blur = PartitionBlur(_purge_classes(machine, fn, universe))
     leak = _first_leak(table, _ClassIndex(blur, universe).apply)
     return PurgeVerdict(leak is None, leak)
 
 
 def _purge_classes(
-    machine: MachineSpec, kind: PurgeKind, runs: Iterable[CanonicalRun]
+    machine: MachineSpec, fn: PurgeFn, runs: Iterable[CanonicalRun]
 ) -> tuple[frozenset[CanonicalRun], ...]:
-    """Input runs grouped by purged value, the groups in purged-value order."""
-    fn = _purge_fn(machine, kind)
+    """Input runs grouped by purged value under ``fn``, in value order."""
     blocks: dict[PurgedValue, set[CanonicalRun]] = {}
     for run in runs:
         blocks.setdefault(fn(input_sequence(machine, run)), set()).add(run)
@@ -428,5 +435,6 @@ def _purge_classes(
 def purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
     """The blur induced by a purge: input runs are equivalent when they
     purge equally.  Its universe is the realized bounded input runs."""
+    fn = _purge_fn(machine, kind)
     universe = enumerate_runs(star_frame(machine), machine.input_channels(), bound)
-    return PartitionBlur(_purge_classes(machine, kind, universe))
+    return PartitionBlur(_purge_classes(machine, fn, universe))

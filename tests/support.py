@@ -238,6 +238,19 @@ def count_serializations(monkeypatch) -> list[int]:
     return calls
 
 
+def count_restrictions(monkeypatch) -> list[int]:
+    """Wrap ``CanonicalRun.restrict`` by a counter; returns its one-cell tally."""
+    calls = [0]
+    restrict = CanonicalRun.restrict
+
+    def counted(run, chans):
+        calls[0] += 1
+        return restrict(run, chans)
+
+    monkeypatch.setattr(CanonicalRun, "restrict", counted)
+    return calls
+
+
 # -- naive oracle ---------------------------------------------------------------
 #
 # An independent route to compatibility sets: enumerate firing histories

@@ -494,14 +494,12 @@ def test_criterion_9_report_determinism(tmp_path, capsys):
             "11",
         ],
     ]
-    from flowcut.disclosure import _cmpt_table as table_cache
     from flowcut.enumeration import _enumerate_cached as enum_cache
 
     for argv in commands:
         outputs = []
         for _ in range(2):
             enum_cache.cache_clear()
-            table_cache.cache_clear()
             cli_main(argv)
             outputs.append(capsys.readouterr().out)
         if outputs[0] != outputs[1]:

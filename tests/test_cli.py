@@ -14,7 +14,7 @@ from flowcut.fileformat import (
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
-from support import downgrader_machine, machine_document
+from support import count_restrictions, downgrader_machine, machine_document
 
 GOOD_FRAME = """
 frame:
@@ -256,6 +256,16 @@ def test_cli_machine_commands(machine_file, capsys):
     assert doc["details"]["class_count"] >= 1
 
 
+@pytest.mark.parametrize("command", ["ni", "nd", "purge-blur"])
+@pytest.mark.parametrize("target", ["zz", "M"])
+def test_unknown_purge_target_exits_2_naming_the_domains(machine_file, capsys, command, target):
+    # The hub "M" is a location of the star frame, not a domain.
+    assert main([command, machine_file, "--target", target, "--purge", "hy", "--bound", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown purge target {target!r}; declared domains: ['hi', 'lo']\n"
+
+
 def test_cli_scenario_voting_roundtrips_through_analysis(tmp_path, capsys):
     out = tmp_path / "v.yaml"
     assert main(["scenario", "voting", "--precincts", "2", "--out", str(out)]) == 0
@@ -279,27 +289,59 @@ def test_cli_scenario_voting_roundtrips_through_analysis(tmp_path, capsys):
     )
 
 
-def test_check_blur_restricts_the_executions_once_per_channel_set(tmp_path, monkeypatch):
-    # The compatibility table restricts every execution to the observed and
-    # the source channels; the blur laws read the source universe off the
-    # table instead of restricting a third time.
-    from flowcut.disclosure import _cmpt_table
-    from flowcut.enumeration import ExecutionSet
+#: Commands, their exit status and their ``CanonicalRun.restrict`` calls:
+#: executions times distinct channel sets.  v22 has 633 executions at
+#: bound 8, v1 29, and the firewall 595 at bound 14.
+RESTRICTING_COMMANDS = {
+    # the observed and the source channels; the blur laws read the source
+    # universe off the table instead of restricting a third time
+    "check-blur-f0": (
+        ["check-blur", "v22.yaml", "--blur", "f0", "--source", "voters", "--observed", "pub", "--bound", "8"],
+        1,
+        2 * 633,
+    ),
+    # source, cut and sink: both flow checks read one set of source runs
+    "verify-cutblur-f_i": (
+        ["verify-cutblur", "fw.yaml", "--blur", "f_i", "--source", "chans_i", "--cut", "cut"]
+        + ["--observed", "chans_n", "--bound", "14"],
+        1,
+        3 * 595,
+    ),
+    # v1 at the cut and the source, v22 at the cut, the source and the
+    # observed channels, however many tables are built over them
+    "compose": (
+        ["compose", "v1.yaml", "v22.yaml", "--core", "v1_1,v1_2,BB1", "--blur", "f0_p1"]
+        + ["--source", "voters1", "--observed", "p", "--bound", "8"],
+        0,
+        2 * 29 + 3 * 633,
+    ),
+    # the observed runs are listed to pick one, then tabled with the source
+    "cmpt": (
+        ["cmpt", "v22.yaml", "--observed", "pub", "--source", "voters", "--run-index", "0", "--bound", "8"],
+        0,
+        2 * 633,
+    ),
+}
 
-    out = tmp_path / "v.yaml"
-    assert main(["scenario", "voting", "--precincts", "2", "--out", str(out)]) == 0
-    _cmpt_table.cache_clear()
-    runs_at = ExecutionSet.runs_at
-    calls = []
 
-    def counted(self, chans):
-        calls.append(chans)
-        return runs_at(self, chans)
+@pytest.mark.parametrize("command", RESTRICTING_COMMANDS)
+def test_check_blur_restricts_the_executions_once_per_channel_set(tmp_path, monkeypatch, command):
+    # An execution set memoizes its local runs per channel set, so a command
+    # restricts each execution once per distinct channel set it reads.
+    from flowcut.enumeration import _enumerate_cached
 
-    monkeypatch.setattr(ExecutionSet, "runs_at", counted)
-    argv = ["check-blur", str(out), "--blur", "f0", "--source", "voters", "--observed", "p", "--bound", "8"]
-    assert main(argv) == 0
-    assert len(calls) == 2
+    argv, status, passes = RESTRICTING_COMMANDS[command]
+    for name, scenario in [
+        ("v1.yaml", ["voting", "--precincts", "2"]),
+        ("v22.yaml", ["voting", "--precincts", "2,2"]),
+        ("fw.yaml", ["firewall"]),
+    ]:
+        assert main(["scenario", *scenario, "--out", str(tmp_path / name)]) == 0
+    monkeypatch.chdir(tmp_path)
+    _enumerate_cached.cache_clear()
+    calls = count_restrictions(monkeypatch)
+    assert main(argv) == status
+    assert calls[0] == passes
 
 
 def test_each_flow_check_groups_its_universe_once(tmp_path, monkeypatch):
@@ -341,10 +383,8 @@ def test_cli_reports_are_byte_deterministic(frame_file, capsys):
     assert main(argv) == 0
     first = capsys.readouterr().out
     from flowcut.enumeration import _enumerate_cached
-    from flowcut.disclosure import _cmpt_table
 
     _enumerate_cached.cache_clear()
-    _cmpt_table.cache_clear()
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second

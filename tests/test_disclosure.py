@@ -20,7 +20,7 @@ from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
 from flowcut.events import CanonicalRun, canonicalize
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location
 
-from support import random_budget_complete_frame, random_channel_subset
+from support import count_restrictions, random_budget_complete_frame, random_channel_subset
 
 B = Bound(5)
 
@@ -160,6 +160,18 @@ def test_propagation_inclusion_holds(seed):
     c2 = random_channel_subset(rng, frame)
     c3 = random_channel_subset(rng, frame)
     assert cmpt_propagation_check(frame, c1, c2, c3, B).holds
+
+
+def test_propagation_restricts_each_execution_once_per_channel_set(monkeypatch):
+    # Three tables over three channel sets read three restriction passes,
+    # not one pass per table side.
+    from flowcut.enumeration import _enumerate_cached
+
+    frame = relay_frame()
+    _enumerate_cached.cache_clear()
+    calls = count_restrictions(monkeypatch)
+    assert cmpt_propagation_check(frame, {"a"}, {"a", "b"}, {"b"}, Bound(4)).holds
+    assert calls[0] == 3 * len(enumerate_executions(frame, Bound(4)))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, buil
 
 from support import (
     canonical_to_naive,
+    count_restrictions,
     count_serializations,
     naive_histories,
     naive_iso,
@@ -185,6 +187,29 @@ def test_enumeration_serializes_no_execution(monkeypatch):
     exset = enumerate_executions(build_firewall(FirewallParams()).frame, Bound(8))
     assert len(exset) > 100
     assert calls[0] == 0
+
+
+def test_execution_set_restricts_once_per_channel_set_and_keeps_no_field(monkeypatch):
+    rng = random.Random(4)
+    frame = random_budget_complete_frame(rng, 4)
+    chans = random_channel_subset(rng, frame)
+    _enumerate_cached.cache_clear()
+    exset = enumerate_executions(frame, Bound(4))
+    calls = count_restrictions(monkeypatch)
+    runs = exset.runs_at(chans)
+    assert exset.runs_at(list(chans)) is runs
+    assert enumerate_executions(frame, Bound(4)).runs_at(chans) is runs
+    assert calls[0] == len(exset)
+    assert runs == tuple(run.restrict(chans) for run in exset.canonicals)
+    # The memo is private state: repr and pickling carry the three fields
+    # only, and a copy restricts afresh.
+    assert repr(exset).startswith("ExecutionSet(frame=") and "_runs" not in repr(exset)
+    assert exset.__reduce__()[1] == (exset.frame, exset.bound, exset.canonicals)
+    twin = pickle.loads(pickle.dumps(exset))
+    assert (twin.frame, twin.bound, twin.canonicals) == (exset.frame, exset.bound, exset.canonicals)
+    assert twin != exset
+    calls[0] = 0
+    assert twin.runs_at(chans) == runs and calls[0] == len(exset)
 
 
 def test_runs_empty_channel_set_is_single_empty_run():

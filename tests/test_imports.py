@@ -172,6 +172,30 @@ def test_no_module_imports_dataclasses_or_calls_exec_or_eval():
     assert found == []
 
 
+def test_lru_cache_decorates_only_the_enumeration_cache():
+    # Analyses keep what they reuse on the object that owns it (an execution
+    # set memoizes its local runs); the one process-level cache is the
+    # enumeration cache.  Every mention of a functools cache is listed with
+    # the definition it decorates.
+    caches = {"lru_cache", "cache", "cached_property"}
+    found = []
+    for path in sorted(Path(flowcut.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        decorates = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    decorates.update((id(sub), node.name) for sub in ast.walk(decorator))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.stem}: import {a.name}" for a in node.names if a.name in caches]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name in caches:
+                    found.append(f"{path.stem}: {name} on {decorates.get(id(node), 'no definition')}")
+    assert sorted(found) == ["enumeration: import lru_cache", "enumeration: lru_cache on _enumerate_cached"]
+
+
 def test_package_exports_are_unchanged():
     names = [name for group in EXPORTS.values() for name in group]
     assert len(names) == 73

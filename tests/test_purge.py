@@ -193,6 +193,27 @@ def test_purge_of_execution_checks_frame_membership():
         purge(other, PurgeKind("gm", "dc"), sys)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m, kind: check_ni(m, kind, B),
+        lambda m, kind: check_nd(m, kind, B),
+        lambda m, kind: validate_purge(m, kind, B),
+        lambda m, kind: validate_purge(m, kind, B, purge_fn=tuple),
+        lambda m, kind: purge_blur(m, kind, B),
+        lambda m, kind: purge_sequence(m, kind, ()),
+    ],
+    ids=["check_ni", "check_nd", "validate_purge", "validate_purge-custom", "purge_blur", "purge_sequence"],
+)
+@pytest.mark.parametrize("target", ["zz", "M"])
+def test_unknown_purge_target_is_rejected(check, target):
+    m = downgrader_machine()
+    message = f"unknown purge target {target!r}; declared domains: ['d0', 'd1', 'd2']"
+    with pytest.raises(MachineError) as info:
+        check(m, PurgeKind("hy", target))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_validate_purge_gm_hy(seed):
     rng = random.Random(seed)
