@@ -17,31 +17,37 @@ sender and the k-th ``c`` label at the recipient are the same event, with
 canonical id ``(c, k)``.  Firing sequences that differ only in the order of
 independent events reach the same tuple, so the search dedups on it (the
 trace-theory view of an execution as its location projections).  Each
-distinct execution is grown once, one event at a time, as its labels in
-firing order and each event's direct predecessors (the last events of its
-endpoints).  Its CanonicalRun is built once, at the end, by one pass over
-the firing order that ORs each event's predecessors' ancestor masks,
-numbered in canonical-id order.  Executions come out in the reverse of
-the order the search first reached them; that order follows only the
-frame's channel order and sorted values, never string hashing, so it is
-the same in every process.  No run is written out as text here; a report
-that prints executions puts them in order itself.
+distinct execution is reached once, from one parent, by one event, so the
+search keeps only its tree: per execution, the parent, the channel step
+and the value.  Executions come out in the reverse of the order the search
+first reached them; that order follows only the frame's channel order and
+sorted values, never string hashing, so it is the same in every process.
+No run is written out as text here; a report that prints executions puts
+them in order itself.
 
 Restricting an execution to a channel set C keeps every event on C, so
-canonical ids survive restriction and the restricted order is the masks
-compressed to the kept events (``ExecutionSet.runs_at`` through
-``CanonicalRun.restrict``, once per channel set and execution set).  The
-execution sets themselves are cached per (frame, bound); that cache is the
-package's only process-level one.  Every analysis result is relative to the
-bound, and callers are expected to surface that bound in their reports.
+canonical ids survive restriction, and one walk down the tree, parents
+first, builds every execution's run at C.  An execution whose new event
+is off C has its parent's run, the same object: a maximal event outside C
+changes no order on C.  One whose new event is on C has its parent's run
+with the event inserted at the end of its channel: mask bits at or above
+its position move up one, and its mask is the kept events at or below the last
+events of its two endpoints, which the walk keeps per location.  The
+canonical runs are that walk at all channels.  ``ExecutionSet.runs_at``
+makes it once per channel set and execution set, on first use; the
+execution sets themselves are cached per (frame, bound), and that cache
+is the package's only process-level one.  Every analysis result is
+relative to the bound, and callers are expected to surface that bound in
+their reports.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable
 
-from .events import CanonicalRun, EventSystem
+from .events import _EMPTY_RUN, CanonicalRun, EventSystem
 from .frames import (
     Frame,
     InputError,
@@ -80,18 +86,38 @@ class ExecutionSet(_Record):
     """All minimal-order executions of a frame within a bound, one per
     isomorphism class, in the search's deterministic order.
 
-    The set memoizes its executions' local runs: each channel set is
-    restricted once, on the first ``runs_at`` call, and kept as long as the
-    set.  The memo is private state, not a field, so it takes no part in
-    ``repr`` or pickling; equality is identity."""
+    A set from the search keeps the search tree and builds every channel
+    set's local runs from it in one pass, on the first ``runs_at`` call;
+    ``canonicals`` is the pass at all channels.  A set made from its
+    canonicals, such as a copy, restricts them instead.  The runs are kept
+    as long as the set.  The tree and the runs are private state, not
+    fields: ``repr`` and pickling carry the frame, the bound and the
+    canonicals, and equality is identity."""
 
-    __slots__ = ("frame", "bound", "canonicals", "_runs")
+    __slots__ = ("frame", "bound", "_tree", "_runs")
 
     def __init__(self, frame: Frame, bound: Bound, canonicals: tuple[CanonicalRun, ...]) -> None:
-        self._fill(frame, bound, canonicals, {})
+        self._fill(frame, bound, None, {frozenset(frame.channel_ids): canonicals})
+
+    @staticmethod
+    def _grown(frame: Frame, bound: Bound, tree: tuple) -> "ExecutionSet":
+        exset = ExecutionSet.__new__(ExecutionSet)
+        exset._fill(frame, bound, tree, {})
+        return exset
+
+    def __repr__(self) -> str:
+        return f"ExecutionSet(frame={self.frame!r}, bound={self.bound!r}, canonicals={self.canonicals!r})"
+
+    def __reduce__(self):
+        return ExecutionSet, (self.frame, self.bound, self.canonicals)
 
     def __len__(self) -> int:
-        return len(self.canonicals)
+        return len(self._tree[0]) if self._tree else len(self.canonicals)
+
+    @property
+    def canonicals(self) -> tuple[CanonicalRun, ...]:
+        """Every execution as a canonical run, in execution order."""
+        return self.runs_at(self.frame.channel_ids)
 
     @property
     def systems(self) -> tuple[EventSystem, ...]:
@@ -104,23 +130,89 @@ class ExecutionSet(_Record):
         keep = self.frame.check_channels(chans)
         runs = self._runs.get(keep)
         if runs is None:
-            runs = self._runs[keep] = tuple(run.restrict(keep) for run in self.canonicals)
+            runs = self._runs[keep] = _local_runs(self, keep)
         return runs
+
+
+def _local_runs(exset: ExecutionSet, keep: frozenset[str]) -> tuple[CanonicalRun, ...]:
+    """One pass over the executions: each one's run at the channel set
+    ``keep``, in execution order."""
+    if exset._tree is None:
+        return tuple(run.restrict(keep) for run in exset.canonicals)
+    parents, steps, values, n_locs = exset._tree
+    has_child = bytearray(len(parents))
+    for p in islice(parents, 1, None):
+        has_child[p] = 1
+    # Per execution, its run at ``keep`` and, while it still has children
+    # to build, its frontier: per location, the mask of the kept events at
+    # or below the location's last event.
+    runs = [_EMPTY_RUN]
+    fronts: list = [(0,) * n_locs]
+    shared: dict = {}  # one object per channel entry
+    prev = 0
+    for i in range(1, len(parents)):
+        p = parents[i]
+        if p != prev:  # a parent's children are contiguous: prev is done
+            fronts[prev] = None
+            prev = p
+        chan, s, r = steps[i]
+        run, front = runs[p], fronts[p]
+        below = front[s] | front[r]
+        if chan in keep:
+            # The new event is maximal and last on its channel: it goes in
+            # at the end of its channel's entry, at position ``pos``, and
+            # every mask bit at or above ``pos`` moves up one.
+            channels, anc = run.channels, run.ancestors
+            j = pos = 0
+            for c, msgs in channels:
+                if c >= chan:
+                    break
+                pos += len(msgs)
+                j += 1
+            if j < len(channels) and channels[j][0] == chan:
+                msgs = channels[j][1]
+                pos += len(msgs)
+                entry, rest = (chan, msgs + (values[i],)), j + 1
+            else:
+                entry, rest = (chan, (values[i],)), j
+            entry = shared.setdefault(entry, entry)
+            below += below >> pos << pos
+            if pos == len(anc):  # nothing to move
+                anc += (below,)
+            else:
+                lifted = [a + (a >> pos << pos) for a in anc]
+                lifted.insert(pos, below)
+                anc = tuple(lifted)
+                if has_child[i]:
+                    front = [f + (f >> pos << pos) for f in front]
+            run = CanonicalRun(channels[:j] + (entry,) + channels[rest:], anc)
+            below |= 1 << pos
+        runs.append(run)
+        if has_child[i]:
+            front = list(front)
+            front[s] = front[r] = below
+            fronts.append(front)
+        else:
+            fronts.append(None)
+    runs.reverse()
+    return tuple(runs)
 
 
 def enumerate_executions(frame: Frame, bound: Bound) -> ExecutionSet:
     """Enumerate every minimal-order execution with at most the bounded
     number of events, each once."""
-    report = validate_frame(frame)
-    if not report.ok:
-        raise EnumerationError(
-            "frame is not well-formed: " + "; ".join(v.message for v in report.violations)
-        )
     return _enumerate_cached(frame, bound)
 
 
 @lru_cache(maxsize=256)
 def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
+    # Inside the cache, so each frame is validated once per enumeration; a
+    # malformed frame raises on every call, as exceptions are not cached.
+    report = validate_frame(frame)
+    if not report.ok:
+        raise EnumerationError(
+            "frame is not well-formed: " + "; ".join(v.message for v in report.violations)
+        )
     specs = [loc.behavior for loc in frame.locations]
     index = {loc.id: i for i, loc in enumerate(frame.locations)}
     values = sorted(frame.data)
@@ -151,19 +243,24 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
     total = bound.max_total_events
     per_loc = bound.max_events_per_location
     empty_key = ((),) * len(specs)
-    # Dedup key (per-location label sequences) -> (labels in firing order,
-    # each event's two direct predecessors, -1 for none).
-    found: dict[tuple, tuple] = {empty_key: ((), ())}
-    # Worklist entries: key, successor row per location, last event per
-    # location (-1 for none), then the execution as stored in ``found``.
+    # Dedup keys: per-location label sequences.
+    found = {empty_key}
+    # The search tree, in the order the search reached the executions:
+    # execution i is execution parents[i] plus one event that carries
+    # values[i] on steps[i] = (channel, sender, recipient).  Execution 0 is
+    # the empty one.
+    parents: list[int] = [-1]
+    steps: list = [None]
+    found_values: list = [None]
+    # Worklist entries: key, successor row per location, execution, events.
     start = tuple(row(i, behavior_start(spec)) for i, spec in enumerate(specs))
-    stack = [(empty_key, start, (-1,) * len(specs), (), ())]
+    stack = [(empty_key, start, 0, 0)]
     while stack:
-        key, here, last, labels, preds = stack.pop()
-        n = len(labels)
+        key, here, node, n = stack.pop()
         if n >= total:
             continue
-        for chan, s, r in chans:
+        for step in chans:
+            chan, s, r = step
             if per_loc is not None and (len(key[s]) >= per_loc or len(key[r]) >= per_loc):
                 continue
             steps_s = here[s].get(chan)
@@ -183,42 +280,17 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                 key2 = tuple(key2)
                 if key2 in found:
                     continue
-                record = (labels + (label,), preds + ((last[s], last[r]),))
-                found[key2] = record
+                found.add(key2)
+                child = len(parents)
+                parents.append(node)
+                steps.append(step)
+                found_values.append(value)
                 if n + 1 < total:
-                    last2 = list(last)
-                    last2[s] = last2[r] = n
                     here2 = list(here)
                     here2[s] = row(s, next_s)
                     here2[r] = row(r, next_r)
-                    stack.append((key2, tuple(here2), tuple(last2)) + record)
-
-    # Channel entries recur across executions; one shared object per value
-    # keeps the set small.
-    shared: dict = {}
-    built = []
-    while found:
-        labels, preds = found.popitem()[1]
-        by_chan: dict[str, list[int]] = {}
-        for f, (chan, _) in enumerate(labels):
-            by_chan.setdefault(chan, []).append(f)
-        canon = []  # firing indices in canonical-id order
-        channels = []
-        for chan in sorted(by_chan):
-            canon.extend(by_chan[chan])
-            cm = (chan, tuple(labels[f][1] for f in by_chan[chan]))
-            channels.append(shared.setdefault(cm, cm))
-        bit = [0] * len(canon)
-        for p, f in enumerate(canon):
-            bit[f] = 1 << p
-        # Firing order is topological, so each event's predecessors are
-        # done before it; up[f] is event f and everything below it, and
-        # up[-1], the slot past the end, stays 0 for "no predecessor".
-        up = [0] * (len(canon) + 1)
-        for f, (a, b) in enumerate(preds):
-            up[f] = bit[f] | up[a] | up[b]
-        built.append(CanonicalRun(tuple(channels), tuple(up[f] ^ bit[f] for f in canon)))
-    return ExecutionSet(frame, bound, tuple(built))
+                    stack.append((key2, tuple(here2), child, n + 1))
+    return ExecutionSet._grown(frame, bound, (parents, steps, found_values, len(specs)))
 
 
 def enumerate_runs(frame: Frame, chans: Iterable[str], bound: Bound) -> frozenset[CanonicalRun]:

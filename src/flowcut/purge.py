@@ -44,9 +44,10 @@ class MachineSpec(_Record):
 
     __slots__ = (
         "domains", "influence", "actions", "action_domain", "outputs", "states", "initial",
-        "transitions", "obs",
+        "transitions", "obs", "_dom", "_obs",
     )
-    __eq__, __hash__ = _compared_by(*__slots__)
+    # ``_dom`` and ``_obs`` are ``action_domain`` and ``obs`` as dicts.
+    __eq__, __hash__ = _compared_by(*__slots__[:-2])
 
     def __init__(
         self,
@@ -61,7 +62,8 @@ class MachineSpec(_Record):
         obs: tuple[tuple[tuple[str, str], str], ...],
     ) -> None:
         self._fill(
-            domains, influence, actions, action_domain, outputs, states, initial, transitions, obs
+            domains, influence, actions, action_domain, outputs, states, initial, transitions, obs,
+            dict(action_domain), dict(obs),
         )
 
     @staticmethod
@@ -103,7 +105,7 @@ class MachineSpec(_Record):
         for a, b in self.influence:
             if a not in doms or b not in doms:
                 raise MachineError(f"influence pair ({a!r},{b!r}) names unknown domain")
-        dom_map = dict(self.action_domain)
+        dom_map = self._dom
         for a in self.actions:
             if dom_map.get(a) not in doms:
                 raise MachineError(f"action {a!r} has no domain")
@@ -115,20 +117,20 @@ class MachineSpec(_Record):
                 raise MachineError("transition uses unknown state")
             if a not in dom_map:
                 raise MachineError(f"transition uses unknown action {a!r}")
-        obs_map = dict(self.obs)
+        obs_map, outputs = self._obs, set(self.outputs)
         for s in self.states:
             for d in self.domains:
                 if (s, d) not in obs_map:
                     raise MachineError(f"obs missing for state {s!r}, domain {d!r}")
             for o in (obs_map[(s, d)] for d in self.domains):
-                if o not in set(self.outputs):
+                if o not in outputs:
                     raise MachineError(f"obs uses undeclared output {o!r}")
 
     def dom(self, action: str) -> str:
-        return dict(self.action_domain)[action]
+        return self._dom[action]
 
     def observation(self, state: str, domain: str) -> str:
-        return dict(self.obs)[(state, domain)]
+        return self._obs[(state, domain)]
 
     def influences(self, a: str, b: str) -> bool:
         return (a, b) in self.influence
@@ -176,7 +178,7 @@ def star_frame(machine: MachineSpec) -> Frame:
     """
     machine.validate()
     k = len(machine.domains)
-    dom_map = dict(machine.action_domain)
+    dom_map = machine._dom
 
     hub_states: set[str] = set()
     hub_trans: set[tuple[str, Label, str]] = set()
@@ -200,11 +202,11 @@ def star_frame(machine: MachineSpec) -> Frame:
 
     locations = [hub]
     channels = []
+    sends: dict[str, list[str]] = {d: [] for d in machine.domains}
+    for a in machine.actions:
+        sends[dom_map[a]].append(a)
     for d in machine.domains:
-        trans: set[tuple[str, Label, str]] = set()
-        for a in machine.actions:
-            if dom_map[a] == d:
-                trans.add(("idle", (machine.in_chan(d), a), "idle"))
+        trans = {("idle", (machine.in_chan(d), a), "idle") for a in sends[d]}
         for o in machine.outputs:
             trans.add(("idle", (machine.out_chan(d), o), "idle"))
         locations.append(Location(d, Lts(frozenset({"idle"}), "idle", frozenset(trans))))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from flowcut import enumeration
 from flowcut.blur import blur_apply
 from flowcut.enumeration import Bound, enumerate_executions
 from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem, canonicalize
@@ -239,15 +240,16 @@ def count_serializations(monkeypatch) -> list[int]:
 
 
 def count_restrictions(monkeypatch) -> list[int]:
-    """Wrap ``CanonicalRun.restrict`` by a counter; returns its one-cell tally."""
+    """Wrap the per-channel-set pass of ``ExecutionSet.runs_at`` (one
+    channel set, every execution) by a counter; returns its one-cell tally."""
     calls = [0]
-    restrict = CanonicalRun.restrict
+    local_runs = enumeration._local_runs
 
-    def counted(run, chans):
+    def counted(exset, keep):
         calls[0] += 1
-        return restrict(run, chans)
+        return local_runs(exset, keep)
 
-    monkeypatch.setattr(CanonicalRun, "restrict", counted)
+    monkeypatch.setattr(enumeration, "_local_runs", counted)
     return calls
 
 

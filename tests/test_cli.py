@@ -289,23 +289,22 @@ def test_cli_scenario_voting_roundtrips_through_analysis(tmp_path, capsys):
     )
 
 
-#: Commands, their exit status and their ``CanonicalRun.restrict`` calls:
-#: executions times distinct channel sets.  v22 has 633 executions at
-#: bound 8, v1 29, and the firewall 595 at bound 14.
+#: Commands, their exit status and their passes over the executions: one
+#: per distinct channel set of each execution set they read.
 RESTRICTING_COMMANDS = {
     # the observed and the source channels; the blur laws read the source
     # universe off the table instead of restricting a third time
     "check-blur-f0": (
         ["check-blur", "v22.yaml", "--blur", "f0", "--source", "voters", "--observed", "pub", "--bound", "8"],
         1,
-        2 * 633,
+        2,
     ),
     # source, cut and sink: both flow checks read one set of source runs
     "verify-cutblur-f_i": (
         ["verify-cutblur", "fw.yaml", "--blur", "f_i", "--source", "chans_i", "--cut", "cut"]
         + ["--observed", "chans_n", "--bound", "14"],
         1,
-        3 * 595,
+        3,
     ),
     # v1 at the cut and the source, v22 at the cut, the source and the
     # observed channels, however many tables are built over them
@@ -313,13 +312,13 @@ RESTRICTING_COMMANDS = {
         ["compose", "v1.yaml", "v22.yaml", "--core", "v1_1,v1_2,BB1", "--blur", "f0_p1"]
         + ["--source", "voters1", "--observed", "p", "--bound", "8"],
         0,
-        2 * 29 + 3 * 633,
+        2 + 3,
     ),
     # the observed runs are listed to pick one, then tabled with the source
     "cmpt": (
         ["cmpt", "v22.yaml", "--observed", "pub", "--source", "voters", "--run-index", "0", "--bound", "8"],
         0,
-        2 * 633,
+        2,
     ),
 }
 
@@ -327,7 +326,7 @@ RESTRICTING_COMMANDS = {
 @pytest.mark.parametrize("command", RESTRICTING_COMMANDS)
 def test_check_blur_restricts_the_executions_once_per_channel_set(tmp_path, monkeypatch, command):
     # An execution set memoizes its local runs per channel set, so a command
-    # restricts each execution once per distinct channel set it reads.
+    # makes one pass over the executions per distinct channel set it reads.
     from flowcut.enumeration import _enumerate_cached
 
     argv, status, passes = RESTRICTING_COMMANDS[command]
@@ -342,6 +341,26 @@ def test_check_blur_restricts_the_executions_once_per_channel_set(tmp_path, monk
     calls = count_restrictions(monkeypatch)
     assert main(argv) == status
     assert calls[0] == passes
+
+
+@pytest.mark.parametrize("command, frames", [("compose", 2), ("verify-cutblur-f_i", 1)])
+def test_each_frame_is_validated_once_per_command(tmp_path, monkeypatch, command, frames):
+    from flowcut import enumeration
+
+    for name, scenario in [
+        ("v1.yaml", ["voting", "--precincts", "2"]),
+        ("v22.yaml", ["voting", "--precincts", "2,2"]),
+        ("fw.yaml", ["firewall"]),
+    ]:
+        assert main(["scenario", *scenario, "--out", str(tmp_path / name)]) == 0
+    monkeypatch.chdir(tmp_path)
+    validated = []
+    validate = enumeration.validate_frame
+    monkeypatch.setattr(enumeration, "validate_frame", lambda frame: validated.append(frame) or validate(frame))
+    enumeration._enumerate_cached.cache_clear()
+    argv, status, _ = RESTRICTING_COMMANDS[command]
+    assert main(argv) == status
+    assert len(validated) == len(set(validated)) == frames
 
 
 def test_each_flow_check_groups_its_universe_once(tmp_path, monkeypatch):

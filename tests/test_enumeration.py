@@ -22,6 +22,7 @@ from flowcut.frames import (
     Location,
     location_language,
 )
+from flowcut.purge import star_frame
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
 from support import (
@@ -33,6 +34,7 @@ from support import (
     naive_poset,
     random_budget_complete_frame,
     random_channel_subset,
+    random_machine,
     reference_enumerate,
 )
 
@@ -108,6 +110,34 @@ def test_malformed_frame_rejected():
         enumerate_executions(frame, Bound(2))
 
 
+def test_each_frame_is_validated_once_per_enumeration(monkeypatch):
+    from flowcut import enumeration
+
+    validated = []
+    validate = enumeration.validate_frame
+
+    def counted(frame):
+        validated.append(frame)
+        return validate(frame)
+
+    monkeypatch.setattr(enumeration, "validate_frame", counted)
+    _enumerate_cached.cache_clear()
+    frame = build_voting(VotingParams(precincts=(2,))).frame
+    for _ in range(3):
+        enumerate_executions(frame, Bound(4))
+    enumerate_runs(frame, set(), Bound(4))
+    assert validated == [frame]
+    enumerate_executions(frame, Bound(5))
+    assert validated == [frame, frame]
+    # A malformed frame raises on every call: the cache keeps no failure.
+    loc = Location("L", ExplicitTraces(frozenset({(("c", "v"),)})))
+    bad = Frame.build([loc], [Channel("c", "L", "L")], ["v"])
+    for _ in range(2):
+        with pytest.raises(EnumerationError):
+            enumerate_executions(bad, Bound(2))
+    assert validated == [frame, frame, bad, bad]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_soundness_every_member_is_an_execution(seed):
     rng = random.Random(seed)
@@ -137,6 +167,7 @@ def test_projection_completeness(seed):
 _ORDER_DIGEST = """
 import hashlib, random
 from flowcut.enumeration import Bound, enumerate_executions
+from flowcut.purge import star_frame
 from flowcut.scenarios import FirewallParams, build_firewall
 from support import random_budget_complete_frame
 for frame, bound in (
@@ -199,7 +230,7 @@ def test_execution_set_restricts_once_per_channel_set_and_keeps_no_field(monkeyp
     runs = exset.runs_at(chans)
     assert exset.runs_at(list(chans)) is runs
     assert enumerate_executions(frame, Bound(4)).runs_at(chans) is runs
-    assert calls[0] == len(exset)
+    assert calls[0] == 1
     assert runs == tuple(run.restrict(chans) for run in exset.canonicals)
     # The memo is private state: repr and pickling carry the three fields
     # only, and a copy restricts afresh.
@@ -209,7 +240,7 @@ def test_execution_set_restricts_once_per_channel_set_and_keeps_no_field(monkeyp
     assert (twin.frame, twin.bound, twin.canonicals) == (exset.frame, exset.bound, exset.canonicals)
     assert twin != exset
     calls[0] = 0
-    assert twin.runs_at(chans) == runs and calls[0] == len(exset)
+    assert twin.runs_at(chans) == runs and calls[0] == 1
 
 
 def test_runs_empty_channel_set_is_single_empty_run():
@@ -307,3 +338,43 @@ def test_executions_and_runs_match_the_reference_enumerator(seed):
         expected = tuple(canonicalize(reference[crun].restrict(chans)) for crun in exset.canonicals)
         assert exset.runs_at(chans) == expected
         assert tuple(canonicalize(sys.restrict(chans)) for sys in exset.systems) == expected
+
+
+def _check_runs_along_the_tree(frame, bound, channel_sets):
+    """Each channel set's runs, built along the search tree before the
+    canonicals are, equal the canonicals restricted one by one, in
+    execution order; the canonicals are the reference enumerator's."""
+    _enumerate_cached.cache_clear()
+    exset = enumerate_executions(frame, Bound(bound))
+    built = [exset.runs_at(chans) for chans in channel_sets]
+    reference = reference_enumerate(frame, bound)
+    assert len(exset.canonicals) == len(exset) == len(reference)
+    assert set(exset.canonicals) == {crun for crun, _ in reference}
+    for chans, runs in zip(channel_sets, built):
+        assert runs == tuple(run.restrict(chans) for run in exset.canonicals)
+    assert exset.runs_at(frame.channel_ids) is exset.canonicals
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_runs_along_the_tree_on_random_frames(seed):
+    rng = random.Random(seed)
+    frame = random_budget_complete_frame(rng, 5)
+    loops = [c.id for c in frame.channels if c.is_self_loop]
+    while not loops:  # every case restricts to a self-loop channel too
+        frame = random_budget_complete_frame(rng, 5)
+        loops = [c.id for c in frame.channels if c.is_self_loop]
+    loop = frozenset({rng.choice(loops)})
+    sets = [frozenset(), frozenset(frame.channel_ids), loop, loop | random_channel_subset(rng, frame)]
+    sets += [random_channel_subset(rng, frame) for _ in range(3)]
+    _check_runs_along_the_tree(frame, 5, sets)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_runs_along_the_tree_on_star_frames(seed):
+    rng = random.Random(seed)
+    machine = random_machine(rng)
+    frame = star_frame(machine)
+    sets = [frozenset(), frozenset(frame.channel_ids), machine.input_channels()]
+    sets += [machine.domain_channels(d) for d in machine.domains]
+    sets += [random_channel_subset(rng, frame) for _ in range(2)]
+    _check_runs_along_the_tree(frame, 8, sets)

@@ -146,6 +146,38 @@ def test_star_frame_executions_linear_for_many_domains():
                 assert sys.comparable(i, j)
 
 
+def test_star_frame_hub_of_a_large_machine_has_its_closed_form():
+    # 300 states, 4 domains with 2 actions each, a total transition function:
+    # the hub has one input transition per machine transition and one
+    # output transition per (state, domain), over k + 1 phases per state.
+    n, domains = 300, ["d0", "d1", "d2", "d3"]
+    actions = {f"a{j}_{d}": d for d in domains for j in range(2)}
+    states = [f"s{i}" for i in range(n)]
+    transitions = {
+        (f"s{i}", a, f"s{(7 * i + j) % n}") for i in range(n) for j, a in enumerate(sorted(actions))
+    }
+    machine = MachineSpec.build(
+        domains=domains,
+        influence=[("d0", "d1")],
+        action_domain=actions,
+        outputs=["o0", "o1", "o2"],
+        states=states,
+        initial="s0",
+        transitions=transitions,
+        obs={(f"s{i}", d): f"o{(i + j) % 3}" for i in range(n) for j, d in enumerate(domains)},
+    )
+    frame = star_frame(machine)
+    hub = frame.location("M").behavior
+    k = len(domains)
+    assert len(transitions) == n * len(actions)
+    assert len(hub.transitions) == len(transitions) + n * k == 300 * 12
+    assert len(hub.states) == n * (k + 1)
+    assert {t for t in hub.transitions if t[0] == "s5#0"} == {("s5#0", ("out_d0", "o2"), "s5#1")}
+    for d in domains:
+        spoke = frame.location(d).behavior
+        assert len(spoke.transitions) == 2 + 3
+
+
 def test_gm_purge_with_total_influence_keeps_everything():
     m = MachineSpec.build(
         domains=["x", "y"],
