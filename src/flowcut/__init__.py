@@ -51,12 +51,10 @@ _EXPORTS = {
     ),
     "enumeration": ("Bound", "EnumerationError", "ExecutionSet", "enumerate_executions", "enumerate_runs"),
     "events": (
-        "CanonicalizeError",
         "CanonicalRun",
         "Event",
         "EventSystem",
         "LinearityError",
-        "canonicalize",
         "is_execution",
         "is_initial_substructure",
         "project",

@@ -14,12 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, TYPE_CHECKING
 
 from .enumeration import Bound, enumerate_executions, enumerate_runs
-from .events import (
-    CanonicalRun,
-    EventSystem,
-    EventSystemError,
-    is_execution,
-)
+from .events import CanonicalRun, EventSystemError, is_execution
 from .frames import Frame, _Record
 
 if TYPE_CHECKING:
@@ -206,7 +201,7 @@ def merge_across_cut(
     b_lc: CanonicalRun,
     b_rc: CanonicalRun,
     bound: Bound | None = None,
-) -> EventSystem:
+) -> CanonicalRun:
     """Combine a left-plus-cut run of one frame with a right-plus-cut run
     of another into a single execution of the right frame.
 
@@ -245,10 +240,9 @@ def merge_across_cut(
             "least order extending the two runs is cyclic; inputs were not "
             "restrictions of executions agreeing on the cut"
         ) from exc
-    merged = union.to_event_system()
-    check = is_execution(merged, frame_right)
+    check = is_execution(union, frame_right)
     if not check.ok:
         raise MergeInvariantError(f"merged system is not an execution: {check.failures}")
     if union.restrict(left_chans) != b_lc or union.restrict(right_chans) != b_rc:
         raise MergeInvariantError("merged execution does not restrict back to its inputs")
-    return merged
+    return union

@@ -122,7 +122,9 @@ class ExecutionSet(_Record):
     @property
     def systems(self) -> tuple[EventSystem, ...]:
         """Every execution as an event system, events in canonical order.
-        Built on each access."""
+        Built on each access.  Kept only because ``perfbench/probe.py``
+        reads it and ``perfbench/tracecmd.py`` wraps ``EventSystem.restrict``,
+        until the benchmark stops using them (ROADMAP item 1)."""
         return tuple(run.to_event_system() for run in self.canonicals)
 
     def runs_at(self, chans: Iterable[str]) -> tuple[CanonicalRun, ...]:

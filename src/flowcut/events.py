@@ -1,15 +1,14 @@
 """
 Finite labeled posets of events, executions, and canonical local runs.
 
-An EventSystem is a finite set of (channel, message) events with a strict
-partial order, stored as closed ancestor bitmasks: bit a of
-``ancestors[b]`` is set iff event a lies strictly below event b.  This is
-the only stored form of an order.  ``ancestor_masks`` closes a generating
-relation in one topological pass, ``covering_pairs`` reads the transitive
-reduction off the masks, and ``chain_order`` sorts a
-chain by ancestor count.  Executions of a frame are event systems whose
-projection onto every location is a chain lying in that location's trace
-set.
+A CanonicalRun is the package's one poset type: a finite set of
+(channel, message) events with a strict partial order, stored as closed
+ancestor bitmasks (bit a of ``ancestors[b]`` is set iff event a lies
+strictly below event b).  ``ancestor_masks`` closes a generating relation
+in one topological pass, ``covering_pairs`` reads the transitive
+reduction off the masks, and ``chain_order`` sorts a chain by ancestor
+count.  Executions of a frame are runs whose projection onto every
+location is a chain lying in that location's trace set.
 
 Equality of local runs is order-isomorphism: two restrictions count as the
 same run when a channel-, message-, and order-preserving bijection relates
@@ -17,10 +16,10 @@ them.  Within any restriction of an execution the events on one channel
 are totally ordered, so (channel, ordinal) names events canonically.  A
 CanonicalRun stores the per-channel message sequences and the closed
 ancestor masks of its events in canonical-id order (channels sorted, then
-ordinal); that is a complete isomorphism invariant.  A CanonicalRun and an
-EventSystem are two views of one mask form: ``to_event_system`` wraps the
-masks, and both restrict through the same mask compression.  Covering
-pairs are derived only to serialize a run.
+ordinal); that is a complete isomorphism invariant, so every analysis
+takes and returns runs in this form.  An EventSystem is only a view of a
+run, its events listed in canonical order, made by ``to_event_system``.
+Covering pairs are derived only to serialize a run.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class LinearityError(ValueError):
     def __init__(self, message: str, pair: tuple[int, int]):
         super().__init__(message)
         self.pair = pair
-
-
-class CanonicalizeError(ValueError):
-    """Same-channel events are incomparable, so no canonical form exists."""
 
 
 class Event(_Record):
@@ -167,72 +162,44 @@ def chain_order(
 
 
 class EventSystem(_Record):
-    """Events are addressed by index into ``events``; ``ancestors[b]`` is
-    the bitmask of the events strictly below event ``b``, transitively
-    closed."""
+    """A view of a run for callers that address events by index into
+    ``events``; ``ancestors[b]`` is the bitmask of the events strictly
+    below event ``b``, transitively closed.  Built only by
+    ``CanonicalRun.to_event_system``."""
 
     __slots__ = ("events", "ancestors")
 
     def __init__(self, events: tuple[Event, ...], ancestors: tuple[int, ...]) -> None:
         self._fill(events, ancestors)
 
-    @staticmethod
-    def build(
-        events: Sequence[Event | tuple[str, str]],
-        pairs: Iterable[tuple[int, int]] = (),
-    ) -> "EventSystem":
-        """Build from any generating relation; closes transitively and
-        rejects cycles and self-loops."""
-        evs = tuple(e if isinstance(e, Event) else Event(*e) for e in events)
-        return EventSystem(evs, ancestor_masks(len(evs), pairs))
-
-    @staticmethod
-    def empty() -> "EventSystem":
-        return EventSystem((), ())
-
     @property
     def n_events(self) -> int:
         return len(self.events)
 
-    @property
-    def strict(self) -> frozenset[tuple[int, int]]:
-        """The strict order as the set of its pairs, derived from the masks."""
-        n = len(self.events)
-        return frozenset(
-            (a, b) for b, mask in enumerate(self.ancestors) for a in range(n) if mask >> a & 1
-        )
-
-    def precedes(self, a: int, b: int) -> bool:
-        return self.ancestors[b] >> a & 1 == 1
-
-    def comparable(self, a: int, b: int) -> bool:
-        return a == b or self.precedes(a, b) or self.precedes(b, a)
-
     def restrict(self, chans: Iterable[str]) -> "EventSystem":
         """Events filtered to ``chans`` with the induced order."""
         keep = frozenset(chans)
-        return self.induced(i for i, e in enumerate(self.events) if e.chan in keep)
-
-    def induced(self, keep: Iterable[int]) -> "EventSystem":
-        """Substructure on the given event indices (induced order)."""
-        idx = sorted(set(keep))
+        idx = [i for i, e in enumerate(self.events) if e.chan in keep]
         return EventSystem(tuple(self.events[i] for i in idx), _induced_masks(self.ancestors, idx))
 
 
 # -- projection and execution checking ------------------------------------
 
 
-def project(sys: EventSystem, frame: "Frame", loc_id: str) -> tuple["Label", ...]:
+def project(run: CanonicalRun, frame: "Frame", loc_id: str) -> tuple["Label", ...]:
     """The label sequence of ``loc_id``'s events, in order.
 
-    Raises LinearityError when the events at the location are not a chain.
+    Raises FrameError for an unknown location and LinearityError, naming
+    two canonical indices, when the events at the location are not a chain.
     """
+    frame.location(loc_id)
     own = frame.chans(loc_id)
-    members = [i for i, e in enumerate(sys.events) if e.chan in own]
-    idx, bad = chain_order(members, sys.ancestors)
+    labels = [(chan, m) for chan, msgs in run.channels for m in msgs]
+    members = [k for k, (chan, _) in enumerate(labels) if chan in own]
+    idx, bad = chain_order(members, run.ancestors)
     if bad is not None:
         raise LinearityError(f"projection onto {loc_id!r} is not linearly ordered", bad)
-    return tuple((sys.events[i].chan, sys.events[i].msg) for i in idx)
+    return tuple(labels[k] for k in idx)
 
 
 class ExecutionCheck(_Record):
@@ -245,7 +212,7 @@ class ExecutionCheck(_Record):
         return self.ok
 
 
-def is_execution(sys: EventSystem, frame: "Frame") -> ExecutionCheck:
+def is_execution(run: CanonicalRun, frame: "Frame") -> ExecutionCheck:
     """Check the execution conditions, with per-location diagnostics.
 
     Every location's projection must be a chain whose label sequence lies
@@ -253,12 +220,12 @@ def is_execution(sys: EventSystem, frame: "Frame") -> ExecutionCheck:
     """
     from .frames import accepts_trace
 
-    for e in sys.events:
-        frame.channel(e.chan)  # raises UnknownChannelError
+    for chan, _ in run.channels:
+        frame.channel(chan)  # raises UnknownChannelError
     failures: list[tuple[str, str]] = []
     for loc in frame.locations:
         try:
-            seq = project(sys, frame, loc.id)
+            seq = project(run, frame, loc.id)
         except LinearityError:
             failures.append((loc.id, "linearity"))
             continue
@@ -267,27 +234,21 @@ def is_execution(sys: EventSystem, frame: "Frame") -> ExecutionCheck:
     return ExecutionCheck(not failures, tuple(failures))
 
 
-def is_initial_substructure(sub: EventSystem, sup: EventSystem) -> bool:
+def is_initial_substructure(sub: CanonicalRun, sup: CanonicalRun) -> bool:
     """True iff ``sub`` is a downward-closed, order-induced part of ``sup``.
 
-    Events are identified across the two systems by canonical id, so the
+    Events are identified across the two runs by canonical id, so the
     events of ``sub`` on each channel must be the first ones of ``sup``'s
     chain on that channel.
     """
-    try:
-        crun_sub = canonicalize(sub)
-        crun_sup = canonicalize(sup)
-    except CanonicalizeError:
-        return False
-    # sub names the first events of each of sup's channel chains.
-    counts = {chan: len(msgs) for chan, msgs in crun_sub.channels}
-    kept = [k for k, (chan, i) in enumerate(crun_sup.ids) if i < counts.get(chan, 0)]
+    counts = {chan: len(msgs) for chan, msgs in sub.channels}
+    kept = [k for k, (chan, i) in enumerate(sup.ids) if i < counts.get(chan, 0)]
     mask = sum(1 << k for k in kept)
-    if any(crun_sup.ancestors[b] & ~mask for b in kept):
+    if any(sup.ancestors[b] & ~mask for b in kept):
         return False  # not downward closed in sup
     # Equal canonical forms: the same per-channel prefixes and the same
     # induced order.
-    return crun_sup.induced(kept) == crun_sub
+    return sup.induced(kept) == sub
 
 
 # -- canonical runs --------------------------------------------------------
@@ -373,7 +334,10 @@ class CanonicalRun(_Record):
         return f'{{"ch":[{",".join(chans)}],"ord":[{order}]}}'
 
     def to_event_system(self) -> EventSystem:
-        """The run as an event system, events in canonical order."""
+        """The run as an event system, events in canonical order.  Kept only
+        for ``ExecutionSet.systems``, which ``perfbench/probe.py`` reads and
+        whose ``restrict`` ``perfbench/tracecmd.py`` wraps, until the
+        benchmark stops using them (ROADMAP item 1)."""
         events = tuple(Event(chan, m) for chan, msgs in self.channels for m in msgs)
         return EventSystem(events, self.ancestors)
 
@@ -410,27 +374,3 @@ class CanonicalRun(_Record):
 
 
 _EMPTY_RUN = CanonicalRun((), ())
-
-
-def canonicalize(sys: EventSystem) -> CanonicalRun:
-    """Canonical form of a per-channel-linear event system.
-
-    Two systems canonicalize equally iff a channel-, message-, and
-    order-preserving bijection relates them: such a bijection must map the
-    k-th event of each channel's chain to the k-th event of the same
-    channel's chain, so the per-channel sequences plus the order on
-    (channel, ordinal) pairs determine the system up to isomorphism.
-    """
-    by_chan: dict[str, list[int]] = {}
-    for i, e in enumerate(sys.events):
-        by_chan.setdefault(e.chan, []).append(i)
-    canon: list[int] = []  # event indices in canonical order
-    channels = []
-    for chan in sorted(by_chan):
-        chain, bad = chain_order(by_chan[chan], sys.ancestors)
-        if bad is not None:
-            raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
-        canon.extend(chain)
-        channels.append((chan, tuple(sys.events[i].msg for i in chain)))
-    return CanonicalRun(tuple(channels), _induced_masks(sys.ancestors, canon))
-

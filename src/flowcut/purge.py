@@ -24,8 +24,9 @@ from typing import Callable, Iterable, Sequence
 
 from .blur import PartitionBlur, _ClassIndex
 from .enumeration import Bound, enumerate_executions, enumerate_runs
-from .events import CanonicalRun, EventSystem, canonicalize, chain_order, is_execution
-from .frames import Channel, Frame, InputError, Label, Location, Lts, _compared_by, _Record
+from .events import CanonicalRun, chain_order, is_execution
+from .frames import Channel, Frame, InputError, Label, Location, Lts, UnknownChannelError
+from .frames import _compared_by, _Record
 
 
 class MachineError(InputError):
@@ -283,7 +284,7 @@ def purge_sequence(machine: MachineSpec, kind: PurgeKind, inputs: Sequence[Label
     return _purge_fn(machine, kind)(inputs)
 
 
-def purge(machine: MachineSpec, kind: PurgeKind, execution: EventSystem) -> PurgedValue:
+def purge(machine: MachineSpec, kind: PurgeKind, execution: CanonicalRun) -> PurgedValue:
     """Purge an execution of the machine's star frame.
 
     Depends only on the execution's input events.
@@ -291,11 +292,11 @@ def purge(machine: MachineSpec, kind: PurgeKind, execution: EventSystem) -> Purg
     frame = star_frame(machine)
     try:
         check = is_execution(execution, frame)
-    except Exception as exc:
+    except UnknownChannelError as exc:
         raise MachineError(f"not an execution of the star frame: {exc}") from exc
     if not check.ok:
         raise MachineError(f"not an execution of the star frame: {check.failures}")
-    in_run = canonicalize(execution.restrict(machine.input_channels()))
+    in_run = execution.restrict(machine.input_channels())
     return purge_sequence(machine, kind, input_sequence(machine, in_run))
 
 

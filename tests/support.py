@@ -18,7 +18,7 @@ import random
 from flowcut import enumeration
 from flowcut.blur import blur_apply
 from flowcut.enumeration import Bound, enumerate_executions
-from flowcut.events import CanonicalizeError, CanonicalRun, EventSystem, canonicalize
+from flowcut.events import CanonicalRun, Event, EventSystem, LinearityError, ancestor_masks
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
 from flowcut.purge import (
     MachineSpec,
@@ -353,10 +353,9 @@ def naive_compatible_runs(frame: Frame, observed, source, bound: int, observed_p
 
 def canonical_to_naive(run) -> tuple[list[tuple[str, str]], list[list[bool]]]:
     """Bridge a pipeline run into the naive poset format for comparison."""
-    sys = run.to_event_system()
-    labels = [(e.chan, e.msg) for e in sys.events]
+    labels = [(chan, m) for chan, msgs in run.channels for m in msgs]
     n = len(labels)
-    order = [[(a, b) in sys.strict for b in range(n)] for a in range(n)]
+    order = [[bool(run.ancestors[b] >> a & 1) for b in range(n)] for a in range(n)]
     return labels, order
 
 
@@ -388,12 +387,11 @@ def reference_enumerate(frame: Frame, bound: int) -> list[tuple[CanonicalRun, Ev
     each newly generated firing sequence's event system, sorted by canonical
     serialization: the enumerator the library used before it deduplicated
     on location traces."""
-    from flowcut.events import Event
     from flowcut.frames import behavior_start, behavior_step
 
     behaviors = {loc.id: loc.behavior for loc in frame.locations}
-    empty = EventSystem.empty()
-    found = {canonicalize(empty): empty}
+    empty = build_system([])
+    found = {reference_canonicalize(empty): empty}
     queue = [([], [], {}, {lid: behavior_start(b) for lid, b in behaviors.items()})]
     while queue:
         events, anc, last, config = queue.pop()
@@ -411,8 +409,8 @@ def reference_enumerate(frame: Frame, bound: int) -> list[tuple[CanonicalRun, Ev
                         pred |= {last[l]} | anc[last[l]]
                 events2 = events + [Event(chan.id, value)]
                 anc2 = anc + [frozenset(pred)]
-                sys = EventSystem.build(events2, ((a, b) for b, ps in enumerate(anc2) for a in ps))
-                crun = canonicalize(sys)
+                sys = build_system(events2, ((a, b) for b, ps in enumerate(anc2) for a in ps))
+                crun = reference_canonicalize(sys)
                 if crun in found:
                     continue
                 found[crun] = sys
@@ -485,7 +483,7 @@ def oracle_selection_apply(blur, s, universe) -> frozenset[CanonicalRun]:
     def selected(run: CanonicalRun) -> str:
         sys = run.to_event_system()
         keep = [i for i, e in enumerate(sys.events) if blur.selects(e.chan, e.msg)]
-        return canonicalize(sys.induced(keep)).serialize()
+        return reference_canonicalize(induced_system(sys, keep)).serialize()
 
     wanted = {selected(r) for r in s}
     return frozenset(r for r in universe if selected(r) in wanted)
@@ -584,13 +582,50 @@ def machine_document(machine: MachineSpec) -> str:
     return yaml.safe_dump({"machine": body}, sort_keys=True)
 
 
-# -- reference canonical form ----------------------------------------------------
+# -- event systems in any index order -------------------------------------------
+#
+# The library keeps every order as a canonical run; an ``EventSystem`` is
+# only its view with events in canonical order.  The oracles below build
+# systems with events in any order and reach the order through mask bits.
+
+
+class CanonicalizeError(ValueError):
+    """Same-channel events are incomparable, so no canonical form exists."""
+
+
+def build_system(events, pairs=()) -> EventSystem:
+    """The system on ``events`` (``Event``s or (channel, message) pairs)
+    ordered by the closure of ``pairs``; raises EventSystemError on a cycle."""
+    evs = tuple(e if isinstance(e, Event) else Event(*e) for e in events)
+    return EventSystem(evs, ancestor_masks(len(evs), pairs))
+
+
+def precedes(sys: EventSystem, a: int, b: int) -> bool:
+    return bool(sys.ancestors[b] >> a & 1)
+
+
+def comparable(sys: EventSystem, a: int, b: int) -> bool:
+    return a == b or precedes(sys, a, b) or precedes(sys, b, a)
+
+
+def strict_pairs(sys: EventSystem) -> frozenset[tuple[int, int]]:
+    """The strict order as the set of its pairs."""
+    n = sys.n_events
+    return frozenset((a, b) for b in range(n) for a in range(n) if precedes(sys, a, b))
+
+
+def induced_system(sys: EventSystem, keep) -> EventSystem:
+    """The substructure on the event indices ``keep``, renumbered in index
+    order, with the induced order read pair by pair."""
+    idx = sorted(set(keep))
+    anc = tuple(sum(1 << i for i, a in enumerate(idx) if precedes(sys, a, b)) for b in idx)
+    return EventSystem(tuple(sys.events[i] for i in idx), anc)
 
 
 def reference_canonicalize(sys: EventSystem) -> CanonicalRun:
     """The canonical form computed the direct way: each channel's chain
     sorted by its members' predecessor counts within the chain, after a
-    pairwise comparability check, and each pair of ``sys.strict`` set as
+    pairwise comparability check, and each pair of the strict order set as
     one bit of the masks in canonical order."""
     by_chan: dict[str, list[int]] = {}
     for i, e in enumerate(sys.events):
@@ -601,17 +636,68 @@ def reference_canonicalize(sys: EventSystem) -> CanonicalRun:
         idx = by_chan[chan]
         for i, a in enumerate(idx):
             for b in idx[i + 1 :]:
-                if not sys.comparable(a, b):
+                if not comparable(sys, a, b):
                     raise CanonicalizeError(f"events on channel {chan!r} are not totally ordered")
         members = tuple(idx)
-        idx.sort(key=lambda a: sum(1 for b in members if sys.precedes(b, a)))
+        idx.sort(key=lambda a: sum(1 for b in members if precedes(sys, b, a)))
         for ev_index in idx:
             pos[ev_index] = len(pos)
         channels.append((chan, tuple(sys.events[i].msg for i in idx)))
     anc = [0] * sys.n_events
-    for a, b in sys.strict:
+    for a, b in strict_pairs(sys):
         anc[pos[b]] |= 1 << pos[a]
     return CanonicalRun(tuple(channels), tuple(anc))
+
+
+def reference_project(sys: EventSystem, frame: Frame, loc_id: str) -> tuple:
+    """The label sequence of ``loc_id``'s events, in order, as the library
+    computed it on event systems; raises LinearityError on an
+    incomparable pair."""
+    own = frame.chans(loc_id)
+    members = [i for i, e in enumerate(sys.events) if e.chan in own]
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if not comparable(sys, a, b):
+                raise LinearityError(f"projection onto {loc_id!r} is not linearly ordered", (a, b))
+    chain = sorted(members, key=lambda a: sum(1 for b in members if precedes(sys, b, a)))
+    return tuple((sys.events[i].chan, sys.events[i].msg) for i in chain)
+
+
+def reference_is_execution(sys: EventSystem, frame: Frame) -> tuple[tuple[str, str], ...]:
+    """The failures of the execution conditions, per location, as
+    ``is_execution`` reported them on event systems; raises
+    UnknownChannelError for an event on no channel of the frame."""
+    from flowcut.frames import accepts_trace
+
+    for e in sys.events:
+        frame.channel(e.chan)
+    failures = []
+    for loc in frame.locations:
+        try:
+            seq = reference_project(sys, frame, loc.id)
+        except LinearityError:
+            failures.append((loc.id, "linearity"))
+            continue
+        if not accepts_trace(loc.behavior, seq):
+            failures.append((loc.id, "trace membership"))
+    return tuple(failures)
+
+
+def reference_is_initial_substructure(sub: EventSystem, sup: EventSystem) -> bool:
+    """True iff ``sub`` is isomorphic to a downward-closed, order-induced
+    part of ``sup`` holding the first events of each of ``sup``'s channel
+    chains, as the library decided it on event systems."""
+    try:
+        crun_sub = reference_canonicalize(sub)
+        crun_sup = reference_canonicalize(sup)
+    except CanonicalizeError:
+        return False
+    counts = {chan: len(msgs) for chan, msgs in crun_sub.channels}
+    kept = [k for k, (chan, i) in enumerate(crun_sup.ids) if i < counts.get(chan, 0)]
+    full = crun_sup.to_event_system()
+    if any(precedes(full, a, b) and a not in kept for b in kept for a in range(full.n_events)):
+        return False
+    return reference_canonicalize(induced_system(full, kept)) == crun_sub
 
 
 def reference_reduction(closed, n: int) -> set[tuple[int, int]]:

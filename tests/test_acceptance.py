@@ -39,7 +39,7 @@ from flowcut.disclosure import (
     no_disclosure,
 )
 from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
-from flowcut.events import CanonicalRun, canonicalize
+from flowcut.events import CanonicalRun
 from flowcut.fileformat import emit_frame_document
 from flowcut.purge import (
     PurgeKind,
@@ -324,12 +324,12 @@ def test_criterion_5_composition_on_voting():
     perms1 = [dict(zip(("cv1_1", "cv1_2"), img)) for img in itertools.permutations(("cv1_1", "cv1_2"))]
     perms2 = [dict(zip(("cv2_1", "cv2_2"), img)) for img in itertools.permutations(("cv2_1", "cv2_2"))]
     checked = 0
-    for sys in enumerate_executions(v_two.frame, bound).systems:
-        if sys.n_events != 7:
+    for run in enumerate_executions(v_two.frame, bound).canonicals:
+        if run.n_events != 7:
             continue
-        b_lc = canonicalize(sys.restrict(left))
-        b_rc = canonicalize(sys.restrict(right))
-        p_run = canonicalize(sys.restrict({"p"}))
+        b_lc = run.restrict(left)
+        b_rc = run.restrict(right)
+        p_run = run.restrict({"p"})
         for pi1 in perms1:
             for pi2 in perms2:
                 lc2 = oracle_act(pi1, b_lc)
@@ -342,7 +342,7 @@ def test_criterion_5_composition_on_voting():
                 except Exception as exc:  # noqa: BLE001 - acceptance failure detail
                     failures.append(f"joint merge failed: {exc}")
                     continue
-                if canonicalize(merged.restrict({"p"})) != p_run:
+                if merged.restrict({"p"}) != p_run:
                     failures.append("joint permutation changed the public view")
                 checked += 1
     if checked == 0:
@@ -427,8 +427,8 @@ def test_criterion_7_machine_suite():
         transitive = random_machine(rng, transitive=True)
         frame = star_frame(transitive)
         in_chans = transitive.input_channels()
-        for sys in enumerate_executions(frame, bound).systems:
-            seq = input_sequence(transitive, canonicalize(sys.restrict(in_chans)))
+        for run in enumerate_executions(frame, bound).canonicals:
+            seq = input_sequence(transitive, run.restrict(in_chans))
             for target in transitive.domains:
                 if purge_sequence(transitive, PurgeKind("gm", target), seq) != purge_sequence(
                     transitive, PurgeKind("hy", target), seq

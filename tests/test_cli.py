@@ -524,18 +524,19 @@ def test_unexpected_exception_exits_3_on_one_line(frame_file, capsys, monkeypatc
 
 
 def test_internal_value_error_exits_3_not_2(frame_file, capsys, monkeypatch):
-    # A CanonicalizeError is a ValueError, but not an input error: reaching
+    # An EventSystemError is a ValueError, but not an input error: reaching
     # main means a bug, so it must not read as bad input.
     import flowcut.enumeration
-    from flowcut.events import EventSystem, canonicalize
+    from flowcut.events import CanonicalRun
 
     def unordered_runs(frame, chans, bound):
-        return {canonicalize(EventSystem.build([("a", "0"), ("a", "1")]))}
+        cycle = [(("a", 0), ("b", 0)), (("b", 0), ("a", 0))]
+        return {CanonicalRun.build([("a", ("0",)), ("b", ("1",))], cycle)}
 
     # ``runs`` imports enumerate_runs from its home module when it runs.
     monkeypatch.setattr(flowcut.enumeration, "enumerate_runs", unordered_runs)
     assert main(["runs", frame_file, "--channels", "src"]) == 3
-    assert capsys.readouterr().err.startswith("internal error: CanonicalizeError(")
+    assert capsys.readouterr().err.startswith("internal error: EventSystemError(")
 
 
 def test_precincts_that_are_not_numbers_exit_2(capsys):

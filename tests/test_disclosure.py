@@ -17,7 +17,7 @@ from flowcut.disclosure import (
     obs_equivalent,
 )
 from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
-from flowcut.events import CanonicalRun, canonicalize
+from flowcut.events import CanonicalRun
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location
 
 from support import count_restrictions, random_budget_complete_frame, random_channel_subset
@@ -215,12 +215,12 @@ def test_merge_reassembles_one_executions_restrictions(seed):
     core = build_shared_core(frame, frame, l0, B)
     left = core.left0 | core.cut0
     right = frozenset(frame.channel_ids) - core.left0
-    for sys in enumerate_executions(frame, B).systems:
-        b_lc = canonicalize(sys.restrict(left))
-        b_rc = canonicalize(sys.restrict(right))
+    for run in enumerate_executions(frame, B).canonicals:
+        b_lc = run.restrict(left)
+        b_rc = run.restrict(right)
         merged = merge_across_cut(frame, frame, core, b_lc, b_rc, B)
-        assert canonicalize(merged.restrict(left)) == b_lc
-        assert canonicalize(merged.restrict(right)) == b_rc
+        assert merged.restrict(left) == b_lc
+        assert merged.restrict(right) == b_rc
 
 
 def test_merge_rejects_cut_disagreement():

@@ -14,7 +14,7 @@ from flowcut.enumeration import (
     enumerate_executions,
     enumerate_runs,
 )
-from flowcut.events import CanonicalRun, canonicalize, is_execution, project
+from flowcut.events import CanonicalRun, is_execution, project
 from flowcut.frames import (
     Channel,
     ExplicitTraces,
@@ -35,6 +35,7 @@ from support import (
     random_budget_complete_frame,
     random_channel_subset,
     random_machine,
+    reference_canonicalize,
     reference_enumerate,
 )
 
@@ -54,6 +55,7 @@ def test_bound_zero_gives_empty_execution_only():
     frame = Frame.build([loc], [Channel("c", "L", "L")], ["v"])
     exset = enumerate_executions(frame, Bound(0))
     assert len(exset) == 1
+    assert exset.canonicals[0].n_events == 0
     assert exset.systems[0].n_events == 0
 
 
@@ -72,9 +74,9 @@ def test_independent_events_stay_incomparable():
     )
     exset = enumerate_executions(frame, Bound(2))
     assert len(exset) == 4
-    both = [s for s in exset.systems if s.n_events == 2]
+    both = [run for run in exset.canonicals if run.n_events == 2]
     assert len(both) == 1
-    assert not both[0].comparable(0, 1)
+    assert both[0].ancestors == (0, 0)
 
 
 def test_synchronous_step_needs_both_endpoints():
@@ -142,8 +144,8 @@ def test_each_frame_is_validated_once_per_enumeration(monkeypatch):
 def test_soundness_every_member_is_an_execution(seed):
     rng = random.Random(seed)
     frame = random_budget_complete_frame(rng, 5)
-    for sys in enumerate_executions(frame, Bound(5)).systems:
-        assert is_execution(sys, frame).ok
+    for run in enumerate_executions(frame, Bound(5)).canonicals:
+        assert is_execution(run, frame).ok
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -159,9 +161,9 @@ def test_monotonicity_in_the_bound(seed):
 def test_projection_completeness(seed):
     rng = random.Random(seed)
     frame = random_budget_complete_frame(rng, 5)
-    for sys in enumerate_executions(frame, Bound(5)).systems:
+    for run in enumerate_executions(frame, Bound(5)).canonicals:
         for loc in frame.locations:
-            assert project(sys, frame, loc.id) in location_language(loc, 5)
+            assert project(run, frame, loc.id) in location_language(loc, 5)
 
 
 _ORDER_DIGEST = """
@@ -279,7 +281,7 @@ def test_runs_are_restrictions_of_enumerated_executions():
     frame = random_budget_complete_frame(rng, 5)
     chans = frozenset(list(frame.channel_ids)[:2])
     exset = enumerate_executions(frame, Bound(5))
-    expected = {canonicalize(s.restrict(chans)) for s in exset.systems}
+    expected = {reference_canonicalize(s.restrict(chans)) for s in exset.systems}
     assert enumerate_runs(frame, chans, Bound(5)) == expected
 
 
@@ -335,9 +337,11 @@ def test_executions_and_runs_match_the_reference_enumerator(seed):
     for chans in [frozenset(), frozenset(frame.channel_ids)] + [
         random_channel_subset(rng, frame) for _ in range(4)
     ]:
-        expected = tuple(canonicalize(reference[crun].restrict(chans)) for crun in exset.canonicals)
+        expected = tuple(
+            reference_canonicalize(reference[crun].restrict(chans)) for crun in exset.canonicals
+        )
         assert exset.runs_at(chans) == expected
-        assert tuple(canonicalize(sys.restrict(chans)) for sys in exset.systems) == expected
+        assert tuple(reference_canonicalize(sys.restrict(chans)) for sys in exset.systems) == expected
 
 
 def _check_runs_along_the_tree(frame, bound, channel_sets):

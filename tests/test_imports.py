@@ -56,11 +56,9 @@ EXPORTS = {
     "enumeration": ["Bound", "EnumerationError", "ExecutionSet", "enumerate_executions", "enumerate_runs"],
     "events": [
         "CanonicalRun",
-        "CanonicalizeError",
         "Event",
         "EventSystem",
         "LinearityError",
-        "canonicalize",
         "is_execution",
         "is_initial_substructure",
         "project",
@@ -196,9 +194,31 @@ def test_lru_cache_decorates_only_the_enumeration_cache():
     assert sorted(found) == ["enumeration: import lru_cache", "enumeration: lru_cache on _enumerate_cached"]
 
 
+def test_only_events_and_enumeration_name_event_system():
+    # Every analysis takes and returns canonical runs; an ``EventSystem`` is
+    # a view that ``events`` defines and ``ExecutionSet.systems`` builds.
+    # Every identifier, attribute and imported name is checked.
+    found = []
+    for path in sorted(Path(flowcut.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.ClassDef):
+                name = node.name
+            else:
+                continue
+            if name == "EventSystem":
+                found.append(path.stem)
+    assert sorted(set(found)) == ["enumeration", "events"]
+
+
 def test_package_exports_are_unchanged():
     names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 73
+    assert len(names) == 71
     assert sorted(flowcut.__all__) == sorted(names)
     for home, group in EXPORTS.items():
         module = importlib.import_module(f"flowcut.{home}")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowcut.blur import f_limits_flow, validate_blur
 from flowcut.enumeration import Bound, _enumerate_cached, enumerate_executions, enumerate_runs
-from flowcut.events import CanonicalRun, canonicalize, chain_order
+from flowcut.events import CanonicalRun, chain_order
 from flowcut.frames import validate_frame
 from flowcut.purge import (
     MachineError,
@@ -118,32 +118,32 @@ def test_star_frame_shape_smallest():
 def test_star_frame_alternates_and_is_linear():
     m = single_domain_machine()
     frame = star_frame(m)
-    for sys in enumerate_executions(frame, Bound(6)).systems:
-        for i in range(sys.n_events):
-            for j in range(i + 1, sys.n_events):
-                assert sys.comparable(i, j)
-        labels = [e.chan for e in sys.events]
+    for run in enumerate_executions(frame, Bound(6)).canonicals:
+        _assert_total(run)
+        chans = [chan for chan, msgs in run.channels for _ in msgs]
         # inputs and outputs strictly alternate for a one-domain machine
-        seq = [sys.events[i] for i in _order(sys)]
-        for k, ev in enumerate(seq):
+        seq = [chans[i] for i in _order(run)]
+        for k, chan in enumerate(seq):
             expect_in = k % 2 == 0
-            assert ev.chan == ("in_d0" if expect_in else "out_d0")
+            assert chan == ("in_d0" if expect_in else "out_d0")
 
 
-def _order(sys):
-    idx = list(range(sys.n_events))
-    members = tuple(idx)
-    idx.sort(key=lambda a: sum(1 for b in members if sys.precedes(b, a)))
-    return idx
+def _order(run):
+    members = range(run.n_events)
+    return sorted(members, key=lambda a: sum(1 for b in members if run.ancestors[a] >> b & 1))
+
+
+def _assert_total(run):
+    for i in range(run.n_events):
+        for j in range(i + 1, run.n_events):
+            assert run.ancestors[j] >> i & 1 or run.ancestors[i] >> j & 1
 
 
 def test_star_frame_executions_linear_for_many_domains():
     m = chain_machine()
     frame = star_frame(m)
-    for sys in enumerate_executions(frame, Bound(8)).systems:
-        for i in range(sys.n_events):
-            for j in range(i + 1, sys.n_events):
-                assert sys.comparable(i, j)
+    for run in enumerate_executions(frame, Bound(8)).canonicals:
+        _assert_total(run)
 
 
 def test_star_frame_hub_of_a_large_machine_has_its_closed_form():
@@ -217,12 +217,19 @@ def test_purge_of_execution_checks_frame_membership():
     m = single_domain_machine()
     other = chain_machine()
     frame = star_frame(m)
-    sys = max(enumerate_executions(frame, Bound(4)).systems, key=lambda s: s.n_events)
-    run = canonicalize(sys.restrict(m.input_channels()))
-    expected = purge_sequence(m, PurgeKind("gm", "d0"), input_sequence(m, run))
-    assert purge(m, PurgeKind("gm", "d0"), sys) == expected
+    run = max(enumerate_executions(frame, Bound(4)).canonicals, key=lambda r: r.n_events)
+    in_run = run.restrict(m.input_channels())
+    expected = purge_sequence(m, PurgeKind("gm", "d0"), input_sequence(m, in_run))
+    assert purge(m, PurgeKind("gm", "d0"), run) == expected
     with pytest.raises(MachineError):
-        purge(other, PurgeKind("gm", "dc"), sys)
+        purge(other, PurgeKind("gm", "dc"), run)
+
+
+def test_purge_leaves_a_programming_error_as_it_is():
+    # Only an unknown channel makes a run "not an execution" of the star
+    # frame; an argument that is not a run at all is a bug, not bad input.
+    with pytest.raises(AttributeError):
+        purge(downgrader_machine(), PurgeKind("gm", "d0"), None)
 
 
 @pytest.mark.parametrize(
@@ -386,9 +393,8 @@ def test_transitive_influence_collapses_hy_to_gm(seed):
     m = random_machine(rng, transitive=True)
     frame = star_frame(m)
     in_chans = m.input_channels()
-    for sys in enumerate_executions(frame, Bound(6)).systems:
-        run = canonicalize(sys.restrict(in_chans))
-        seq = input_sequence(m, run)
+    for execution in enumerate_executions(frame, Bound(6)).canonicals:
+        seq = input_sequence(m, execution.restrict(in_chans))
         for target in m.domains:
             assert purge_sequence(m, PurgeKind("gm", target), seq) == purge_sequence(
                 m, PurgeKind("hy", target), seq

@@ -112,7 +112,7 @@ def test_voting_frame_shape_and_language():
         (("cv1_1", "1"),),
     }
     # Full executions: two votes, one tally, one publication.
-    sizes = {s.n_events for s in enumerate_executions(scn.frame, B8).systems}
+    sizes = {run.n_events for run in enumerate_executions(scn.frame, B8).canonicals}
     assert max(sizes) == 4
 
 
@@ -151,7 +151,7 @@ def test_voting_two_precincts_structure():
     assert validate_frame(scn.frame).ok
     assert scn.named_sets["voters1"] == frozenset({"cv1_1", "cv1_2"})
     assert scn.named_sets["voters2"] == frozenset({"cv2_1", "cv2_2"})
-    sizes = {s.n_events for s in enumerate_executions(scn.frame, B8).systems}
+    sizes = {run.n_events for run in enumerate_executions(scn.frame, B8).canonicals}
     assert max(sizes) == 7
 
 
