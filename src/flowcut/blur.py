@@ -209,6 +209,9 @@ class _ClassIndex:
         self.universe = universe
         self.of_empty = universe if isinstance(blur, AllBlur) else frozenset()
         self.unclassed = "run outside universe"
+        #: Grouped by key, so the classes partition the universe and every
+        #: image is fixed: the blur laws hold without a scan.
+        self.keyed = False
         if isinstance(blur, PartitionBlur):
             rows: Iterable = ((block, block) for block in blur.blocks)
             self.unclassed = "run outside the partitioned universe"
@@ -216,6 +219,7 @@ class _ClassIndex:
             rows = (((run,), image) for run, image in blur.table)
             self.unclassed = "run outside the tabled universe"
         else:
+            self.keyed = True
             groups: dict[Hashable, list[CanonicalRun]] = {}
             for run in universe:
                 groups.setdefault(blur.key(run), []).append(run)
@@ -324,8 +328,8 @@ def f_limits_flow(
 
     On failure, reports the observed run plus a run the blur adds to the
     compatibility set without it being compatible.  The blur's laws on the
-    source universe come with the result; they and the flow loop share one
-    class index.
+    source universe come with the result; a partition or table blur's are
+    decided on the flow loop's class index.
     """
     from .disclosure import _cmpt_table, _first_leak
 
@@ -335,7 +339,7 @@ def f_limits_flow(
     # Every execution's source run is compatible with its observed run, so
     # the table's values cover the source universe.
     index = _ClassIndex(blur, frozenset().union(*table.values()))
-    laws = index.laws()
+    laws = BlurValidation(True, True) if index.keyed else index.laws()
     leak = _first_leak(table, index.apply)
     return FlowCheck(leak is None, laws, *(leak or ()))
 

@@ -7,16 +7,21 @@ bodies), channels, and optionally named channel sets and declarative
 blurs.  A machine file declares domains, the influence relation, the
 action table, transitions, and the per-domain observation table.  Unknown
 keys are rejected everywhere, a field of the wrong type is reported by
-name, and YAML syntax errors surface with line and column.  Documents are
-parsed with libyaml when PyYAML has it; a document libyaml rejects is
-parsed again in pure Python, so error messages are the same either way.
+name, and YAML syntax errors surface with line and column.
+
+A document goes first through a small reader for the YAML subset this
+package writes (block and flow collections, plain and quoted scalars,
+comments), which returns what ``yaml.safe_load`` would or declines.
+PyYAML is imported only when the reader declines or a frame is emitted.
+A declined document is parsed with libyaml when PyYAML has it, and a
+document libyaml rejects is parsed again in pure Python, so error
+messages are the same either way.
 """
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
-
-import yaml
 
 from .blur import AllBlur, BlurSpec, IdentityBlur, PermutationBlur, SelectionBlur
 from .frames import Channel, ExplicitTraces, Frame, InputError, Location, Lts
@@ -28,10 +33,6 @@ if TYPE_CHECKING:
 class FileFormatError(InputError):
     """Raised for unparseable or malformed frame/machine files."""
 
-
-#: libyaml's parser when PyYAML was built with it, else the pure-Python one;
-#: both build documents with the same safe constructor and resolver.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _KINDS = {dict: "mapping", list: "sequence", type(None): "null"}
 
@@ -91,18 +92,189 @@ def _row(value: Any, what: str, *fields: str) -> tuple[str, ...]:
     return tuple(_scalar(v, f"each field of {what}") for v in value)
 
 
+# -- the YAML subset reader --------------------------------------------------
+
+
+class _Decline(Exception):
+    """The document is outside the subset that ``_read_subset`` reads."""
+
+
+#: Anything but a line feed and printable ASCII: tabs, carriage returns, a
+#: byte-order mark, NUL, surrogates and YAML's other line breaks.
+_OUTSIDE = re.compile(r"[^\n -~]")
+
+#: Plain scalars that YAML 1.1's implicit resolver types (yaml.org/type):
+#: PyYAML's expressions for bool, float, int, merge, null, value and timestamp.
+_TYPED = re.compile(
+    r"""yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF
+    |[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)
+    |[-+]?0b[0-1_]+|[-+]?0[0-7_]+|[-+]?(?:0|[1-9][0-9_]*)|[-+]?0x[0-9a-fA-F_]+
+    |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+|<<|~|null|Null|NULL|=
+    |[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+    |[0-9][0-9][0-9][0-9]-[0-9][0-9]?-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?:[0-9][0-9]:[0-9][0-9]
+     (?:\.[0-9]*)?(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?""",
+    re.X,
+)
+
+#: One token after any spaces: a scalar (s), an indicator (i), a line break
+#: with the blank and comment lines after it and the next line's
+#: indentation (n), or anything else (x).  A scalar is quoted on one line
+#: and without escapes, or plain: it starts with no indicator and no ``.``
+#: (so never ``...``), holds no ``:``, ``?`` or flow indicator, and stops
+#: before `` #``.
+_TOKEN = re.compile(
+    r"""[ ]*(?:(?P<s>'(?:[^'\n]|'')*'|"[^"\\\n]*\""""
+    r"|[^ \n\-?:,\[\]{}\#&*!|>'\"%@`.][^ \n:?,\[\]{}]*(?:[ ]+[^ \n\#:?,\[\]{}][^ \n:?,\[\]{}]*)*)"
+    r"|(?P<i>[-:](?=[ \n])|[\[\]{},])"
+    r"|(?P<n>(?:(?<=[ ])\#[^\n]*)?\n(?:[ ]*(?:\#[^\n]*)?\n)*[ ]*)"
+    r"|(?P<x>.))"
+)
+
+
+def _tokens(src: str) -> list[tuple[str, Any, int]]:
+    """(kind, value, column) per token: kind ``s`` is a scalar, with its
+    string as value; ``n`` is a line break, whose value is the next line's
+    indentation (-1 at the end); any other kind is an indicator."""
+    toks = []
+    line = 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "x":
+            raise _Decline
+        text = m.group(kind)
+        if kind == "s":
+            if text[0] == "'":
+                text = text[1:-1].replace("''", "'")
+            elif text[0] == '"':
+                text = text[1:-1]
+            elif _TYPED.fullmatch(text):
+                raise _Decline
+            toks.append(("s", text, m.start(kind) - line))
+        elif kind == "i":
+            toks.append((text, None, m.start(kind) - line))
+        else:
+            line = m.end() - len(text) + text.rfind("\n") + 1
+            toks.append(("n", m.end() - line if m.end() < len(src) else -1, 0))
+    return toks
+
+
+def _read_subset(text: str) -> Any:
+    """What ``yaml.safe_load(text)`` returns, for a document in the subset
+    this package writes: block and flow collections, scalars no implicit
+    type resolves, one-line quoted scalars without escapes, and comments.
+    Raises _Decline on anything else, null values and duplicate keys too.
+    """
+    if _OUTSIDE.search(text):
+        raise _Decline
+    toks = _tokens("\n" + text + "\n")
+
+    def key(i: int, out: dict) -> tuple[str, int]:
+        # PyYAML takes a scalar as a key only on its ':''s line and at most
+        # 1024 characters before it.
+        kind, name, col = toks[i]
+        if kind != "s" or toks[i + 1][0] != ":" or toks[i + 1][2] - col >= 1024 or name in out:
+            raise _Decline
+        return name, i + 2
+
+    def skip(i: int, floor: int) -> int:
+        # Line breaks inside a flow collection, whose lines stay indented
+        # past its block's.
+        while toks[i][0] == "n":
+            if toks[i][1] <= floor:
+                raise _Decline
+            i += 1
+        return i
+
+    def flow(i: int, floor: int) -> tuple[Any, int]:
+        kind, value, _ = toks[i]
+        if kind == "s":
+            return value, i + 1
+        if kind not in ("[", "{"):
+            raise _Decline
+        out: Any = [] if kind == "[" else {}
+        close = "]" if kind == "[" else "}"
+        i = skip(i + 1, floor)
+        while toks[i][0] != close:
+            if kind == "[":
+                item, i = flow(i, floor)
+                out.append(item)
+            else:
+                name, i = key(i, out)
+                out[name], i = flow(skip(i, floor), floor)
+            i = skip(i, floor)
+            if toks[i][0] == ",":
+                i = skip(i + 1, floor)
+                if toks[i][0] == close:
+                    raise _Decline
+            elif toks[i][0] != close:
+                raise _Decline
+        return out, i + 1
+
+    def value(i: int, col: int, after_key: bool) -> tuple[Any, int]:
+        # The node after a key's ':' or an entry's '-' at column col, on
+        # the same line or starting the next; `here` is its first column.
+        kind, indent, here = toks[i]
+        if kind == "n":
+            if not (indent > col or (after_key and indent == col and toks[i + 1][0] == "-")):
+                raise _Decline
+            i, here = i + 1, indent
+        elif after_key and (kind == "-" or toks[i + 1][0] == ":"):
+            raise _Decline
+        if toks[i][0] == "-":
+            return sequence(i, here)
+        if toks[i][0] == "s" and toks[i + 1][0] == ":":
+            return mapping(i, here)
+        node, i = flow(i, col)
+        if toks[i][0] != "n":
+            raise _Decline
+        return node, i
+
+    def mapping(i: int, col: int) -> tuple[dict, int]:
+        out: dict = {}
+        while True:
+            name, i = key(i, out)
+            out[name], i = value(i, col, True)
+            if toks[i][1] != col:
+                return out, i
+            i += 1
+
+    def sequence(i: int, col: int) -> tuple[list, int]:
+        out = []
+        while True:
+            item, i = value(i + 1, col, False)
+            out.append(item)
+            if toks[i][1] != col or toks[i + 1][0] != "-":
+                return out, i
+            i += 1
+
+    doc, i = value(0, -1, False)
+    if i != len(toks) - 1:
+        raise _Decline
+    return doc
+
+
 def _load_yaml(text: str) -> dict:
     try:
-        doc = yaml.load(text, Loader=_LOADER)
-    except (yaml.YAMLError, UnicodeEncodeError):
-        # Parse again with the pure-Python loader, whose messages (and so
-        # every parse error this module reports) do not depend on whether
-        # libyaml is installed.
-        doc = _load_yaml_pure(text)
+        doc = _read_subset(text)
+    except (_Decline, RecursionError):
+        import yaml
+
+        try:
+            # libyaml's parser when PyYAML was built with it, else the
+            # pure-Python one; both use the same safe constructor and resolver.
+            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except (yaml.YAMLError, UnicodeEncodeError):
+            # Parse again with the pure-Python loader, whose messages (and so
+            # every parse error this module reports) do not depend on whether
+            # libyaml is installed.
+            doc = _load_yaml_pure(text)
     return _mapping(doc, "document")
 
 
 def _load_yaml_pure(text: str) -> Any:
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:  # pragma: no cover - mark presence varies
@@ -306,6 +478,8 @@ def emit_frame_document(
         for name, blur in sorted(blurs.items()):
             rendered[name] = _emit_blur(name, blur)
         doc["frame"]["blurs"] = rendered
+    import yaml
+
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 

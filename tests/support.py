@@ -582,6 +582,44 @@ def machine_document(machine: MachineSpec) -> str:
     return yaml.safe_dump({"machine": body}, sort_keys=True)
 
 
+# -- documents PyYAML rejects -------------------------------------------------
+
+#: broken documents and the message the pure-Python ``yaml.safe_load``
+#: path has always given for them
+BROKEN_DOCUMENTS = {
+    "unclosed-brace": (
+        "frame: {a: b",
+        "parse error at line 1, column 13: expected ',' or '}', but got '<stream end>'",
+    ),
+    "unclosed-bracket": (
+        "frame: [a, b",
+        "parse error at line 1, column 13: expected ',' or ']', but got '<stream end>'",
+    ),
+    "tab-indent": (
+        "frame:\n\tdata: [a]\n",
+        "parse error at line 2, column 1: found character '\\t' that cannot start any token",
+    ),
+    "over-indented-key": (
+        "a: b\n c: d\n",
+        "parse error at line 2, column 3: mapping values are not allowed here",
+    ),
+    "undefined-alias": (
+        "frame: *nope\n",
+        "parse error at line 1, column 8: found undefined alias 'nope'",
+    ),
+    "nul": (
+        "frame: {a: \x00}\n",
+        'parse error: unacceptable character #x0000: special characters are not allowed\n'
+        '  in "<unicode string>", position 11',
+    ),
+    "lone-surrogate": (
+        "frame: \ud800\n",
+        'parse error: unacceptable character #xd800: special characters are not allowed\n'
+        '  in "<unicode string>", position 7',
+    ),
+}
+
+
 # -- event systems in any index order -------------------------------------------
 #
 # The library keeps every order as a canonical run; an ``EventSystem`` is

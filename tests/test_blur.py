@@ -322,6 +322,52 @@ def test_identity_blur_always_limits_flow():
     assert f_limits_flow(frame, src, obs, IdentityBlur(), B).holds
 
 
+def _every_form(frame, universe, rng):
+    """One blur of each form over the frame's channels and the universe."""
+    chans = sorted(frame.channel_ids)
+    runs = sorted(universe, key=CanonicalRun.serialize)
+    return [
+        IdentityBlur(),
+        AllBlur(),
+        PermutationBlur(tuple(rng.sample(chans, rng.randint(1, len(chans))))),
+        SelectionBlur(channels=frozenset(rng.sample(chans, rng.randint(1, len(chans))))),
+        SelectionBlur(values=frozenset(sorted(frame.data)[:1])),
+        PartitionBlur.from_equivalence(universe, lambda a, b: a.n_events == b.n_events),
+        # Each run's image adds the run before it, cyclically: not idempotent
+        # from three runs on.
+        TableBlur(tuple((run, frozenset({run, runs[i - 1]})) for i, run in enumerate(runs))),
+    ]
+
+
+_VOTING = build_voting(VotingParams(precincts=(2,)))
+_FIREWALL = build_firewall(FirewallParams())
+
+
+@pytest.mark.parametrize(
+    "frame, source, observed, bound",
+    [
+        (_VOTING.frame, _VOTING.named_sets["voters"], _VOTING.named_sets["pub"], Bound(8)),
+        (_FIREWALL.frame, _FIREWALL.named_sets["chans_n"], _FIREWALL.named_sets["cut"], Bound(6)),
+    ]
+    + [
+        (frame, random_channel_subset(rng, frame), random_channel_subset(rng, frame), B)
+        for rng in map(random.Random, range(4))
+        for frame in [random_budget_complete_frame(rng, 5)]
+    ],
+)
+def test_flow_laws_equal_validate_blur_for_every_form(frame, source, observed, bound):
+    # f_limits_flow takes the key forms' laws as constants; validate_blur
+    # decides every form on the source universe and is the oracle.
+    def flags(laws):
+        return laws.idempotence_ok, laws.partition_generated
+
+    universe = enumerate_runs(frame, source, bound)
+    for blur in _every_form(frame, universe, random.Random(len(universe))):
+        expected = _outcome(lambda: flags(validate_blur(blur, universe)))
+        got = _outcome(lambda: flags(f_limits_flow(frame, source, observed, blur, bound).laws))
+        assert got == expected, blur
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_all_blur_limits_flow_iff_no_disclosure(seed):
     rng = random.Random(seed)

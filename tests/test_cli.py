@@ -8,13 +8,14 @@ import yaml
 from flowcut.cli import main
 from flowcut.fileformat import (
     FileFormatError,
+    _read_subset,
     emit_frame_document,
     parse_frame_document,
     parse_machine_document,
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
-from support import count_restrictions, downgrader_machine, machine_document
+from support import BROKEN_DOCUMENTS, count_restrictions, downgrader_machine, machine_document
 
 GOOD_FRAME = """
 frame:
@@ -137,6 +138,21 @@ def test_cli_validate_exit_codes(frame_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "not-prefix-closed" in out
     assert main(["validate", str(tmp_path / "missing.yaml")]) == 2
+
+
+def test_cli_file_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"frame:\n  data: [\xff]\n")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_cli_reads_a_frame_after_a_byte_order_mark(tmp_path, capsys):
+    marked = tmp_path / "bom.yaml"
+    marked.write_bytes(b"\xef\xbb\xbf" + GOOD_FRAME.encode())
+    assert main(["validate", str(marked)]) == 0
+    assert "verdict: HOLDS\n" in capsys.readouterr().out
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
@@ -567,49 +583,16 @@ def test_scenario_files_load_equal_under_both_loaders(tmp_path, capsys, argv):
     path = tmp_path / "scn.yaml"
     assert main(["scenario", *argv, "--out", str(path)]) == 0
     text = path.read_text()
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    pure = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == pure
+    # The subset reader reads every generated file, with no PyYAML fallback.
+    assert _read_subset(text) == pure
 
 
 @needs_libyaml
 def test_machine_file_loads_equal_under_both_loaders():
     text = machine_document(downgrader_machine())
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
-
-
-#: broken documents and the message the pure-Python ``yaml.safe_load``
-#: path has always given for them
-BROKEN_DOCUMENTS = {
-    "unclosed-brace": (
-        "frame: {a: b",
-        "parse error at line 1, column 13: expected ',' or '}', but got '<stream end>'",
-    ),
-    "unclosed-bracket": (
-        "frame: [a, b",
-        "parse error at line 1, column 13: expected ',' or ']', but got '<stream end>'",
-    ),
-    "tab-indent": (
-        "frame:\n\tdata: [a]\n",
-        "parse error at line 2, column 1: found character '\\t' that cannot start any token",
-    ),
-    "over-indented-key": (
-        "a: b\n c: d\n",
-        "parse error at line 2, column 3: mapping values are not allowed here",
-    ),
-    "undefined-alias": (
-        "frame: *nope\n",
-        "parse error at line 1, column 8: found undefined alias 'nope'",
-    ),
-    "nul": (
-        "frame: {a: \x00}\n",
-        'parse error: unacceptable character #x0000: special characters are not allowed\n'
-        '  in "<unicode string>", position 11',
-    ),
-    "lone-surrogate": (
-        "frame: \ud800\n",
-        'parse error: unacceptable character #xd800: special characters are not allowed\n'
-        '  in "<unicode string>", position 7',
-    ),
-}
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_DOCUMENTS))

@@ -1,9 +1,9 @@
 """
 What importing flowcut loads: each CLI command imports only the modules it
-runs, no command loads ``dataclasses`` or ``inspect``, and the package's
-lazy exports resolve to the same objects the submodules define.  Import
-state is per process, so every check of what is loaded runs in a fresh
-child interpreter.
+runs, no command loads ``dataclasses`` or ``inspect``, frame and machine
+files are read without PyYAML, and the package's lazy exports resolve to
+the same objects the submodules define.  Import state is per process, so
+every check of what is loaded runs in a fresh child interpreter.
 """
 
 from __future__ import annotations
@@ -129,26 +129,30 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "    status = cli.main(sys.argv[1:])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('flowcut.'))\n"
         "generators = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-        "print(json.dumps([status, loaded, generators]))\n"
+        "print(json.dumps([status, loaded, generators, 'yaml' in sys.modules]))\n"
     )
+    # Frame and machine files are read without PyYAML; only writing a
+    # scenario file loads it.
     cases = [
-        (["validate", "fw.yaml"], {0}, set()),
-        (["enumerate", "fw.yaml", "--bound", "4"], {0}, {"enumeration"}),
-        (["min-cut", "fw.yaml", "--source", "chans_i", "--observed", "chans_n"], {0}, {"cuts"}),
+        (["validate", "fw.yaml"], {0}, set(), False),
+        (["enumerate", "fw.yaml", "--bound", "4"], {0}, {"enumeration"}, False),
+        (["min-cut", "fw.yaml", "--source", "chans_i", "--observed", "chans_n"], {0}, {"cuts"}, False),
         (
             ["nodisclosure", "fw.yaml", "--source", "chans_i", "--observed", "chans_n", "--bound", "4"],
             {0, 1},
             {"enumeration", "disclosure"},
+            False,
         ),
-        (["nd", "m.yaml", "--target", "d2", "--bound", "5"], {0, 1}, {"enumeration", "purge", "disclosure"}),
-        (["scenario", "firewall"], {0}, {"scenarios"}),
+        (["nd", "m.yaml", "--target", "d2", "--bound", "5"], {0, 1}, {"enumeration", "purge", "disclosure"}, False),
+        (["scenario", "firewall"], {0}, {"scenarios"}, True),
     ]
-    children = [_child(code, *argv, cwd=tmp_path) for argv, _, _ in cases]
-    for (argv, statuses, extra), child in zip(cases, children):
-        status, loaded, generators = json.loads(_finish(child))
+    children = [_child(code, *argv, cwd=tmp_path) for argv, *_ in cases]
+    for (argv, statuses, extra, uses_yaml), child in zip(cases, children):
+        status, loaded, generators, yaml_loaded = json.loads(_finish(child))
         assert status in statuses, argv
         assert set(loaded) == {f"flowcut.{m}" for m in VALIDATE_SET | extra}, argv
         assert generators == [], argv
+        assert yaml_loaded == uses_yaml, argv
 
 
 def test_no_module_imports_dataclasses_or_calls_exec_or_eval():
