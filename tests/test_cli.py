@@ -561,6 +561,79 @@ def test_precincts_that_are_not_numbers_exit_2(capsys):
     assert err == "error: --precincts takes comma-separated voter counts, got '2,x'\n"
 
 
+#: One valid invocation of every analysis command on ``frame.yaml`` and
+#: ``machine.yaml`` (the ``GOOD_FRAME`` and ``MACHINE`` documents).
+ANALYSES = {
+    "validate": ["frame.yaml"],
+    "enumerate": ["frame.yaml", "--bound", "2"],
+    "runs": ["frame.yaml", "--channels", "src", "--bound", "2"],
+    "cmpt": ["frame.yaml", "--observed", "src", "--source", "src", "--bound", "2"],
+    "nodisclosure": ["frame.yaml", "--source", "src", "--observed", "src", "--bound", "2"],
+    "check-blur": ["frame.yaml", "--blur", "ident", "--source", "src", "--observed", "src", "--bound", "2"],
+    "check-cut": ["frame.yaml", "--source", "src", "--cut", "", "--observed", ""],
+    "min-cut": ["frame.yaml", "--source", "src", "--observed", ""],
+    "verify-cutblur": [
+        "frame.yaml", "--blur", "ident", "--source", "src", "--cut", "", "--observed", "", "--bound", "2",
+    ],
+    "compose": [
+        "frame.yaml", "frame.yaml", "--core", "S,A", "--blur", "ident", "--source", "src",
+        "--observed", "", "--bound", "2",
+    ],
+    "ni": ["machine.yaml", "--target", "hi", "--bound", "2"],
+    "nd": ["machine.yaml", "--target", "hi", "--bound", "2"],
+    "purge-blur": ["machine.yaml", "--target", "hi", "--bound", "2"],
+}
+
+
+def _subparsers() -> dict:
+    import argparse
+
+    from flowcut.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.fixture()
+def analysis_dir(tmp_path, monkeypatch):
+    (tmp_path / "frame.yaml").write_text(GOOD_FRAME)
+    (tmp_path / "machine.yaml").write_text(MACHINE)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_every_analysis_command_is_covered():
+    assert set(_subparsers()) - {"scenario"} == set(ANALYSES)
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSES))
+def test_report_params_echo_the_declared_arguments(analysis_dir, capsys, command):
+    # ``params`` echoes each argument the command declares, apart from the
+    # bound, which the report carries on its own.
+    declared = {a.dest for a in _subparsers()[command]._actions}
+    declared -= {"help", "json", "seed", "timing", "bound", "per_location"}
+    assert main([command, *ANALYSES[command], "--json"]) in (0, 1)
+    assert set(json.loads(capsys.readouterr().out)["params"]) == declared
+
+
+@pytest.mark.parametrize("command", sorted(c for c in ANALYSES if "--bound" in ANALYSES[c]))
+def test_a_missing_file_is_named_before_a_bad_bound(analysis_dir, capsys, command):
+    argv = [command, *ANALYSES[command], "--bound", "-1"]
+    # the last input file of the command is missing
+    last = max(i for i, a in enumerate(argv) if a.endswith(".yaml"))
+    argv[last] = "missing.yaml"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read missing.yaml: ")
+
+
+@pytest.mark.parametrize("command", sorted(c for c in ANALYSES if "--blur" in ANALYSES[c]))
+def test_a_bad_bound_is_named_before_an_unknown_blur(analysis_dir, capsys, command):
+    argv = [command, *ANALYSES[command], "--bound", "-1"]
+    argv[argv.index("--blur") + 1] = "nope"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: max_total_events must be >= 0\n"
+
+
 needs_libyaml = pytest.mark.skipif(
     not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
 )

@@ -1,6 +1,7 @@
 """
-Golden report corpus: the sha256 of the ``--json`` report of a fixed set
-of small commands, run in-process through ``cli.main``.
+Golden report corpus: the sha256 of the ``--json`` report and of the text
+report of a fixed set of small commands, run in-process through
+``cli.main``.
 
 The digests in ``tests/data/report_digests.json`` pin the report bytes, so
 a change to enumeration, canonical forms or table building that alters any
@@ -90,10 +91,13 @@ def compute_digests(workdir: Path) -> dict[str, dict]:
         digests = {}
         for name, argv in CORPUS.items():
             code, out = _run(argv + ["--json"])
+            text_code, text = _run(argv)
+            assert text_code == code, name
             digests[name] = {
                 "argv": argv,
                 "exit_code": code,
                 "sha256": hashlib.sha256(out.encode()).hexdigest(),
+                "text_sha256": hashlib.sha256(text.encode()).hexdigest(),
             }
         return digests
     finally:
