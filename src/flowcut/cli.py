@@ -10,6 +10,12 @@ bound and a reminder that verdicts are bound-relative; wall-clock timing
 is omitted unless requested so identical inputs produce byte-identical
 reports.
 
+Each command is one row of the table in ``build_parser``: its name, its
+help, its function and its arguments, whose settings come from one dict.
+Each analysis command reads its arguments through one ``Query`` (input
+files, bound, channel sets, blur, ``params``) and keeps only its analysis
+and the details of its report.
+
 Only the file format and ``frames`` load with this module; each command
 imports the analysis modules it runs when it runs, so ``validate`` loads
 no enumeration and only ``scenario`` loads the scenario builders.
@@ -24,16 +30,11 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fileformat import (
-    emit_frame_document,
-    parse_frame_document,
-    parse_machine_document,
-)
+from .fileformat import emit_frame_document, parse_frame_document, parse_machine_document
 from .frames import InputError, _Record, validate_frame
 
 if TYPE_CHECKING:
     from .enumeration import Bound
-    from .purge import PurgeKind
 
 SCHEMA = "flowcut-report/1"
 DEFAULT_BOUND = 6
@@ -110,95 +111,90 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_frame(path: str):
-    return parse_frame_document(_read(path))
+#: Namespace entries that are not arguments a report echoes in ``params``.
+_NOT_PARAMS = frozenset({"cmd", "fn", "json", "seed", "timing", "bound", "per_location", "which", "out"})
 
 
-def _load_machine(path: str):
-    return parse_machine_document(_read(path))
+class Query:
+    """An analysis command's arguments, read once.
 
+    The input files are read first, then the bound is built, then the blur
+    is looked up, so the first bad one is the error reported.  ``frames``
+    holds each frame file's frame (``machine`` the machine file's).  The
+    bound and its notes exist only for a command that takes ``--bound``, so
+    one without loads no enumeration.  Each set argument becomes the
+    attribute of its name: a named set or a comma-separated list, with
+    ``observed`` looked up in the last file's named channel sets, the other
+    channel sets in the first file's, and ``core`` (locations) in none.
+    ``blur`` is the first file's blur named by ``--blur``.
+    """
 
-def _resolve_set(arg: str, named: dict[str, frozenset[str]]) -> frozenset[str]:
-    if arg in named:
-        return named[arg]
-    return frozenset(x for x in arg.split(",") if x)
+    def __init__(self, args, machine: bool = False) -> None:
+        self.command = args.cmd
+        paths = [getattr(args, f) for f in ("file", "file1", "file2") if hasattr(args, f)]
+        if machine:
+            self.machine = parse_machine_document(_read(paths[0]))
+        else:
+            docs = [parse_frame_document(_read(path)) for path in paths]
+            self.frames = [frame for frame, _, _ in docs]
+        self.notes: list[str] = []
+        self.bound: Bound | None = None
+        if hasattr(args, "bound"):
+            from .enumeration import Bound
 
+            if args.bound is None:
+                self.notes.append(f"no --bound given; defaulting to {DEFAULT_BOUND} total events")
+            self.bound = Bound(DEFAULT_BOUND if args.bound is None else args.bound, args.per_location)
+            self.notes.append("verdicts are relative to this bound over minimal-order executions")
+        self.params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        for name in ("channels", "source", "cut", "observed", "core"):
+            if hasattr(args, name):
+                arg = getattr(args, name)
+                named = {} if name == "core" else docs[-1 if name == "observed" else 0][1]
+                chans = named[arg] if arg in named else frozenset(x for x in arg.split(",") if x)
+                setattr(self, name, chans)
+                self.params[name] = sorted(chans)
+        if hasattr(args, "blur"):
+            blurs = docs[0][2]
+            if args.blur not in blurs:
+                raise CliError(f"unknown blur {args.blur!r}; file declares {sorted(blurs)}")
+            self.blur = blurs[args.blur]
 
-def _bound(args) -> tuple[Bound, list[str]]:
-    from .enumeration import Bound
-
-    notes = []
-    if args.bound is None:
-        notes.append(
-            f"no --bound given; defaulting to {DEFAULT_BOUND} total events"
-        )
-        total = DEFAULT_BOUND
-    else:
-        total = args.bound
-    per = getattr(args, "per_location", None)
-    bound = Bound(total, per)
-    notes.append(
-        "verdicts are relative to this bound over minimal-order executions"
-    )
-    return bound, notes
-
-
-def _bound_dict(bound: Bound) -> dict:
-    return {
-        "max_total_events": bound.max_total_events,
-        "max_events_per_location": bound.max_events_per_location,
-    }
+    def report(self, verdict: bool | None, details: dict) -> Report:
+        bound = None
+        if self.bound is not None:
+            bound = {
+                "max_total_events": self.bound.max_total_events,
+                "max_events_per_location": self.bound.max_events_per_location,
+            }
+        return Report(self.command, self.params, verdict, details, self.notes, bound)
 
 
 # -- command implementations -------------------------------------------------
 
 
 def cmd_validate(args) -> Report:
-    frame, _, _ = _load_frame(args.file)
-    report = validate_frame(frame)
-    return Report(
-        command="validate",
-        params={"file": args.file},
-        verdict=report.ok,
-        details={"violations": [f"{v.code}: {v.message}" for v in report.violations]},
-    )
+    q = Query(args)
+    report = validate_frame(q.frames[0])
+    return q.report(report.ok, {"violations": [f"{v.code}: {v.message}" for v in report.violations]})
 
 
 def cmd_enumerate(args) -> Report:
     from .enumeration import enumerate_executions
 
-    frame, _, _ = _load_frame(args.file)
-    bound, notes = _bound(args)
-    exset = enumerate_executions(frame, bound)
-    return Report(
-        command="enumerate",
-        params={"file": args.file},
-        verdict=None,
-        details={
-            "count": len(exset),
-            "executions": sorted(c.serialize() for c in exset.canonicals),
-        },
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
+    q = Query(args)
+    exset = enumerate_executions(q.frames[0], q.bound)
+    executions = sorted(c.serialize() for c in exset.canonicals)
+    return q.report(None, {"count": len(exset), "executions": executions})
 
 
 def cmd_runs(args) -> Report:
     from .enumeration import enumerate_runs
     from .events import CanonicalRun
 
-    frame, named, _ = _load_frame(args.file)
-    bound, notes = _bound(args)
-    chans = _resolve_set(args.channels, named)
-    runs = sorted(enumerate_runs(frame, chans, bound), key=CanonicalRun.serialize)
-    return Report(
-        command="runs",
-        params={"file": args.file, "channels": sorted(chans)},
-        verdict=None,
-        details={"count": len(runs), "runs": [r.serialize() for r in runs]},
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
+    q = Query(args)
+    runs = sorted(enumerate_runs(q.frames[0], q.channels, q.bound), key=CanonicalRun.serialize)
+    return q.report(None, {"count": len(runs), "runs": [r.serialize() for r in runs]})
 
 
 def cmd_cmpt(args) -> Report:
@@ -206,74 +202,42 @@ def cmd_cmpt(args) -> Report:
     from .enumeration import enumerate_runs
     from .events import CanonicalRun
 
-    frame, named, _ = _load_frame(args.file)
-    bound, notes = _bound(args)
-    observed = _resolve_set(args.observed, named)
-    source = _resolve_set(args.source, named)
-    runs = sorted(enumerate_runs(frame, observed, bound), key=CanonicalRun.serialize)
+    q = Query(args)
+    runs = sorted(enumerate_runs(q.frames[0], q.observed, q.bound), key=CanonicalRun.serialize)
     if not (0 <= args.run_index < len(runs)):
         raise CliError(
             f"--run-index {args.run_index} out of range; {len(runs)} observed runs exist"
         )
     target = runs[args.run_index]
-    compat = compatible_runs(frame, CompatQuery(observed, source, target, bound))
-    return Report(
-        command="cmpt",
-        params={
-            "file": args.file,
-            "observed": sorted(observed),
-            "source": sorted(source),
-            "run_index": args.run_index,
-        },
-        verdict=None,
-        details={
+    compat = compatible_runs(q.frames[0], CompatQuery(q.observed, q.source, target, q.bound))
+    return q.report(
+        None,
+        {
             "observed_run": target.serialize(),
             "count": len(compat),
             "compatible": sorted(r.serialize() for r in compat),
         },
-        notes=notes,
-        bound=_bound_dict(bound),
     )
 
 
 def cmd_nodisclosure(args) -> Report:
     from .disclosure import no_disclosure
 
-    frame, named, _ = _load_frame(args.file)
-    bound, notes = _bound(args)
-    source = _resolve_set(args.source, named)
-    observed = _resolve_set(args.observed, named)
-    res = no_disclosure(frame, observed, source, bound)
+    q = Query(args)
+    res = no_disclosure(q.frames[0], q.observed, q.source, q.bound)
     details: dict = {}
     if res.counterexample is not None:
         b, b2 = res.counterexample
         details["counterexample_observed"] = b.serialize()
         details["counterexample_source"] = b2.serialize()
-    return Report(
-        command="nodisclosure",
-        params={"file": args.file, "source": sorted(source), "observed": sorted(observed)},
-        verdict=res.holds,
-        details=details,
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
-
-
-def _named_blur(args, blurs):
-    if args.blur not in blurs:
-        raise CliError(f"unknown blur {args.blur!r}; file declares {sorted(blurs)}")
-    return blurs[args.blur]
+    return q.report(res.holds, details)
 
 
 def cmd_check_blur(args) -> Report:
     from .blur import f_limits_flow
 
-    frame, named, blurs = _load_frame(args.file)
-    bound, notes = _bound(args)
-    source = _resolve_set(args.source, named)
-    observed = _resolve_set(args.observed, named)
-    blur = _named_blur(args, blurs)
-    res = f_limits_flow(frame, source, observed, blur, bound)
+    q = Query(args)
+    res = f_limits_flow(q.frames[0], q.source, q.observed, q.blur, q.bound)
     laws = res.laws
     details: dict = {
         "blur_laws": {
@@ -286,129 +250,64 @@ def cmd_check_blur(args) -> Report:
     if not res.holds:
         details["failing_observed"] = res.failing_observed.serialize()
         details["unblurred"] = res.unblurred.serialize()
-    return Report(
-        command="check-blur",
-        params={
-            "file": args.file,
-            "blur": args.blur,
-            "source": sorted(source),
-            "observed": sorted(observed),
-        },
-        verdict=res.holds and laws.is_blur,
-        details=details,
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
+    return q.report(res.holds and laws.is_blur, details)
 
 
 def cmd_check_cut(args) -> Report:
     from .cuts import ChannelSetTriple, is_cut
 
-    frame, named, _ = _load_frame(args.file)
-    triple = ChannelSetTriple(
-        _resolve_set(args.source, named),
-        _resolve_set(args.cut, named),
-        _resolve_set(args.observed, named),
-    )
-    res = is_cut(frame, triple)
+    q = Query(args)
+    res = is_cut(q.frames[0], ChannelSetTriple(q.source, q.cut, q.observed))
     details: dict = {}
     if res.witness is not None:
         details["witness_locations"] = list(res.witness.locations)
         details["witness_channels"] = list(res.witness.channels)
-    return Report(
-        command="check-cut",
-        params={
-            "file": args.file,
-            "source": sorted(triple.source),
-            "cut": sorted(triple.cut),
-            "observed": sorted(triple.sink),
-        },
-        verdict=res.is_cut,
-        details=details,
-    )
+    return q.report(res.is_cut, details)
 
 
 def cmd_min_cut(args) -> Report:
     from .cuts import find_min_cut
 
-    frame, named, _ = _load_frame(args.file)
-    source = _resolve_set(args.source, named)
-    observed = _resolve_set(args.observed, named)
-    res = find_min_cut(frame, source, observed)
+    q = Query(args)
+    res = find_min_cut(q.frames[0], q.source, q.observed)
     details: dict = {}
     if res.impossible:
         details["impossible"] = res.reason
     else:
         details["cut"] = sorted(res.cut or ())
-    return Report(
-        command="min-cut",
-        params={"file": args.file, "source": sorted(source), "observed": sorted(observed)},
-        verdict=not res.impossible,
-        details=details,
-    )
+    return q.report(not res.impossible, details)
 
 
 def cmd_verify_cutblur(args) -> Report:
     from .blur import verify_cut_blur
     from .cuts import ChannelSetTriple
 
-    frame, named, blurs = _load_frame(args.file)
-    bound, notes = _bound(args)
-    triple = ChannelSetTriple(
-        _resolve_set(args.source, named),
-        _resolve_set(args.cut, named),
-        _resolve_set(args.observed, named),
-    )
-    blur = _named_blur(args, blurs)
-    res = verify_cut_blur(frame, triple, blur, bound)
+    q = Query(args)
+    triple = ChannelSetTriple(q.source, q.cut, q.observed)
+    res = verify_cut_blur(q.frames[0], triple, q.blur, q.bound)
     if not res.implication_holds:
-        notes.append(
+        q.notes.append(
             "implication failed: this indicates an implementation bug, not a refuted theorem"
         )
-    return Report(
-        command="verify-cutblur",
-        params={
-            "file": args.file,
-            "blur": args.blur,
-            "source": sorted(triple.source),
-            "cut": sorted(triple.cut),
-            "observed": sorted(triple.sink),
-        },
-        verdict=res.antecedent.holds and res.consequent.holds,
-        details={
+    return q.report(
+        res.antecedent.holds and res.consequent.holds,
+        {
             "antecedent_source_to_cut": res.antecedent.holds,
             "consequent_source_to_observed": res.consequent.holds,
             "implication": res.implication_holds,
         },
-        notes=notes,
-        bound=_bound_dict(bound),
     )
 
 
 def cmd_compose(args) -> Report:
     from .blur import build_shared_core, verify_composition
 
-    frame1, named1, blurs1 = _load_frame(args.file1)
-    frame2, named2, _ = _load_frame(args.file2)
-    bound, notes = _bound(args)
-    core_locs = frozenset(x for x in args.core.split(",") if x)
-    source = _resolve_set(args.source, named1)
-    observed = _resolve_set(args.observed, named2)
-    blur = _named_blur(args, blurs1)
-    core = build_shared_core(frame1, frame2, core_locs, bound)
-    res = verify_composition(core, source, observed, blur, bound)
-    return Report(
-        command="compose",
-        params={
-            "file1": args.file1,
-            "file2": args.file2,
-            "core": sorted(core_locs),
-            "blur": args.blur,
-            "source": sorted(source),
-            "observed": sorted(observed),
-        },
-        verdict=res.antecedent.holds and res.consequent.holds and res.locality_ok,
-        details={
+    q = Query(args)
+    core = build_shared_core(*q.frames, q.core, q.bound)
+    res = verify_composition(core, q.source, q.observed, q.blur, q.bound)
+    return q.report(
+        res.antecedent.holds and res.consequent.holds and res.locality_ok,
+        {
             "cut0": sorted(core.cut0),
             "left0": sorted(core.left0),
             "right2": sorted(core.right2),
@@ -417,75 +316,32 @@ def cmd_compose(args) -> Report:
             "consequent_source_to_observed_in_frame2": res.consequent.holds,
             "boundary_locality": res.locality_ok,
         },
-        notes=notes,
-        bound=_bound_dict(bound),
     )
 
 
-def _purge_args(args) -> PurgeKind:
-    from .purge import PurgeKind
+def cmd_ni_nd(args) -> Report:
+    """``ni`` and ``nd``: one purge check each, witnessed by two runs."""
+    from .purge import PurgeKind, check_nd, check_ni
 
-    return PurgeKind(args.purge, args.target)
-
-
-def cmd_ni(args) -> Report:
-    from .purge import check_ni
-
-    machine = _load_machine(args.file)
-    bound, notes = _bound(args)
-    kind = _purge_args(args)
-    res = check_ni(machine, kind, bound)
+    q = Query(args, machine=True)
+    if args.cmd == "ni":
+        check, witness = check_ni, ("witness_inputs_1", "witness_inputs_2")
+    else:
+        check, witness = check_nd, ("witness_view", "witness_inputs")
+    res = check(q.machine, PurgeKind(args.purge, args.target), q.bound)
     details: dict = {}
     if res.witness is not None:
-        details["witness_inputs_1"] = res.witness[0].serialize()
-        details["witness_inputs_2"] = res.witness[1].serialize()
-    return Report(
-        command="ni",
-        params={"file": args.file, "purge": args.purge, "target": args.target},
-        verdict=res.holds,
-        details=details,
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
-
-
-def cmd_nd(args) -> Report:
-    from .purge import check_nd
-
-    machine = _load_machine(args.file)
-    bound, notes = _bound(args)
-    kind = _purge_args(args)
-    res = check_nd(machine, kind, bound)
-    details: dict = {}
-    if res.witness is not None:
-        details["witness_view"] = res.witness[0].serialize()
-        details["witness_inputs"] = res.witness[1].serialize()
-    return Report(
-        command="nd",
-        params={"file": args.file, "purge": args.purge, "target": args.target},
-        verdict=res.holds,
-        details=details,
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
+        details.update(zip(witness, (run.serialize() for run in res.witness)))
+    return q.report(res.holds, details)
 
 
 def cmd_purge_blur(args) -> Report:
-    from .purge import purge_blur
+    from .purge import PurgeKind, purge_blur
 
-    machine = _load_machine(args.file)
-    bound, notes = _bound(args)
-    kind = _purge_args(args)
-    blur = purge_blur(machine, kind, bound)
+    q = Query(args, machine=True)
+    blur = purge_blur(q.machine, PurgeKind(args.purge, args.target), q.bound)
     blocks = [sorted(r.serialize() for r in block) for block in blur.blocks]
-    return Report(
-        command="purge-blur",
-        params={"file": args.file, "purge": args.purge, "target": args.target},
-        verdict=None,
-        details={"classes": sorted(blocks), "class_count": len(blocks)},
-        notes=notes,
-        bound=_bound_dict(bound),
-    )
+    return q.report(None, {"classes": sorted(blocks), "class_count": len(blocks)})
 
 
 def cmd_scenario(args) -> Report:
@@ -495,7 +351,6 @@ def cmd_scenario(args) -> Report:
         scn = build_firewall(
             FirewallParams(filtering=args.filtering, region_sends=args.region_sends)
         )
-        frame, named, blurs = scn.frame, scn.named_sets, scn.blurs
     else:
         try:
             precincts = tuple(int(x) for x in args.precincts.split(","))
@@ -505,31 +360,42 @@ def cmd_scenario(args) -> Report:
             ) from None
         candidates = tuple(args.candidates.split(","))
         scn = build_voting(VotingParams(precincts=precincts, candidates=candidates))
-        frame, named, blurs = scn.frame, scn.named_sets, scn.blurs
-    text = emit_frame_document(frame, named, blurs)
+    text = emit_frame_document(scn.frame, scn.named_sets, scn.blurs)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
         detail = {"written": args.out}
     else:
         detail = {"document": text}
-    return Report(
-        command=f"scenario {args.which}",
-        params={
-            k: v
-            for k, v in vars(args).items()
-            if k in ("filtering", "precincts", "candidates", "region_sends") and v is not None
-        },
-        verdict=None,
-        details=detail,
-    )
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    return Report(f"scenario {args.which}", params, None, detail)
 
 
 # -- argument parsing ----------------------------------------------------------
 
-
-def _add_bound_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=None, help="max total events (default 6)")
-    p.add_argument("--per-location", type=int, default=None, dest="per_location")
+#: ``add_argument`` settings by argument; an argument not listed takes
+#: argparse's defaults.
+_ARGUMENTS = {
+    "--channels": {"required": True},
+    "--observed": {"required": True},
+    "--source": {"required": True},
+    "--cut": {"required": True},
+    "--blur": {"required": True},
+    "--target": {"required": True},
+    "--core": {"required": True, "help": "comma-separated shared locations"},
+    "--run-index": {"type": int, "default": 0},
+    "--purge": {"choices": ("gm", "hy"), "default": "gm"},
+    "--bound": {"type": int, "help": "max total events (default 6)"},
+    "--per-location": {"type": int},
+    "--filtering": {"choices": ("standard", "discard_all"), "default": "standard"},
+    "--region-sends": {"type": int, "default": 1},
+    "--precincts": {"default": "2"},
+    "--candidates": {"default": "0,1"},
+}
+_BOUND = " --bound --per-location"
+_PURGE = "file --target --purge" + _BOUND
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,110 +409,40 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true", help="include wall-clock timing")
     sub = top.add_subparsers(dest="cmd", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    p = add_parser("validate", "well-formedness of a frame file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-
-    p = add_parser("enumerate", "all bounded executions")
-    p.add_argument("file")
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = add_parser("runs", "local runs at a channel set")
-    p.add_argument("file")
-    p.add_argument("--channels", required=True)
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_runs)
-
-    p = add_parser("cmpt", "compatibility set of an observed run")
-    p.add_argument("file")
-    p.add_argument("--observed", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--run-index", type=int, default=0, dest="run_index")
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_cmpt)
-
-    p = add_parser("nodisclosure", "no-disclosure between two channel sets")
-    p.add_argument("file")
-    p.add_argument("--source", required=True)
-    p.add_argument("--observed", required=True)
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_nodisclosure)
-
-    p = add_parser("check-blur", "blur-limited flow from source to observed")
-    p.add_argument("file")
-    p.add_argument("--blur", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--observed", required=True)
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_check_blur)
-
-    p = add_parser("check-cut", "is the channel set a cut")
-    p.add_argument("file")
-    p.add_argument("--source", required=True)
-    p.add_argument("--cut", required=True)
-    p.add_argument("--observed", required=True)
-    p.set_defaults(fn=cmd_check_cut)
-
-    p = add_parser("min-cut", "minimum channel cut between two sets")
-    p.add_argument("file")
-    p.add_argument("--source", required=True)
-    p.add_argument("--observed", required=True)
-    p.set_defaults(fn=cmd_min_cut)
-
-    p = add_parser("verify-cutblur", "cut-blur transport of a flow limit")
-    p.add_argument("file")
-    p.add_argument("--blur", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--cut", required=True)
-    p.add_argument("--observed", required=True)
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_verify_cutblur)
-
-    p = add_parser("compose", "transport a flow limit across a shared core")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--core", required=True, help="comma-separated shared locations")
-    p.add_argument("--blur", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--observed", required=True)
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_compose)
-
-    for name, fn, text in (
-        ("ni", cmd_ni, "purge-based noninterference"),
-        ("nd", cmd_nd, "purge-based nondeducibility"),
-    ):
-        p = add_parser(name, text)
-        p.add_argument("file")
-        p.add_argument("--target", required=True)
-        p.add_argument("--purge", choices=("gm", "hy"), default="gm")
-        _add_bound_args(p)
+    def add(parent, name: str, fn, arguments: str, **kwargs) -> None:
+        p = parent.add_parser(name, parents=[common], **kwargs)
+        for arg in arguments.split():
+            p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
         p.set_defaults(fn=fn)
 
-    p = add_parser("purge-blur", "the blur a purge induces on input runs")
-    p.add_argument("file")
-    p.add_argument("--target", required=True)
-    p.add_argument("--purge", choices=("gm", "hy"), default="gm")
-    _add_bound_args(p)
-    p.set_defaults(fn=cmd_purge_blur)
+    # The functions are looked up when the parser is built, so a command
+    # function replaced on the module after import is the one that runs.
+    for name, fn, arguments, help_text in (
+        ("validate", cmd_validate, "file", "well-formedness of a frame file"),
+        ("enumerate", cmd_enumerate, "file" + _BOUND, "all bounded executions"),
+        ("runs", cmd_runs, "file --channels" + _BOUND, "local runs at a channel set"),
+        ("cmpt", cmd_cmpt, "file --observed --source --run-index" + _BOUND,
+         "compatibility set of an observed run"),
+        ("nodisclosure", cmd_nodisclosure, "file --source --observed" + _BOUND,
+         "no-disclosure between two channel sets"),
+        ("check-blur", cmd_check_blur, "file --blur --source --observed" + _BOUND,
+         "blur-limited flow from source to observed"),
+        ("check-cut", cmd_check_cut, "file --source --cut --observed", "is the channel set a cut"),
+        ("min-cut", cmd_min_cut, "file --source --observed", "minimum channel cut between two sets"),
+        ("verify-cutblur", cmd_verify_cutblur, "file --blur --source --cut --observed" + _BOUND,
+         "cut-blur transport of a flow limit"),
+        ("compose", cmd_compose, "file1 file2 --core --blur --source --observed" + _BOUND,
+         "transport a flow limit across a shared core"),
+        ("ni", cmd_ni_nd, _PURGE, "purge-based noninterference"),
+        ("nd", cmd_ni_nd, _PURGE, "purge-based nondeducibility"),
+        ("purge-blur", cmd_purge_blur, _PURGE, "the blur a purge induces on input runs"),
+    ):
+        add(sub, name, fn, arguments, help=help_text)
 
-    p = add_parser("scenario", "emit a frame file for a built-in scenario")
+    p = sub.add_parser("scenario", help="emit a frame file for a built-in scenario", parents=[common])
     scn_sub = p.add_subparsers(dest="which", required=True)
-    pf = scn_sub.add_parser("firewall", parents=[common])
-    pf.add_argument("--filtering", choices=("standard", "discard_all"), default="standard")
-    pf.add_argument("--region-sends", type=int, default=1, dest="region_sends")
-    pf.add_argument("--out", default=None)
-    pf.set_defaults(fn=cmd_scenario)
-    pv = scn_sub.add_parser("voting", parents=[common])
-    pv.add_argument("--precincts", default="2")
-    pv.add_argument("--candidates", default="0,1")
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(fn=cmd_scenario)
-
+    add(scn_sub, "firewall", cmd_scenario, "--filtering --region-sends --out")
+    add(scn_sub, "voting", cmd_scenario, "--precincts --candidates --out")
     return top
 
 

@@ -13,9 +13,9 @@ A document goes first through a small reader for the YAML subset this
 package writes (block and flow collections, plain and quoted scalars,
 comments), which returns what ``yaml.safe_load`` would or declines.
 PyYAML is imported only when the reader declines or a frame is emitted.
-A declined document is parsed with libyaml when PyYAML has it, and a
-document libyaml rejects is parsed again in pure Python, so error
-messages are the same either way.
+A declined document is parsed by PyYAML's pure-Python ``safe_load``, never
+by libyaml, so a document reads, and fails with the same message, on every
+host whether or not PyYAML was built with libyaml.
 """
 
 from __future__ import annotations
@@ -258,17 +258,7 @@ def _load_yaml(text: str) -> dict:
     try:
         doc = _read_subset(text)
     except (_Decline, RecursionError):
-        import yaml
-
-        try:
-            # libyaml's parser when PyYAML was built with it, else the
-            # pure-Python one; both use the same safe constructor and resolver.
-            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except (yaml.YAMLError, UnicodeEncodeError):
-            # Parse again with the pure-Python loader, whose messages (and so
-            # every parse error this module reports) do not depend on whether
-            # libyaml is installed.
-            doc = _load_yaml_pure(text)
+        doc = _load_yaml_pure(text)
     return _mapping(doc, "document")
 
 
@@ -286,6 +276,8 @@ def _load_yaml_pure(text: str) -> Any:
         raise FileFormatError(f"parse error: {exc}") from exc
     except yaml.YAMLError as exc:
         raise FileFormatError(f"parse error: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError("parse error: the document nests too deeply") from None
 
 
 def _parse_location(entry: Any) -> Location:

@@ -371,6 +371,10 @@ class VotingParams(_Record):
             raise ScenarioError("need at least one precinct with at least one voter")
         if len(candidates) < 2:
             raise ScenarioError("need at least two candidates for nontrivial blurs")
+        if "" in candidates or len(set(candidates)) < len(candidates):
+            # an empty name is no vote value, and a repeated one makes a
+            # smaller election than the one asked for
+            raise ScenarioError(f"candidate names must be distinct and non-empty, got {candidates!r}")
         self._fill(precincts, candidates, commissioners)
 
 

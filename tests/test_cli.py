@@ -561,6 +561,23 @@ def test_precincts_that_are_not_numbers_exit_2(capsys):
     assert err == "error: --precincts takes comma-separated voter counts, got '2,x'\n"
 
 
+@pytest.mark.parametrize("candidates", ["0,,1", "a,a"])
+def test_empty_or_repeated_candidates_exit_2(tmp_path, capsys, candidates):
+    out = tmp_path / "v.yaml"
+    assert main(["scenario", "voting", "--candidates", candidates, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: candidate names must be distinct and non-empty, got (")
+    assert not out.exists()
+
+
+def test_scenario_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "fw.yaml"
+    assert main(["scenario", "firewall", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: [Errno 2] No such file or directory")
+    assert captured.err.count("\n") == 1
+
+
 #: One valid invocation of every analysis command on ``frame.yaml`` and
 #: ``machine.yaml`` (the ``GOOD_FRAME`` and ``MACHINE`` documents).
 ANALYSES = {
@@ -634,12 +651,6 @@ def test_a_bad_bound_is_named_before_an_unknown_blur(analysis_dir, capsys, comma
     assert capsys.readouterr().err == "error: max_total_events must be >= 0\n"
 
 
-needs_libyaml = pytest.mark.skipif(
-    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
-)
-
-
-@needs_libyaml
 @pytest.mark.parametrize(
     "argv",
     [
@@ -656,16 +667,13 @@ def test_scenario_files_load_equal_under_both_loaders(tmp_path, capsys, argv):
     path = tmp_path / "scn.yaml"
     assert main(["scenario", *argv, "--out", str(path)]) == 0
     text = path.read_text()
-    pure = yaml.load(text, Loader=yaml.SafeLoader)
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == pure
     # The subset reader reads every generated file, with no PyYAML fallback.
-    assert _read_subset(text) == pure
+    assert _read_subset(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
-@needs_libyaml
 def test_machine_file_loads_equal_under_both_loaders():
     text = machine_document(downgrader_machine())
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert _read_subset(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_DOCUMENTS))
@@ -676,13 +684,11 @@ def test_parse_errors_keep_pure_python_messages(name):
     assert str(info.value) == message
 
 
-@needs_libyaml
-def test_libyaml_accepts_tab_after_colon():
-    """The one known acceptance difference: libyaml takes a tab as the
-    space after ``:``, pure-Python PyYAML does not, so such a file parses
-    where libyaml is present."""
+def test_tab_after_colon_is_rejected_on_every_host():
+    """libyaml takes a tab as the space after ``:``, pure-Python PyYAML
+    does not; a declined document is parsed only in pure Python, so such a
+    file is rejected whether or not libyaml is installed."""
     text = GOOD_FRAME.replace('data: ["0", "1"]', 'data:\t["0", "1"]')
-    with pytest.raises(yaml.YAMLError):
-        yaml.safe_load(text)
-    frame, _, _ = parse_frame_document(text)
-    assert frame == parse_frame_document(GOOD_FRAME)[0]
+    with pytest.raises(FileFormatError) as info:
+        parse_frame_document(text)
+    assert str(info.value) == "parse error at line 3, column 8: found character '\\t' that cannot start any token"

@@ -102,6 +102,13 @@ def test_voting_params_validation():
         build_voting(VotingParams(precincts=(2,), commissioners=((9, 9),)))
 
 
+@pytest.mark.parametrize("candidates", [("0", "", "1"), ("a", "a"), ("a", "b", "a")])
+def test_voting_candidates_must_be_distinct_and_non_empty(candidates):
+    with pytest.raises(ScenarioError) as info:
+        VotingParams(candidates=candidates)
+    assert str(info.value) == f"candidate names must be distinct and non-empty, got {candidates!r}"
+
+
 def test_voting_frame_shape_and_language():
     scn = build_voting(VotingParams(precincts=(2,)))
     assert validate_frame(scn.frame).ok
