@@ -18,17 +18,21 @@ and the details of its report.
 
 Only the file format and ``frames`` load with this module; each command
 imports the analysis modules it runs when it runs, so ``validate`` loads
-no enumeration and only ``scenario`` loads the scenario builders.
+no enumeration and only ``scenario`` loads the scenario builders.  For
+the same reason ``main`` gives only the invoked command its arguments,
+and ``entry``, the process's entry point, ends the process as soon as the
+report is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .fileformat import emit_frame_document, parse_frame_document, parse_machine_document
 from .frames import InputError, _Record, validate_frame
@@ -398,7 +402,13 @@ _BOUND = " --bound --per-location"
 _PURGE = "file --target --purge" + _BOUND
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given ``argv``, one in which only the
+    command ``argv`` names has its arguments.  Every other command is a bare
+    entry, which is all that ``--help`` and an invalid-choice error print.
+    The top level takes no option with a value, so the command is the first
+    argument that does not start with ``-``."""
+    named = None if argv is None else next((a for a in argv if a[:1] != "-"), None)
     top = argparse.ArgumentParser(
         prog="flowcut",
         description="Brute-force information-flow analysis of message-passing frames",
@@ -436,18 +446,30 @@ def build_parser() -> argparse.ArgumentParser:
         ("ni", cmd_ni_nd, _PURGE, "purge-based noninterference"),
         ("nd", cmd_ni_nd, _PURGE, "purge-based nondeducibility"),
         ("purge-blur", cmd_purge_blur, _PURGE, "the blur a purge induces on input runs"),
+        ("scenario", None, "", "emit a frame file for a built-in scenario"),
     ):
-        add(sub, name, fn, arguments, help=help_text)
-
-    p = sub.add_parser("scenario", help="emit a frame file for a built-in scenario", parents=[common])
-    scn_sub = p.add_subparsers(dest="which", required=True)
-    add(scn_sub, "firewall", cmd_scenario, "--filtering --region-sends --out")
-    add(scn_sub, "voting", cmd_scenario, "--precincts --candidates --out")
+        if argv is not None and name != named:
+            sub.add_parser(name, help=help_text)
+        elif name != "scenario":
+            add(sub, name, fn, arguments, help=help_text)
+        else:
+            p = sub.add_parser(name, help=help_text, parents=[common])
+            scn_sub = p.add_subparsers(dest="which", required=True)
+            add(scn_sub, "firewall", cmd_scenario, "--filtering --region-sends --out")
+            add(scn_sub, "voting", cmd_scenario, "--precincts --candidates --out")
     return top
 
 
+def _unwritten(exc: OSError) -> int:
+    print(f"error: cannot write report: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit status; never ends the process."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -465,11 +487,32 @@ def main(argv: list[str] | None = None) -> int:
         report.params["seed"] = args.seed
     if args.timing:
         report.timing_s = time.monotonic() - started
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except OSError as exc:  # a closed pipe or a full disk, not a verdict
+        return _unwritten(exc)
     if report.verdict is None:
         return 0
     return 0 if report.verdict else 1
 
 
+def entry() -> NoReturn:
+    """The ``flowcut`` command: ``main``, then end the process at once.
+
+    Interpreter finalization frees every module and object, which no report
+    needs, so the process ends by ``os._exit`` once stdout and stderr are
+    flushed.  A flush that fails exits 2, like a failed write in ``main``.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        # After a write that ``main`` has reported, the unwritten report is
+        # still buffered and fails again here: report it once.
+        status = 2 if status == 2 else _unwritten(exc)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -89,6 +89,8 @@ def _row(value: Any, what: str, *fields: str) -> tuple[str, ...]:
     """A sequence of scalars, one per named field."""
     if not isinstance(value, list) or len(value) != len(fields):
         raise FileFormatError(f"{what} must be a [{', '.join(fields)}] row")
+    if all(type(v) is str for v in value):
+        return tuple(value)
     return tuple(_scalar(v, f"each field of {what}") for v in value)
 
 
@@ -138,6 +140,7 @@ def _tokens(src: str) -> list[tuple[str, Any, int]]:
     indentation (-1 at the end); any other kind is an indicator."""
     toks = []
     line = 0
+    untyped = set()  # plain scalars already checked against _TYPED
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
         if kind == "x":
@@ -148,8 +151,10 @@ def _tokens(src: str) -> list[tuple[str, Any, int]]:
                 text = text[1:-1].replace("''", "'")
             elif text[0] == '"':
                 text = text[1:-1]
-            elif _TYPED.fullmatch(text):
-                raise _Decline
+            elif text not in untyped:
+                if _TYPED.fullmatch(text):
+                    raise _Decline
+                untyped.add(text)
             toks.append(("s", text, m.start(kind) - line))
         elif kind == "i":
             toks.append((text, None, m.start(kind) - line))

@@ -148,13 +148,20 @@ class Lts(_Record):
     """A finite labeled transition system; generates a prefix-closed trace
     set by construction.  May be nondeterministic."""
 
-    __slots__ = ("states", "initial", "transitions")
-    __eq__, __hash__ = _compared_by(*__slots__)
+    __slots__ = ("states", "initial", "transitions", "_moves")
+    # ``_moves`` maps each (state, label) that has a transition to its
+    # target states, so a step looks its targets up instead of scanning.
+    __eq__, __hash__ = _compared_by(*__slots__[:-1])
 
     def __init__(
         self, states: frozenset[str], initial: str, transitions: frozenset[tuple[str, Label, str]]
     ) -> None:
-        self._fill(states, initial, transitions)
+        moves: dict[tuple[str, Label], set[str]] = {}
+        for s, lab, t in transitions:
+            moves.setdefault((s, lab), set()).add(t)
+        self._fill(
+            states, initial, transitions, {move: frozenset(ts) for move, ts in moves.items()}
+        )
 
     def labels(self) -> set[Label]:
         return {lab for _, lab, _ in self.transitions}
@@ -263,7 +270,11 @@ def behavior_step(spec: TraceSpec, state, label: Label):
     if isinstance(spec, ExplicitTraces):
         nxt = state + (label,)
         return nxt if nxt in spec.traces else None
-    targets = frozenset(t for (s, lab, t) in spec.transitions if s in state and lab == label)
+    moves = spec._moves
+    if len(state) == 1:
+        (s,) = state
+        return moves.get((s, label))
+    targets = frozenset().union(*(moves.get((s, label), ()) for s in state))
     return targets or None
 
 

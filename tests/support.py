@@ -260,9 +260,24 @@ def count_restrictions(monkeypatch) -> list[int]:
 # and compare by brute-force bijection search.  No CanonicalRun machinery.
 
 
-def naive_histories(frame: Frame, bound: int) -> list[list[tuple[str, str]]]:
-    from flowcut.frames import behavior_start, behavior_step
+def oracle_start(spec):
+    """A behaviour's start state: the empty prefix of an explicit trace
+    set, the set of an LTS's initial state."""
+    return () if isinstance(spec, ExplicitTraces) else frozenset({spec.initial})
 
+
+def oracle_step(spec, state, label):
+    """``frames.behavior_step`` by a scan of every trace or transition, not
+    through the library's transition index; None if ``label`` is not
+    enabled."""
+    if isinstance(spec, ExplicitTraces):
+        nxt = state + (label,)
+        return nxt if nxt in spec.traces else None
+    targets = frozenset(t for (s, lab, t) in spec.transitions if s in state and lab == label)
+    return targets or None
+
+
+def naive_histories(frame: Frame, bound: int) -> list[list[tuple[str, str]]]:
     behaviors = {loc.id: loc.behavior for loc in frame.locations}
     out: list[list[tuple[str, str]]] = []
 
@@ -276,7 +291,7 @@ def naive_histories(frame: Frame, bound: int) -> list[list[tuple[str, str]]]:
                 label = (chan.id, value)
                 nxt = {}
                 for loc in ends:
-                    step = behavior_step(behaviors[loc], config[loc], label)
+                    step = oracle_step(behaviors[loc], config[loc], label)
                     if step is None:
                         break
                     nxt[loc] = step
@@ -287,7 +302,7 @@ def naive_histories(frame: Frame, bound: int) -> list[list[tuple[str, str]]]:
                     walk(history, config2)
                     history.pop()
 
-    walk([], {lid: behavior_start(spec) for lid, spec in behaviors.items()})
+    walk([], {lid: oracle_start(spec) for lid, spec in behaviors.items()})
     return out
 
 
@@ -387,12 +402,10 @@ def reference_enumerate(frame: Frame, bound: int) -> list[tuple[CanonicalRun, Ev
     each newly generated firing sequence's event system, sorted by canonical
     serialization: the enumerator the library used before it deduplicated
     on location traces."""
-    from flowcut.frames import behavior_start, behavior_step
-
     behaviors = {loc.id: loc.behavior for loc in frame.locations}
     empty = build_system([])
     found = {reference_canonicalize(empty): empty}
-    queue = [([], [], {}, {lid: behavior_start(b) for lid, b in behaviors.items()})]
+    queue = [([], [], {}, {lid: oracle_start(b) for lid, b in behaviors.items()})]
     while queue:
         events, anc, last, config = queue.pop()
         if len(events) >= bound:
@@ -400,7 +413,7 @@ def reference_enumerate(frame: Frame, bound: int) -> list[tuple[CanonicalRun, Ev
         for chan in frame.channels:
             locs = (chan.sender,) if chan.is_self_loop else (chan.sender, chan.recipient)
             for value in sorted(frame.data):
-                steps = {l: behavior_step(behaviors[l], config[l], (chan.id, value)) for l in locs}
+                steps = {l: oracle_step(behaviors[l], config[l], (chan.id, value)) for l in locs}
                 if None in steps.values():
                     continue
                 pred = set()

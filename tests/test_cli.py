@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from flowcut.cli import main
+import flowcut
+from flowcut.cli import build_parser, main
 from flowcut.fileformat import (
     FileFormatError,
     _read_subset,
@@ -692,3 +698,172 @@ def test_tab_after_colon_is_rejected_on_every_host():
     with pytest.raises(FileFormatError) as info:
         parse_frame_document(text)
     assert str(info.value) == "parse error at line 3, column 8: found character '\\t' that cannot start any token"
+
+
+# -- the process exit path ---------------------------------------------------------
+#
+# ``python -m flowcut.cli`` and the ``flowcut`` script end the process with
+# ``os._exit`` once the report is flushed, skipping interpreter finalization.
+# These tests run that path in a child process: nothing buffered may be
+# lost, every exit status must come through, and a report that cannot be
+# written exits 2 with one line.
+
+
+def _flowcut(*argv: str, cwd: Path, stdout=subprocess.PIPE, code: str | None = None):
+    """(status, stdout, stderr) of ``python -m flowcut.cli argv``, or of
+    ``python -c code argv``; ``PYTHONUNBUFFERED`` is unset, so a buffer the
+    exit path fails to flush shows as lost output."""
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1]),
+        "COLUMNS": "80",
+    }
+    prefix = ["-m", "flowcut.cli"] if code is None else ["-c", code]
+    proc = subprocess.run(
+        [sys.executable, *prefix, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        cwd=cwd,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture()
+def fw_dir(tmp_path, monkeypatch):
+    scn = build_firewall(FirewallParams())
+    (tmp_path / "fw.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets, scn.blurs))
+    (tmp_path / "frame.yaml").write_text(GOOD_FRAME)
+    (tmp_path / "bad.yaml").write_text(BAD_PREFIX_FRAME)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+def test_a_large_report_is_whole_through_the_exit_path(fw_dir, capsys, sink):
+    argv = ["enumerate", "fw.yaml", "--bound", "14", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 300_000  # many times the stdout buffer
+    if sink == "pipe":
+        status, out, err = _flowcut(*argv, cwd=fw_dir)
+    else:
+        with open(fw_dir / "report.json", "wb") as fh:
+            status, _, err = _flowcut(*argv, cwd=fw_dir, stdout=fh)
+        out = (fw_dir / "report.json").read_bytes()
+    assert (status, err) == (0, b"")
+    assert out == expected
+
+
+def test_every_exit_status_comes_through_the_exit_path(fw_dir):
+    status, out, err = _flowcut("validate", "frame.yaml", cwd=fw_dir)
+    assert (status, out.startswith(b"command: validate\n"), err) == (0, True, b"")
+    status, out, err = _flowcut("validate", "bad.yaml", cwd=fw_dir)
+    assert (status, b"verdict: FAILS\n" in out, err) == (1, True, b"")
+    status, out, err = _flowcut("validate", "missing.yaml", cwd=fw_dir)
+    assert (status, out) == (2, b"")
+    assert err.startswith(b"error: cannot read missing.yaml: ") and err.count(b"\n") == 1
+    # An internal error needs a fault; this runs the ``__main__`` block as
+    # ``-m`` does, with the frame check replaced by one that raises.
+    code = (
+        "import runpy, flowcut.frames\n"
+        "def boom(frame):\n"
+        "    raise RuntimeError('boom')\n"
+        "flowcut.frames.validate_frame = boom\n"
+        "runpy.run_module('flowcut.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    status, out, err = _flowcut("validate", "frame.yaml", cwd=fw_dir, code=code)
+    assert (status, out, err) == (3, b"", b"internal error: RuntimeError('boom')\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["check-blur", "--help"], ["nope"], ["check-blur", "frame.yaml", "--blur", "ident"]],
+    ids=" ".join,
+)
+def test_usage_output_through_the_exit_path_is_the_full_parsers(fw_dir, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    status, out, err = _flowcut(*argv, cwd=fw_dir)
+    assert (status, out.decode(), err.decode()) == (exc.value.code, full.out, full.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--he"],
+        ["nope"],
+        ["-1"],
+        ["", "validate", "f.yaml"],
+        ["--", "validate", "f.yaml"],
+        ["--json", "validate", "f.yaml"],
+        ["validate", "--bogus", "f.yaml"],
+        ["validate", "f.yaml"],
+        ["enumerate", "f.yaml", "--bound", "x"],
+        ["ni", "m.yaml", "--target", "d", "--purge", "xx"],
+        ["compose", "a.yaml", "b.yaml", "--core", "L", "--blur", "b", "--source", "s", "--observed", "o"],
+        ["scenario"],
+        ["scenario", "-h"],
+        ["scenario", "voting", "-h"],
+        ["scenario", "voting", "--precincts", "2,2", "--json"],
+        ["scenario", "firewall", "--filtering", "nope"],
+    ],
+    ids=repr,
+)
+def test_the_parser_for_argv_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # Only the command argv names has its arguments; what argparse prints,
+    # its status and the namespace are those of the parser of every command.
+    monkeypatch.setenv("COLUMNS", "80")
+    results = []
+    for parser in (build_parser(), build_parser(argv)):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        results.append((outcome, capsys.readouterr()))
+    assert results[0] == results[1]
+
+
+class _FullDisk:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_a_report_that_cannot_be_written_exits_2_in_process(frame_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert main(["validate", frame_file]) == 2
+    assert capsys.readouterr().err == "error: cannot write report: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "fw.yaml", "--bound", "14", "--json"],  # fails while printing
+        ["validate", "fw.yaml"],  # fails when main flushes
+        ["--help"],  # argparse's help fails only when the process flushes on its way out
+    ],
+    ids=" ".join,
+)
+def test_a_report_to_a_closed_pipe_exits_2_on_one_line(fw_dir, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        status, _, err = _flowcut(*argv, cwd=fw_dir, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (status, err) == (2, b"error: cannot write report: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_report_to_a_full_device_exits_2_on_one_line(fw_dir):
+    with open("/dev/full", "wb") as full:
+        status, _, err = _flowcut("validate", "fw.yaml", cwd=fw_dir, stdout=full)
+    assert (status, err) == (2, b"error: cannot write report: [Errno 28] No space left on device\n")

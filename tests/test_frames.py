@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcut.frames import (
     Channel,
@@ -11,12 +13,13 @@ from flowcut.frames import (
     FrameError,
     Location,
     Lts,
+    behavior_step,
     location_language,
     validate_frame,
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
-from support import frame_graph, random_budget_complete_frame, undirected_frame_graph
+from support import frame_graph, oracle_step, random_budget_complete_frame, undirected_frame_graph
 
 
 def single_location_frame() -> Frame:
@@ -123,6 +126,24 @@ def test_language_lts_loop_unrolls():
         (("c", "v"),),
         (("c", "v"), ("c", "v")),
     }
+
+
+_STATES = st.sampled_from("pqrs")
+_LABELS = st.tuples(st.sampled_from("ab"), st.sampled_from("01"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    transitions=st.frozensets(st.tuples(_STATES, _LABELS, _STATES), max_size=16),
+    states=st.lists(st.frozensets(_STATES, min_size=1), min_size=1, max_size=4),
+)
+def test_indexed_lts_step_equals_the_transition_scan(transitions, states):
+    # Nondeterministic LTSs: a (state, label) pair may have several targets,
+    # and a behaviour state is any non-empty subset of the states.
+    lts = Lts(frozenset("pqrs"), "p", transitions)
+    for state in states:
+        for label in [("a", "0"), ("a", "1"), ("b", "0"), ("b", "1")]:
+            assert behavior_step(lts, state, label) == oracle_step(lts, state, label)
 
 
 def test_language_voting_voter():
