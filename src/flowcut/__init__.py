@@ -49,7 +49,7 @@ _EXPORTS = {
         "no_disclosure",
         "obs_equivalent",
     ),
-    "enumeration": ("Bound", "EnumerationError", "ExecutionSet", "enumerate_executions", "enumerate_runs"),
+    "enumeration": ("ExecutionSet", "enumerate_executions", "enumerate_runs"),
     "events": (
         "CanonicalRun",
         "Event",
@@ -66,7 +66,9 @@ _EXPORTS = {
         "parse_machine_document",
     ),
     "frames": (
+        "Bound",
         "Channel",
+        "EnumerationError",
         "ExplicitTraces",
         "Frame",
         "FrameError",

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from .events import CanonicalRun
 from .frames import (
+    Bound,
     Frame,
     InputError,
     _compared_by,
@@ -31,7 +32,6 @@ from .frames import (
 
 if TYPE_CHECKING:
     from .cuts import ChannelSetTriple
-    from .enumeration import Bound
 
 
 class BlurError(InputError):

@@ -32,13 +32,10 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from .fileformat import emit_frame_document, parse_frame_document, parse_machine_document
-from .frames import InputError, _Record, validate_frame
-
-if TYPE_CHECKING:
-    from .enumeration import Bound
+from .frames import Bound, InputError, _Record, validate_frame
 
 SCHEMA = "flowcut-report/1"
 DEFAULT_BOUND = 6
@@ -125,11 +122,11 @@ class Query:
     The input files are read first, then the bound is built, then the blur
     is looked up, so the first bad one is the error reported.  ``frames``
     holds each frame file's frame (``machine`` the machine file's).  The
-    bound and its notes exist only for a command that takes ``--bound``, so
-    one without loads no enumeration.  Each set argument becomes the
-    attribute of its name: a named set or a comma-separated list, with
-    ``observed`` looked up in the last file's named channel sets, the other
-    channel sets in the first file's, and ``core`` (locations) in none.
+    bound and its notes exist only for a command that takes ``--bound``.
+    Each set argument becomes the attribute of its name: a named set or a
+    comma-separated list, with ``observed`` looked up in the last file's
+    named channel sets, the other channel sets in the first file's, and
+    ``core`` (locations) in none.
     ``blur`` is the first file's blur named by ``--blur``.
     """
 
@@ -144,8 +141,6 @@ class Query:
         self.notes: list[str] = []
         self.bound: Bound | None = None
         if hasattr(args, "bound"):
-            from .enumeration import Bound
-
             if args.bound is None:
                 self.notes.append(f"no --bound given; defaulting to {DEFAULT_BOUND} total events")
             self.bound = Bound(DEFAULT_BOUND if args.bound is None else args.bound, args.per_location)
@@ -460,8 +455,17 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return top
 
 
+def _error(line: str) -> None:
+    """Print one line to stderr.  A stderr that cannot be written loses the
+    line, never the exit status, which still tells what happened."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _unwritten(exc: OSError) -> int:
-    print(f"error: cannot write report: {exc}", file=sys.stderr)
+    _error(f"error: cannot write report: {exc}")
     return 2
 
 
@@ -478,10 +482,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report: Report = args.fn(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     except Exception as exc:  # a bug, not a verdict: keep it off exit 1
-        print(f"internal error: {exc!r}", file=sys.stderr)
+        _error(f"internal error: {exc!r}")
         return 3
     if args.seed is not None:
         report.params["seed"] = args.seed
@@ -501,16 +505,20 @@ def entry() -> NoReturn:
 
     Interpreter finalization frees every module and object, which no report
     needs, so the process ends by ``os._exit`` once stdout and stderr are
-    flushed.  A flush that fails exits 2, like a failed write in ``main``.
+    flushed.  A stdout flush that fails exits 2, like a failed write in
+    ``main``; a stderr flush that fails leaves the status as it is.
     """
     status = main()
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
     except OSError as exc:
         # After a write that ``main`` has reported, the unwritten report is
         # still buffered and fails again here: report it once.
         status = 2 if status == 2 else _unwritten(exc)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # an error line ``_error`` could not write is still buffered
     os._exit(status)
 
 

@@ -11,11 +11,10 @@ enumeration bound and reports must say so.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TYPE_CHECKING
+from typing import Callable, Hashable, Iterable, TYPE_CHECKING
 
-from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import CanonicalRun, EventSystemError, is_execution
-from .frames import Frame, _Record
+from .frames import Bound, Frame, _Record
 
 if TYPE_CHECKING:
     from .blur import SharedCore
@@ -53,6 +52,8 @@ def _cmpt_table(
 ) -> dict[CanonicalRun, frozenset[CanonicalRun]]:
     """Map each observed run to the set of source runs co-realized with it.
     Built on each call from the execution set's memoized local runs."""
+    from .enumeration import enumerate_executions
+
     frame.check_channels(observed)
     frame.check_channels(source)
     exset = enumerate_executions(frame, bound)
@@ -63,17 +64,24 @@ def _cmpt_table(
 
 
 def _first_leak(
-    table: dict[CanonicalRun, frozenset[CanonicalRun]],
-    f: Callable[[frozenset[CanonicalRun]], frozenset[CanonicalRun]],
-) -> tuple[CanonicalRun, CanonicalRun] | None:
-    """The least observed run (by serialization) whose compatibility set
+    table: dict[Hashable, frozenset],
+    f: Callable[[frozenset], frozenset],
+    key: Callable[[Hashable], str] = CanonicalRun.serialize,
+) -> tuple[Hashable, Hashable] | None:
+    """The least observed run, by serialization, whose compatibility set
     ``f`` enlarges, and the least run ``f`` adds to it; None when ``f``
-    fixes every compatibility set of the table."""
-    for b in sorted(table, key=CanonicalRun.serialize):
-        extra = f(table[b]) - table[b]
+    fixes every compatibility set of the table.  ``key`` serializes a run
+    of the table, for a table that holds its runs another way, as words;
+    only the observed runs that leak are serialized."""
+    leaks = {}
+    for b, compat in table.items():
+        extra = f(compat) - compat
         if extra:
-            return b, min(extra, key=CanonicalRun.serialize)
-    return None
+            leaks[b] = extra
+    if not leaks:
+        return None
+    b = min(leaks, key=key)
+    return b, min(leaks[b], key=key)
 
 
 def compatible_runs(frame: Frame, query: CompatQuery) -> frozenset[CanonicalRun]:
@@ -221,6 +229,8 @@ def merge_across_cut(
     if not b_rc.channel_ids <= right_chans:
         raise MergeError("right run uses channels outside RIGHT2 and the cut")
     if bound is not None:
+        from .enumeration import enumerate_runs
+
         if b_lc not in enumerate_runs(frame_left, left_chans, bound):
             raise MergeError("left input is not a local run of its frame at the bound")
         if b_rc not in enumerate_runs(frame_right, right_chans, bound):

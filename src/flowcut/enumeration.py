@@ -48,38 +48,15 @@ from itertools import islice
 from typing import Iterable
 
 from .events import _EMPTY_RUN, CanonicalRun, EventSystem
-from .frames import (
+from .frames import (  # Bound and EnumerationError are re-exported here
+    Bound,
+    EnumerationError,
     Frame,
-    InputError,
-    _compared_by,
     _Record,
     behavior_start,
     behavior_step,
     validate_frame,
 )
-
-
-class EnumerationError(InputError):
-    """Raised for malformed frames or bounds."""
-
-
-class Bound(_Record):
-    """Event budget for enumeration.  ``max_total_events`` bounds the
-    whole execution; the optional per-location cap counts the events a
-    location participates in (a self-loop event counts once)."""
-
-    __slots__ = ("max_total_events", "max_events_per_location")
-    __eq__, __hash__ = _compared_by(*__slots__)
-
-    def __init__(self, max_total_events: int, max_events_per_location: int | None = None) -> None:
-        if max_total_events < 0:
-            raise EnumerationError("max_total_events must be >= 0")
-        per = max_events_per_location
-        if per is not None and per < 0:
-            raise EnumerationError("max_events_per_location must be >= 0")
-        if per is not None and per > max_total_events:
-            raise EnumerationError("per-location bound must not exceed the total bound")
-        self._fill(max_total_events, per)
 
 
 class ExecutionSet(_Record):

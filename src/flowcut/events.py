@@ -7,8 +7,9 @@ ancestor bitmasks (bit a of ``ancestors[b]`` is set iff event a lies
 strictly below event b).  ``ancestor_masks`` closes a generating relation
 in one topological pass, ``covering_pairs`` reads the transitive
 reduction off the masks, and ``chain_order`` sorts a chain by ancestor
-count.  Executions of a frame are runs whose projection onto every
-location is a chain lying in that location's trace set.
+count; ``CanonicalRun.chain`` builds the run of a word of labels, a chain.
+Executions of a frame are runs whose projection onto every location is a
+chain lying in that location's trace set.
 
 Equality of local runs is order-isomorphism: two restrictions count as the
 same run when a channel-, message-, and order-preserving bijection relates
@@ -300,6 +301,26 @@ class CanonicalRun(_Record):
                 raise EventSystemError(f"order references unknown canonical id {a} or {b}")
             gen.append((pos[a], pos[b]))
         return CanonicalRun(chans, ancestor_masks(len(ids), gen, ids))
+
+    @staticmethod
+    def chain(word: Sequence["Label"]) -> "CanonicalRun":
+        """The run whose events are the labels of ``word``, each below
+        every later one: a word of labels as the chain it stands for."""
+        msgs: dict[str, list[str]] = {}
+        for chan, msg in word:
+            msgs.setdefault(chan, []).append(msg)
+        start, pos = {}, 0
+        for chan in sorted(msgs):
+            start[chan] = pos
+            pos += len(msgs[chan])
+        anc = [0] * pos
+        below = 0
+        for chan, _ in word:
+            k = start[chan]
+            start[chan] += 1
+            anc[k] = below
+            below |= 1 << k
+        return CanonicalRun(tuple((chan, tuple(msgs[chan])) for chan in sorted(msgs)), tuple(anc))
 
     @property
     def n_events(self) -> int:

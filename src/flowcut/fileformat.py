@@ -15,7 +15,9 @@ comments), which returns what ``yaml.safe_load`` would or declines.
 PyYAML is imported only when the reader declines or a frame is emitted.
 A declined document is parsed by PyYAML's pure-Python ``safe_load``, never
 by libyaml, so a document reads, and fails with the same message, on every
-host whether or not PyYAML was built with libyaml.
+host whether or not PyYAML was built with libyaml.  The blur forms are
+imported only to read or write a ``blurs`` block, so a machine file, or a
+frame file without blurs, reads with ``frames`` alone.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
-from .blur import AllBlur, BlurSpec, IdentityBlur, PermutationBlur, SelectionBlur
 from .frames import Channel, ExplicitTraces, Frame, InputError, Location, Lts
 
 if TYPE_CHECKING:
+    from .blur import BlurSpec
     from .purge import MachineSpec
 
 
@@ -107,17 +109,33 @@ _OUTSIDE = re.compile(r"[^\n -~]")
 
 #: Plain scalars that YAML 1.1's implicit resolver types (yaml.org/type):
 #: PyYAML's expressions for bool, float, int, merge, null, value and timestamp.
-_TYPED = re.compile(
-    r"""yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF
+_TYPED = r"""yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF
     |[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
     |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)
     |[-+]?0b[0-1_]+|[-+]?0[0-7_]+|[-+]?(?:0|[1-9][0-9_]*)|[-+]?0x[0-9a-fA-F_]+
     |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+|<<|~|null|Null|NULL|=
     |[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
     |[0-9][0-9][0-9][0-9]-[0-9][0-9]?-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?:[0-9][0-9]:[0-9][0-9]
-     (?:\.[0-9]*)?(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?""",
-    re.X,
+     (?:\.[0-9]*)?(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?"""
+
+#: The scalars ``_TYPED`` matches that start with a letter, and the first
+#: characters of all its other matches.
+_TYPED_WORDS = frozenset(
+    "yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF null Null NULL".split()
 )
+_TYPED_FIRST = frozenset("0123456789+-.<~=")
+
+
+def _typed(text: str) -> bool:
+    """Whether ``_TYPED`` matches all of ``text``.  Most scalars are names
+    that start with a letter, so the expression is compiled, once per
+    process by ``re``'s cache, only when a scalar could be a number."""
+    if text in _TYPED_WORDS:
+        return True
+    if not text or text[0] not in _TYPED_FIRST:
+        return False
+    return re.fullmatch(_TYPED, text, re.X) is not None
+
 
 #: One token after any spaces: a scalar (s), an indicator (i), a line break
 #: with the blank and comment lines after it and the next line's
@@ -140,7 +158,7 @@ def _tokens(src: str) -> list[tuple[str, Any, int]]:
     indentation (-1 at the end); any other kind is an indicator."""
     toks = []
     line = 0
-    untyped = set()  # plain scalars already checked against _TYPED
+    untyped = set()  # plain scalars already checked by _typed
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
         if kind == "x":
@@ -152,7 +170,7 @@ def _tokens(src: str) -> list[tuple[str, Any, int]]:
             elif text[0] == '"':
                 text = text[1:-1]
             elif text not in untyped:
-                if _TYPED.fullmatch(text):
+                if _typed(text):
                     raise _Decline
                 untyped.add(text)
             toks.append(("s", text, m.start(kind) - line))
@@ -312,6 +330,8 @@ def _parse_location(entry: Any) -> Location:
 
 
 def _parse_blur(name: str, body: Any, frame: Frame) -> BlurSpec:
+    from .blur import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
+
     where = f"blur {name!r}"
     body = _mapping(body, where)
     kind = _field(body, "kind", where, _scalar)
@@ -481,6 +501,8 @@ def emit_frame_document(
 
 
 def _emit_blur(name: str, blur: BlurSpec) -> dict:
+    from .blur import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
+
     if isinstance(blur, IdentityBlur):
         return {"kind": "identity"}
     if isinstance(blur, AllBlur):

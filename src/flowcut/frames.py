@@ -10,8 +10,9 @@ machine form).  Frames are immutable after construction and all operations
 here are pure functions.
 
 Every command loads this module, so it also holds the base that all the
-package's record types share: plain ``__slots__`` classes, which no
-module builds with ``dataclasses``.
+package's record types share (plain ``__slots__`` classes, which no
+module builds with ``dataclasses``) and the event budget ``Bound``, which
+the purge checks take without loading the enumeration.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class FrameError(InputError):
 
 class UnknownChannelError(FrameError):
     """A channel id does not name a channel of the frame."""
+
+
+class EnumerationError(InputError):
+    """Raised for malformed frames or bounds."""
 
 
 # -- records ---------------------------------------------------------------
@@ -93,6 +98,25 @@ def _compared_by(*names: str):
         return hash(key(self))
 
     return __eq__, __hash__
+
+
+class Bound(_Record):
+    """Event budget for enumeration.  ``max_total_events`` bounds the
+    whole execution; the optional per-location cap counts the events a
+    location participates in (a self-loop event counts once)."""
+
+    __slots__ = ("max_total_events", "max_events_per_location")
+    __eq__, __hash__ = _compared_by(*__slots__)
+
+    def __init__(self, max_total_events: int, max_events_per_location: int | None = None) -> None:
+        if max_total_events < 0:
+            raise EnumerationError("max_total_events must be >= 0")
+        per = max_events_per_location
+        if per is not None and per < 0:
+            raise EnumerationError("max_events_per_location must be >= 0")
+        if per is not None and per > max_total_events:
+            raise EnumerationError("per-location bound must not exceed the total bound")
+        self._fill(max_total_events, per)
 
 
 class Channel(_Record):

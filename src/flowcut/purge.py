@@ -10,6 +10,16 @@ domain in fixed index order; this concrete output protocol is a modelling
 choice the definitions are sensitive to, so it is stated here once and
 surfaced in reports.
 
+The hub takes part in every event and the spokes accept whatever the hub
+offers them, so an execution of the star frame is a chain: one word of the
+hub's language, and every local run of it is the subword on its channels.
+The checks search those words straight from the machine, a subset
+construction over machine states and the output phase, and compare input
+and view subwords instead of canonical runs.  A run is built from a word
+(``CanonicalRun.chain``) only where one is reported or ordered by its
+serialization.  ``star_frame`` and ``purge`` keep the frame view for
+callers that enumerate it.
+
 Purges map executions to the subsequence of input events a target domain
 is entitled to know about.  The chain-based intransitive purge retains an
 input when an increasing subsequence of influences links it to the target
@@ -20,13 +30,14 @@ inputs and collapse to the simple purge under transitive policies.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .blur import PartitionBlur, _ClassIndex
-from .enumeration import Bound, enumerate_executions, enumerate_runs
 from .events import CanonicalRun, chain_order, is_execution
-from .frames import Channel, Frame, InputError, Label, Location, Lts, UnknownChannelError
+from .frames import Bound, Channel, Frame, InputError, Label, Location, Lts, UnknownChannelError
 from .frames import _compared_by, _Record
+
+if TYPE_CHECKING:
+    from .blur import PartitionBlur
 
 
 class MachineError(InputError):
@@ -300,6 +311,105 @@ def purge(machine: MachineSpec, kind: PurgeKind, execution: CanonicalRun) -> Pur
     return purge_sequence(machine, kind, input_sequence(machine, in_run))
 
 
+# -- executions as hub words -------------------------------------------------
+
+#: An execution of the star frame, or one of its local runs, as its word.
+Word = tuple[Label, ...]
+
+
+def _serialized(word: Word) -> str:
+    """The serialization of the run a word stands for."""
+    return CanonicalRun.chain(word).serialize()
+
+
+def _hub_words(
+    machine: MachineSpec, bound: Bound, view: frozenset[str]
+) -> tuple[list[Word], list[Word], list[Word]]:
+    """Every bounded execution of the star frame as the hub's word, with
+    its input subword and its subword at ``view``: three lists with one
+    entry per execution.
+
+    A search state is the set of machine states the word can reach (the
+    hub is nondeterministic when the machine is) and the output phase:
+    phase ``j < k`` owes domain ``j`` its observation, phase ``k`` takes an
+    input.  Toward the per-location cap, the hub counts every event and a
+    domain the events on its two channels, which are among the hub's, so
+    the cap bounds the word's length.
+    """
+    k = len(machine.domains)
+    total, per = bound.max_total_events, bound.max_events_per_location
+    if per is not None:
+        total = min(total, per)
+    targets: dict[tuple[str, str], list[str]] = {}
+    for s, a, t in machine.transitions:
+        targets.setdefault((s, a), []).append(t)
+    # (machine states, phase) -> its steps: label, next states, next phase,
+    # and whether the label is an input and in view.
+    rows: dict[tuple[frozenset[str], int], list[tuple]] = {}
+
+    def row(states: frozenset[str], j: int) -> list[tuple]:
+        steps = rows.get((states, j))
+        if steps is not None:
+            return steps
+        steps = rows[states, j] = []
+        if j == k:
+            for a in machine.actions:
+                nxt = frozenset(t for s in states for t in targets.get((s, a), ()))
+                if nxt:
+                    chan = machine.in_chan(machine.dom(a))
+                    steps.append(((chan, a), nxt, 0, True, chan in view))
+        else:
+            d = machine.domains[j]
+            by_output: dict[str, set[str]] = {}
+            for s in states:
+                by_output.setdefault(machine.observation(s, d), set()).add(s)
+            chan = machine.out_chan(d)
+            for o in sorted(by_output):
+                steps.append(((chan, o), frozenset(by_output[o]), j + 1, False, chan in view))
+        return steps
+
+    words: list[Word] = [()]
+    ins: list[Word] = [()]
+    views: list[Word] = [()]
+    stack = [(frozenset({machine.initial}), k, (), (), ())] if total else []
+    while stack:
+        states, j, word, in_word, view_word = stack.pop()
+        for label, nxt, j2, is_input, in_view in row(states, j):
+            word2 = word + (label,)
+            in_word2 = in_word + (label,) if is_input else in_word
+            view_word2 = view_word + (label,) if in_view else view_word
+            words.append(word2)
+            ins.append(in_word2)
+            views.append(view_word2)
+            if len(word2) < total:
+                stack.append((nxt, j2, word2, in_word2, view_word2))
+    return words, ins, views
+
+
+def _execution_rows(
+    machine: MachineSpec,
+    kind: PurgeKind,
+    bound: Bound,
+    view: Iterable[str] | None = None,
+    purge_fn: PurgeFn | None = None,
+) -> tuple[list[Word], list[tuple[PurgedValue, Word, Word]]]:
+    """The bounded executions as words and, per execution, its purge
+    value, its input word and its word at ``view`` (default: the target's
+    channels).  Each distinct input word is purged once."""
+    machine.validate()
+    fn = purge_fn if purge_fn is not None else _purge_fn(machine, kind)
+    view = machine.domain_channels(kind.target) if view is None else frozenset(view)
+    words, ins, views = _hub_words(machine, bound, view)
+    values: dict[Word, PurgedValue] = {}
+    rows = []
+    for in_word, view_word in zip(ins, views):
+        value = values.get(in_word)
+        if value is None:
+            value = values[in_word] = fn(in_word)
+        rows.append((value, in_word, view_word))
+    return words, rows
+
+
 # -- validation of the purge laws -------------------------------------------
 
 
@@ -318,50 +428,25 @@ class PurgeValidation(_Record):
         return self.visible_inputs_ok
 
 
-def _execution_rows(
-    machine: MachineSpec,
-    kind: PurgeKind,
-    bound: Bound,
-    view: Iterable[str] | None = None,
-    purge_fn: PurgeFn | None = None,
-):
-    """The star frame and, per bounded execution, its purge value, its
-    input run and its run at ``view`` (default: the target's channels)."""
-    frame = star_frame(machine)
-    fn = purge_fn if purge_fn is not None else _purge_fn(machine, kind)
-    view = machine.domain_channels(kind.target) if view is None else view
-    exset = enumerate_executions(frame, bound)
-    values: dict[CanonicalRun, PurgedValue] = {}  # each distinct input run purged once
-    rows = []
-    for in_run, view_run in zip(exset.runs_at(machine.input_channels()), exset.runs_at(view)):
-        value = values.get(in_run)
-        if value is None:
-            value = values[in_run] = fn(input_sequence(machine, in_run))
-        rows.append((value, in_run, view_run))
-    return frame, rows
-
-
-def _view_conflict(
-    rows, executions: Sequence[CanonicalRun]
-) -> tuple[CanonicalRun, CanonicalRun] | None:
+def _view_conflict(rows, words: Sequence[Word]) -> tuple[CanonicalRun, CanonicalRun] | None:
     """The input runs of the first two purge-equal rows whose views differ,
     the rows taken in the serialization order of their executions
-    (``executions[i]`` is row i's).  Only a group holding two views can
+    (``words[i]`` is row i's).  Only a group holding two views can
     conflict, and its first row in any order is one of its own, so only
     the rows of such groups are sorted."""
-    first_view: dict[PurgedValue, CanonicalRun] = {}
+    first_view: dict[PurgedValue, Word] = {}
     mixed: set[PurgedValue] = set()
-    for value, _, view_run in rows:
-        if first_view.setdefault(value, view_run) != view_run:
+    for value, _, view_word in rows:
+        if first_view.setdefault(value, view_word) != view_word:
             mixed.add(value)
     order = [i for i, row in enumerate(rows) if row[0] in mixed]
-    order.sort(key=lambda i: executions[i].serialize())
-    first: dict[PurgedValue, tuple[CanonicalRun, CanonicalRun]] = {}
+    order.sort(key=lambda i: _serialized(words[i]))
+    first: dict[PurgedValue, tuple[Word, Word]] = {}
     for i in order:
-        value, in_run, view_run = rows[i]
-        in_run_0, view_run_0 = first.setdefault(value, (in_run, view_run))
-        if view_run_0 != view_run:
-            return in_run_0, in_run
+        value, in_word, view_word = rows[i]
+        in_word_0, view_word_0 = first.setdefault(value, (in_word, view_word))
+        if view_word_0 != view_word:
+            return CanonicalRun.chain(in_word_0), CanonicalRun.chain(in_word)
     return None
 
 
@@ -382,8 +467,8 @@ def validate_purge(
     """
     _check_target(machine, kind)
     vis = machine.visible_inputs(kind.target)
-    frame, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
-    witness = _view_conflict(rows, enumerate_executions(frame, bound).canonicals)
+    words, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
+    witness = _view_conflict(rows, words)
     return PurgeValidation(witness is None, witness)
 
 
@@ -403,41 +488,50 @@ class PurgeVerdict(_Record):
 def check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Noninterference: purge-equal executions look identical on the
     target domain's own channels."""
-    frame, rows = _execution_rows(machine, kind, bound)
-    witness = _view_conflict(rows, enumerate_executions(frame, bound).canonicals)
+    words, rows = _execution_rows(machine, kind, bound)
+    witness = _view_conflict(rows, words)
     return PurgeVerdict(witness is None, witness)
+
+
+def _purge_classes(rows) -> dict[PurgedValue, set[Word]]:
+    """The distinct input words of ``rows`` grouped by purged value."""
+    classes: dict[PurgedValue, set[Word]] = {}
+    for value, in_word, _ in rows:
+        classes.setdefault(value, set()).add(in_word)
+    return classes
 
 
 def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Nondeducibility: for purge-equal executions, the second's inputs
     are compatible with the first's view of the target channels; that is,
     the purge blur limits flow from the inputs to the target's channels,
-    with the witness ``f_limits_flow`` gives."""
-    from .disclosure import _cmpt_table, _first_leak
+    with the witness ``f_limits_flow`` gives.  The blur's image of a set of
+    input words is the union of its members' purge classes."""
+    from .disclosure import _first_leak
 
-    fn = _purge_fn(machine, kind)
-    table = _cmpt_table(
-        star_frame(machine), machine.domain_channels(kind.target), machine.input_channels(), bound
-    )
-    universe = frozenset().union(*table.values())
-    blur = PartitionBlur(_purge_classes(machine, fn, universe))
-    leak = _first_leak(table, _ClassIndex(blur, universe).apply)
-    return PurgeVerdict(leak is None, leak)
+    _, rows = _execution_rows(machine, kind, bound)
+    table: dict[Word, set[Word]] = {}  # view -> the inputs co-realized with it
+    for _, in_word, view_word in rows:
+        table.setdefault(view_word, set()).add(in_word)
+    classes = _purge_classes(rows)
+    value_of = {in_word: value for value, ins in classes.items() for in_word in ins}
 
+    def blur(ins: set[Word]) -> set[Word]:
+        return set().union(*(classes[value] for value in {value_of[w] for w in ins}))
 
-def _purge_classes(
-    machine: MachineSpec, fn: PurgeFn, runs: Iterable[CanonicalRun]
-) -> tuple[frozenset[CanonicalRun], ...]:
-    """Input runs grouped by purged value under ``fn``, in value order."""
-    blocks: dict[PurgedValue, set[CanonicalRun]] = {}
-    for run in runs:
-        blocks.setdefault(fn(input_sequence(machine, run)), set()).add(run)
-    return tuple(frozenset(blocks[value]) for value in sorted(blocks))
+    leak = _first_leak(table, blur, _serialized)
+    if leak is None:
+        return PurgeVerdict(True)
+    return PurgeVerdict(False, (CanonicalRun.chain(leak[0]), CanonicalRun.chain(leak[1])))
 
 
 def purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
     """The blur induced by a purge: input runs are equivalent when they
     purge equally.  Its universe is the realized bounded input runs."""
-    fn = _purge_fn(machine, kind)
-    universe = enumerate_runs(star_frame(machine), machine.input_channels(), bound)
-    return PartitionBlur(_purge_classes(machine, fn, universe))
+    from .blur import PartitionBlur
+
+    _, rows = _execution_rows(machine, kind, bound, ())
+    blocks = _purge_classes(rows)
+    return PartitionBlur(
+        tuple(frozenset(map(CanonicalRun.chain, blocks[value])) for value in sorted(blocks))
+    )

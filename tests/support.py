@@ -13,21 +13,47 @@ merge-based lemmas are exact rather than bound-approximate.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import sys
+from pathlib import Path
 
+import flowcut
 from flowcut import enumeration
-from flowcut.blur import blur_apply
+from flowcut.blur import PartitionBlur, _ClassIndex, blur_apply
+from flowcut.disclosure import _cmpt_table, _first_leak
 from flowcut.enumeration import Bound, enumerate_executions
 from flowcut.events import CanonicalRun, Event, EventSystem, LinearityError, ancestor_masks
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
 from flowcut.purge import (
     MachineSpec,
     PurgeKind,
+    PurgeValidation,
     PurgeVerdict,
-    _execution_rows,
     input_sequence,
+    purge_sequence,
     star_frame,
 )
+
+
+# -- child interpreters ---------------------------------------------------------
+
+
+def child_env(*paths, **extra: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports the flowcut this
+    process imported: a fixed PATH, PYTHONPATH of ``paths`` and then
+    flowcut's directory, the ``extra`` variables, and
+    PYTHONDONTWRITEBYTECODE when this process writes no bytecode, so that a
+    child writes none into the checkout either.  Nothing else of this
+    process's environment reaches the child."""
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": os.pathsep.join(map(str, [*paths, Path(flowcut.__file__).resolve().parents[1]])),
+        **extra,
+    }
+    if os.environ.get("PYTHONDONTWRITEBYTECODE") or sys.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
 
 
 # -- random budget-complete frames -------------------------------------------
@@ -183,17 +209,69 @@ def random_machine(rng: random.Random, transitive: bool = False) -> MachineSpec:
     )
 
 
+# -- the star-frame oracle of the purge checks ----------------------------------
+#
+# The purge checks decided on the star frame, as the library decided them
+# before it searched the hub's words: enumerate the frame's executions as
+# posets, restrict them to channel sets, sort each input run back into a
+# sequence, and apply the purge blur through the blur module's class index.
+
+
+def oracle_execution_rows(machine: MachineSpec, kind: PurgeKind, bound: Bound):
+    """Per execution of the star frame, its purge value, its input run and
+    its run at the target's channels."""
+    frame = star_frame(machine)
+    view = machine.domain_channels(kind.target)
+    exset = enumerate_executions(frame, bound)
+    rows = []
+    for in_run, view_run in zip(exset.runs_at(machine.input_channels()), exset.runs_at(view)):
+        rows.append((purge_sequence(machine, kind, input_sequence(machine, in_run)), in_run, view_run))
+    return rows
+
+
+def oracle_check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
+    fn = lambda inputs: purge_sequence(machine, kind, inputs)
+    witness = reference_view_conflict(machine, bound, machine.domain_channels(kind.target), fn)
+    return PurgeVerdict(witness is None, witness)
+
+
+def oracle_validate_purge(machine: MachineSpec, kind: PurgeKind, bound: Bound, purge_fn=None) -> PurgeValidation:
+    fn = purge_fn if purge_fn is not None else (lambda inputs: purge_sequence(machine, kind, inputs))
+    witness = reference_view_conflict(machine, bound, machine.visible_inputs(kind.target), fn)
+    return PurgeValidation(witness is None, witness)
+
+
+def oracle_purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
+    """The input runs of the star frame grouped by purged value, in value
+    order."""
+    blocks: dict[tuple, set[CanonicalRun]] = {}
+    for value, in_run, _ in oracle_execution_rows(machine, kind, bound):
+        blocks.setdefault(value, set()).add(in_run)
+    return PartitionBlur(tuple(frozenset(blocks[value]) for value in sorted(blocks)))
+
+
+def oracle_check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
+    """The purge blur's first leak on the star frame's compatibility table
+    of target views against input runs."""
+    table = _cmpt_table(
+        star_frame(machine), machine.domain_channels(kind.target), machine.input_channels(), bound
+    )
+    universe = frozenset().union(*table.values())
+    blur = oracle_purge_blur(machine, kind, bound)
+    leak = _first_leak(table, _ClassIndex(blur, universe).apply)
+    return PurgeVerdict(leak is None, leak)
+
+
 def reference_check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Nondeducibility read straight off its definition, without blurs:
     group the executions by purged value, and within each group check that
     every member's view of the target channels is compatible with every
     member's input run.  Its witness is the first failure in execution
     order, so only its verdict is comparable with ``check_nd``."""
-    _, rows = _execution_rows(machine, kind, bound)
     # The target's view of each execution and the inputs co-realized with it.
     table: dict[CanonicalRun, set[CanonicalRun]] = {}
     groups: dict[tuple, list[tuple[CanonicalRun, CanonicalRun]]] = {}
-    for value, in_run, ci_run in rows:
+    for value, in_run, ci_run in oracle_execution_rows(machine, kind, bound):
         table.setdefault(ci_run, set()).add(in_run)
         groups.setdefault(value, []).append((in_run, ci_run))
     for members in groups.values():

@@ -55,6 +55,7 @@ from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, buil
 
 from support import (
     canonical_to_naive,
+    child_env,
     disjoint_union,
     naive_compatible_runs,
     naive_iso,
@@ -515,15 +516,8 @@ def test_criterion_9_report_determinism(tmp_path, capsys):
     # this process's environment reaches them.
     import subprocess
     import sys
-    from pathlib import Path
 
-    import flowcut
-
-    env = {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONHASHSEED": "random",
-        "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1]),
-    }
+    env = child_env(PYTHONHASHSEED="random")
     argv = commands[0]
     children = [
         subprocess.run(

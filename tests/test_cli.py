@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 import yaml
 
-import flowcut
 from flowcut.cli import build_parser, main
 from flowcut.fileformat import (
     FileFormatError,
@@ -21,7 +20,7 @@ from flowcut.fileformat import (
 )
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
-from support import BROKEN_DOCUMENTS, count_restrictions, downgrader_machine, machine_document
+from support import BROKEN_DOCUMENTS, child_env, count_restrictions, downgrader_machine, machine_document
 
 GOOD_FRAME = """
 frame:
@@ -709,22 +708,17 @@ def test_tab_after_colon_is_rejected_on_every_host():
 # written exits 2 with one line.
 
 
-def _flowcut(*argv: str, cwd: Path, stdout=subprocess.PIPE, code: str | None = None):
+def _flowcut(*argv: str, cwd: Path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, code: str | None = None):
     """(status, stdout, stderr) of ``python -m flowcut.cli argv``, or of
     ``python -c code argv``; ``PYTHONUNBUFFERED`` is unset, so a buffer the
     exit path fails to flush shows as lost output."""
-    env = {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1]),
-        "COLUMNS": "80",
-    }
     prefix = ["-m", "flowcut.cli"] if code is None else ["-c", code]
     proc = subprocess.run(
         [sys.executable, *prefix, *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         cwd=cwd,
-        env=env,
+        env=child_env(COLUMNS="80"),
         timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -756,6 +750,17 @@ def test_a_large_report_is_whole_through_the_exit_path(fw_dir, capsys, sink):
     assert out == expected
 
 
+#: An internal error needs a fault: this runs the ``__main__`` block as
+#: ``-m`` does, with the frame check replaced by one that raises.
+INTERNAL_ERROR = (
+    "import runpy, flowcut.frames\n"
+    "def boom(frame):\n"
+    "    raise RuntimeError('boom')\n"
+    "flowcut.frames.validate_frame = boom\n"
+    "runpy.run_module('flowcut.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
 def test_every_exit_status_comes_through_the_exit_path(fw_dir):
     status, out, err = _flowcut("validate", "frame.yaml", cwd=fw_dir)
     assert (status, out.startswith(b"command: validate\n"), err) == (0, True, b"")
@@ -764,16 +769,7 @@ def test_every_exit_status_comes_through_the_exit_path(fw_dir):
     status, out, err = _flowcut("validate", "missing.yaml", cwd=fw_dir)
     assert (status, out) == (2, b"")
     assert err.startswith(b"error: cannot read missing.yaml: ") and err.count(b"\n") == 1
-    # An internal error needs a fault; this runs the ``__main__`` block as
-    # ``-m`` does, with the frame check replaced by one that raises.
-    code = (
-        "import runpy, flowcut.frames\n"
-        "def boom(frame):\n"
-        "    raise RuntimeError('boom')\n"
-        "flowcut.frames.validate_frame = boom\n"
-        "runpy.run_module('flowcut.cli', run_name='__main__', alter_sys=True)\n"
-    )
-    status, out, err = _flowcut("validate", "frame.yaml", cwd=fw_dir, code=code)
+    status, out, err = _flowcut("validate", "frame.yaml", cwd=fw_dir, code=INTERNAL_ERROR)
     assert (status, out, err) == (3, b"", b"internal error: RuntimeError('boom')\n")
 
 
@@ -867,3 +863,20 @@ def test_a_report_to_a_full_device_exits_2_on_one_line(fw_dir):
     with open("/dev/full", "wb") as full:
         status, _, err = _flowcut("validate", "fw.yaml", cwd=fw_dir, stdout=full)
     assert (status, err) == (2, b"error: cannot write report: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize(
+    "argv, code, full_stdout, expected",
+    [
+        (["validate", "missing.yaml"], None, False, 2),
+        (["validate", "frame.yaml"], INTERNAL_ERROR, False, 3),
+        (["validate", "fw.yaml"], None, True, 2),
+    ],
+    ids=["missing file", "internal error", "full stdout"],
+)
+def test_an_error_line_that_cannot_be_written_keeps_the_status(fw_dir, argv, code, full_stdout, expected):
+    with open("/dev/full", "wb") as full:
+        stdout = full if full_stdout else subprocess.PIPE
+        status, out, _ = _flowcut(*argv, cwd=fw_dir, stdout=stdout, stderr=full, code=code)
+    assert (status, out) == (expected, None if full_stdout else b"")

@@ -17,6 +17,7 @@ from flowcut.frames import Channel, ExplicitTraces, Frame, Location
 from flowcut.scenarios import FirewallParams, build_firewall
 
 from support import (
+    child_env,
     disjoint_union,
     random_budget_complete_frame,
     random_channel_subset,
@@ -268,9 +269,6 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
     """Neither importing the CLI nor running ``min-cut`` loads networkx."""
     import subprocess
     import sys
-    from pathlib import Path
-
-    import flowcut
 
     code = (
         "import sys, flowcut.cli as cli\n"
@@ -282,6 +280,6 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
         [sys.executable, "-c", code],
         capture_output=True,
         cwd=tmp_path,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])},
+        env=child_env(),
     )
     assert child.returncode == 0, child.stderr.decode(errors="replace")

@@ -27,6 +27,7 @@ from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, buil
 
 from support import (
     canonical_to_naive,
+    child_env,
     count_restrictions,
     count_serializations,
     naive_histories,
@@ -186,8 +187,6 @@ def test_determinism_across_fresh_enumerations():
     import sys
     from pathlib import Path
 
-    import flowcut
-
     rng = random.Random(9)
     frame = random_budget_complete_frame(rng, 5)
     first = [c.serialize() for c in enumerate_executions(frame, Bound(5)).canonicals]
@@ -196,17 +195,12 @@ def test_determinism_across_fresh_enumerations():
     assert first == second
     # The order is the search's own, so it must not follow string hashing:
     # fresh processes under two hash seeds list the executions alike.
-    paths = [Path(flowcut.__file__).resolve().parents[1], Path(__file__).resolve().parent]
     outputs = []
     for seed in ("0", "2"):
         child = subprocess.run(
             [sys.executable, "-c", _ORDER_DIGEST],
             capture_output=True,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONHASHSEED": seed,
-                "PYTHONPATH": ":".join(map(str, paths)),
-            },
+            env=child_env(Path(__file__).resolve().parent, PYTHONHASHSEED=seed),
         )
         assert child.returncode == 0, child.stderr.decode(errors="replace")
         outputs.append(child.stdout.decode().split())

@@ -505,3 +505,12 @@ def test_covering_pairs_of_a_40_event_chain():
     for chain in (list(range(40)), shuffled):
         links = list(zip(chain, chain[1:]))
         assert covering_pairs(ancestor_masks(40, links)) == sorted(links)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy")), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_chain_is_the_total_order_of_a_word(word):
+    # The reference: every event below every later one, as a system in
+    # word order canonicalized the direct way.
+    pairs = [(a, b) for b in range(len(word)) for a in range(b)]
+    assert CanonicalRun.chain(word) == reference_canonicalize(build_system(word, pairs))

@@ -8,6 +8,8 @@ machine files never import PyYAML.
 
 from __future__ import annotations
 
+import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 from flowcut.blur import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
 from flowcut.fileformat import (
     FileFormatError,
+    _TYPED,
     _Decline,
     _read_subset,
+    _typed,
     emit_frame_document,
     parse_frame_document,
 )
@@ -232,3 +236,27 @@ FRAGMENTS = [
 @given(text=st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
 def test_joined_fragments_read_equal_or_decline(text):
     _reads(text)
+
+
+#: The example scalars of the YAML 1.1 type pages (yaml.org/type) for bool,
+#: int, float, null, timestamp, merge and value, and near misses.
+YAML_TYPE_EXAMPLES = (
+    "y Y yes Yes YES n N no No NO true True TRUE false False FALSE on On ON off Off OFF "
+    "685230 +685_230 02472256 0x_0A_74_AE 0b1010_0111_0100_1010_1110 190:20:30 "
+    "6.8523015e+5 685.230_15e+03 685_230.15 190:20:30.15 -.inf .NaN .inf .Inf +.INF "
+    "~ null Null NULL << = 2002-12-14 2001-12-15T02:59:43.1Z 2001-12-14t21:59:43.10-05:00 "
+    "1.2.3 0o17 12e3 yes! Nan nULL -0x1F 0b102 08 1_000 :30 x1 set0 in_d0"
+).split() + ["2001-12-14 21:59:43.10 -5", "2001-12-15 2:59:43.10", "2001-12-14\t21:59:43"]
+
+
+def test_typed_agrees_with_the_resolver_expression():
+    """``_typed`` decides a scalar that starts with a letter by the set of
+    bool and null words, and compiles the expression only for the others:
+    it must agree with the expression on every string of up to three
+    characters over the characters the expression reads, and on the
+    example scalars."""
+    expression = re.compile(_TYPED, re.X)
+    alphabet = "0189_+-.:<=~ \teEbxXoOnNyYsStTrRuUfFaAlLiIZq#"
+    texts = ["".join(t) for n in range(4) for t in itertools.product(alphabet, repeat=n)]
+    for text in texts + YAML_TYPE_EXAMPLES:
+        assert _typed(text) == (expression.fullmatch(text) is not None), text

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import flowcut
 from flowcut.fileformat import emit_frame_document
 from flowcut.scenarios import FirewallParams, build_firewall
 
-from support import downgrader_machine, machine_document
+from support import child_env, downgrader_machine, machine_document
 
 #: The names ``flowcut`` re-exports, by home module.
 EXPORTS = {
@@ -53,7 +54,7 @@ EXPORTS = {
         "no_disclosure",
         "obs_equivalent",
     ],
-    "enumeration": ["Bound", "EnumerationError", "ExecutionSet", "enumerate_executions", "enumerate_runs"],
+    "enumeration": ["ExecutionSet", "enumerate_executions", "enumerate_runs"],
     "events": [
         "CanonicalRun",
         "Event",
@@ -65,7 +66,9 @@ EXPORTS = {
     ],
     "fileformat": ["FileFormatError", "emit_frame_document", "parse_frame_document", "parse_machine_document"],
     "frames": [
+        "Bound",
         "Channel",
+        "EnumerationError",
         "ExplicitTraces",
         "Frame",
         "FrameError",
@@ -98,17 +101,19 @@ EXPORTS = {
     ],
 }
 
-VALIDATE_SET = {"cli", "fileformat", "frames", "blur", "events"}
+#: What reading a frame file that declares blurs loads.
+FRAME_SET = {"cli", "fileformat", "frames", "blur", "events"}
+#: What reading a machine file and deciding ``ni`` on it loads.
+PURGE_SET = {"cli", "fileformat", "frames", "events", "purge"}
 
 
 def _child(code: str, *args: str, cwd: Path | None = None) -> subprocess.Popen:
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])}
     return subprocess.Popen(
         [sys.executable, "-c", code, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=cwd,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -121,6 +126,7 @@ def _finish(child: subprocess.Popen) -> str:
 def test_each_command_loads_only_its_modules(tmp_path):
     scn = build_firewall(FirewallParams())
     (tmp_path / "fw.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets, scn.blurs))
+    (tmp_path / "plain.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets))
     (tmp_path / "m.yaml").write_text(machine_document(downgrader_machine()))
     code = (
         "import contextlib, io, json, sys\n"
@@ -132,27 +138,52 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "print(json.dumps([status, loaded, generators, 'yaml' in sys.modules]))\n"
     )
     # Frame and machine files are read without PyYAML; only writing a
-    # scenario file loads it.
+    # scenario file loads it.  The purge commands search the machine's
+    # words, so they load no enumeration.
+    purge_args = ["--target", "d2", "--purge", "hy", "--bound", "5"]
     cases = [
-        (["validate", "fw.yaml"], {0}, set(), False),
-        (["enumerate", "fw.yaml", "--bound", "4"], {0}, {"enumeration"}, False),
-        (["min-cut", "fw.yaml", "--source", "chans_i", "--observed", "chans_n"], {0}, {"cuts"}, False),
+        (["validate", "fw.yaml"], {0}, FRAME_SET, False),
+        (["validate", "plain.yaml"], {0}, {"cli", "fileformat", "frames"}, False),
+        (["enumerate", "fw.yaml", "--bound", "4"], {0}, FRAME_SET | {"enumeration"}, False),
+        (["min-cut", "fw.yaml", "--source", "chans_i", "--observed", "chans_n"], {0}, FRAME_SET | {"cuts"}, False),
         (
             ["nodisclosure", "fw.yaml", "--source", "chans_i", "--observed", "chans_n", "--bound", "4"],
             {0, 1},
-            {"enumeration", "disclosure"},
+            FRAME_SET | {"enumeration", "disclosure"},
             False,
         ),
-        (["nd", "m.yaml", "--target", "d2", "--bound", "5"], {0, 1}, {"enumeration", "purge", "disclosure"}, False),
-        (["scenario", "firewall"], {0}, {"scenarios"}, True),
+        (["ni", "m.yaml", *purge_args], {0, 1}, PURGE_SET, False),
+        (["nd", "m.yaml", *purge_args], {0, 1}, PURGE_SET | {"disclosure"}, False),
+        (["purge-blur", "m.yaml", *purge_args], {0}, PURGE_SET | {"blur"}, False),
+        (["scenario", "firewall"], {0}, FRAME_SET | {"scenarios"}, True),
     ]
     children = [_child(code, *argv, cwd=tmp_path) for argv, *_ in cases]
-    for (argv, statuses, extra, uses_yaml), child in zip(cases, children):
+    for (argv, statuses, modules, uses_yaml), child in zip(cases, children):
         status, loaded, generators, yaml_loaded = json.loads(_finish(child))
         assert status in statuses, argv
-        assert set(loaded) == {f"flowcut.{m}" for m in VALIDATE_SET | extra}, argv
+        assert set(loaded) == {f"flowcut.{m}" for m in modules}, argv
         assert generators == [], argv
         assert yaml_loaded == uses_yaml, argv
+
+
+def test_a_child_writes_no_bytecode_when_this_process_writes_none(tmp_path, monkeypatch):
+    # Child interpreters compile what they import; with bytecode writes off
+    # here, one started with ``child_env`` leaves no ``.pyc`` in the package
+    # it imports, here a copy that it imports first.  With them on, the same
+    # child writes some, so the copy is the package the child compiled.
+    code = "import flowcut.cli, flowcut.purge, sys; print(sys.modules['flowcut'].__file__)"
+    for dont_write in (True, False):
+        copy = tmp_path / str(dont_write)
+        shutil.copytree(Path(flowcut.__file__).parent, copy / "flowcut", ignore=shutil.ignore_patterns("__pycache__"))
+        if dont_write:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        else:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+            monkeypatch.setattr(sys, "dont_write_bytecode", False)
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env(copy), cwd=tmp_path)
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        assert Path(child.stdout.decode().strip()) == copy / "flowcut" / "__init__.py"
+        assert bool(list(copy.rglob("*.pyc"))) != dont_write
 
 
 def test_no_module_imports_dataclasses_or_calls_exec_or_eval():

@@ -13,6 +13,7 @@ from flowcut.purge import (
     MachineError,
     MachineSpec,
     PurgeKind,
+    _execution_rows,
     check_nd,
     check_ni,
     input_sequence,
@@ -24,9 +25,14 @@ from flowcut.purge import (
 )
 
 from support import (
+    child_env,
     count_serializations,
     downgrader_machine,
     machine_document,
+    oracle_check_nd,
+    oracle_check_ni,
+    oracle_purge_blur,
+    oracle_validate_purge,
     random_machine,
     reference_check_nd,
     reference_view_conflict,
@@ -387,6 +393,41 @@ def test_downgrader_witnesses_follow_the_reference_rule(bound):
     assert_witnesses_follow_the_reference_rule(downgrader_machine(), Bound(bound))
 
 
+def _witness_texts(verdict) -> tuple:
+    """A purge verdict as its truth value and its serialized witness."""
+    witness = verdict.witness
+    return bool(verdict), None if witness is None else tuple(run.serialize() for run in witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    transitive=st.booleans(),
+    total=st.integers(0, 9),
+    per=st.none() | st.integers(0, 9),
+)
+def test_hub_words_give_the_star_frame_oracle_answers(seed, transitive, total, per):
+    """The word search against the checks decided on the star frame's
+    enumerated executions: the same executions, verdicts, witnesses and
+    purge classes, byte for byte."""
+    m = random_machine(random.Random(seed), transitive=transitive)
+    bound = Bound(total, None if per is None else min(per, total))
+    executions = enumerate_executions(star_frame(m), bound).canonicals
+    words, _ = _execution_rows(m, PurgeKind("gm", m.domains[0]), bound)
+    assert len(words) == len(executions)
+    assert {CanonicalRun.chain(w).serialize() for w in words} == {run.serialize() for run in executions}
+    for pk in (PurgeKind(kind, target) for kind in ("gm", "hy") for target in m.domains):
+        assert _witness_texts(check_ni(m, pk, bound)) == _witness_texts(oracle_check_ni(m, pk, bound))
+        assert _witness_texts(check_nd(m, pk, bound)) == _witness_texts(oracle_check_nd(m, pk, bound))
+        for purge_fn in (None,) + BROKEN_PURGES:
+            got = validate_purge(m, pk, bound, purge_fn)
+            expected = oracle_validate_purge(m, pk, bound, purge_fn)
+            assert _witness_texts(got) == _witness_texts(expected)
+        blocks = [sorted(run.serialize() for run in block) for block in purge_blur(m, pk, bound).blocks]
+        expected = [sorted(run.serialize() for run in block) for block in oracle_purge_blur(m, pk, bound).blocks]
+        assert blocks == expected
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_transitive_influence_collapses_hy_to_gm(seed):
     rng = random.Random(seed)
@@ -467,9 +508,6 @@ def test_nd_report_is_byte_stable_across_hash_seeds(tmp_path):
     # seeds 0 and 2.
     import subprocess
     import sys
-    from pathlib import Path
-
-    import flowcut
 
     (tmp_path / "m.yaml").write_text(machine_document(downgrader_machine()))
     argv = ["nd", "m.yaml", "--target", "d2", "--purge", "hy", "--bound", "9", "--json"]
@@ -479,11 +517,7 @@ def test_nd_report_is_byte_stable_across_hash_seeds(tmp_path):
             [sys.executable, "-m", "flowcut.cli", *argv],
             capture_output=True,
             cwd=tmp_path,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONHASHSEED": seed,
-                "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1]),
-            },
+            env=child_env(PYTHONHASHSEED=seed),
         )
         assert child.returncode == 1, child.stderr.decode(errors="replace")
         outputs.append(child.stdout)

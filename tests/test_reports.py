@@ -29,7 +29,7 @@ from pathlib import Path
 
 from flowcut.cli import main as cli_main
 
-from support import downgrader_machine, machine_document
+from support import child_env, downgrader_machine, machine_document
 
 DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
@@ -113,9 +113,6 @@ def test_report_digests_do_not_depend_on_the_hash_seed(tmp_path):
     # Reports are built from sets of runs, whose iteration order follows the
     # runs' hashes and so the string hash seed.  Each child computes the
     # whole corpus with the flowcut this process imported.
-    import flowcut
-
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(flowcut.__file__).resolve().parents[1])}
     children = []
     for seed in ("0", "1"):
         (tmp_path / seed).mkdir()
@@ -124,7 +121,7 @@ def test_report_digests_do_not_depend_on_the_hash_seed(tmp_path):
                 [sys.executable, __file__, "--print", str(tmp_path / seed)],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                env={**env, "PYTHONHASHSEED": seed},
+                env=child_env(PYTHONHASHSEED=seed),
             )
         )
     expected = json.loads(DIGESTS.read_text())
