@@ -20,16 +20,8 @@ from importlib import import_module
 #: The public names, by the submodule that defines them.
 _EXPORTS = {
     "blur": (
-        "AllBlur",
-        "BlurError",
-        "BlurSpec",
-        "IdentityBlur",
-        "PartitionBlur",
-        "PermutationBlur",
-        "SelectionBlur",
         "SharedCore",
         "SharedCoreError",
-        "TableBlur",
         "blur_apply",
         "build_shared_core",
         "f_limits_flow",
@@ -49,6 +41,7 @@ _EXPORTS = {
         "no_disclosure",
         "obs_equivalent",
     ),
+    "emitter": ("emit_frame_document",),
     "enumeration": ("ExecutionSet", "enumerate_executions", "enumerate_runs"),
     "events": (
         "CanonicalRun",
@@ -59,12 +52,7 @@ _EXPORTS = {
         "is_initial_substructure",
         "project",
     ),
-    "fileformat": (
-        "FileFormatError",
-        "emit_frame_document",
-        "parse_frame_document",
-        "parse_machine_document",
-    ),
+    "fileformat": ("FileFormatError", "parse_frame_document", "parse_machine_document"),
     "frames": (
         "Bound",
         "Channel",
@@ -78,6 +66,16 @@ _EXPORTS = {
         "UnknownChannelError",
         "location_language",
         "validate_frame",
+    ),
+    "frames.blurforms": (
+        "AllBlur",
+        "BlurError",
+        "BlurSpec",
+        "IdentityBlur",
+        "PartitionBlur",
+        "PermutationBlur",
+        "SelectionBlur",
+        "TableBlur",
     ),
     "purge": (
         "MachineError",

@@ -18,10 +18,10 @@ and the details of its report.
 
 Only the file format and ``frames`` load with this module; each command
 imports the analysis modules it runs when it runs, so ``validate`` loads
-no enumeration and only ``scenario`` loads the scenario builders.  For
-the same reason ``main`` gives only the invoked command its arguments,
-and ``entry``, the process's entry point, ends the process as soon as the
-report is flushed.
+no enumeration and only ``scenario`` loads the scenario builders and the
+file writer.  For the same reason ``main`` gives only the invoked command
+its arguments, and ``entry``, the process's entry point, ends the process
+as soon as the report is flushed.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 from typing import NoReturn
 
-from .fileformat import emit_frame_document, parse_frame_document, parse_machine_document
+from .fileformat import parse_frame_document, parse_machine_document
 from .frames import Bound, InputError, _Record, validate_frame
 
 SCHEMA = "flowcut-report/1"
@@ -107,7 +106,8 @@ class Report:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
@@ -344,6 +344,7 @@ def cmd_purge_blur(args) -> Report:
 
 
 def cmd_scenario(args) -> Report:
+    from .emitter import emit_frame_document
     from .scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
     if args.which == "firewall":
@@ -362,7 +363,8 @@ def cmd_scenario(args) -> Report:
     text = emit_frame_document(scn.frame, scn.named_sets, scn.blurs)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}") from exc
         detail = {"written": args.out}

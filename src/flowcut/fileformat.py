@@ -11,24 +11,29 @@ name, and YAML syntax errors surface with line and column.
 
 A document goes first through a small reader for the YAML subset this
 package writes (block and flow collections, plain and quoted scalars,
-comments), which returns what ``yaml.safe_load`` would or declines.
-PyYAML is imported only when the reader declines or a frame is emitted.
-A declined document is parsed by PyYAML's pure-Python ``safe_load``, never
+comments), which returns what ``yaml.safe_load`` would or declines.  Its
+tokenizer reads a flow sequence written on one line, and a run of
+``- [...]`` entries such as an LTS's transitions, as one token, split with
+string methods.  PyYAML is imported only when the reader declines.  A
+declined document is parsed by PyYAML's pure-Python ``safe_load``, never
 by libyaml, so a document reads, and fails with the same message, on every
-host whether or not PyYAML was built with libyaml.  The blur forms are
-imported only to read or write a ``blurs`` block, so a machine file, or a
-frame file without blurs, reads with ``frames`` alone.
+host whether or not PyYAML was built with libyaml.  The blur forms
+(``frames.blurforms``, not the blur analysis in ``blur``) are imported only
+to read a ``blurs`` block, so a machine file, or a frame file without blurs,
+reads with ``frames`` alone.  Files are written by ``emitter``, which a
+command that only reads does not compile.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from .frames import Channel, ExplicitTraces, Frame, InputError, Location, Lts
 
 if TYPE_CHECKING:
-    from .blur import BlurSpec
+    from .frames.blurforms import BlurSpec
     from .purge import MachineSpec
 
 
@@ -87,13 +92,21 @@ def _scalars(value: Any, what: str) -> list[str]:
     return [_scalar(v, f"each entry of {what}") for v in _sequence(value, what)]
 
 
-def _row(value: Any, what: str, *fields: str) -> tuple[str, ...]:
-    """A sequence of scalars, one per named field."""
-    if not isinstance(value, list) or len(value) != len(fields):
-        raise FileFormatError(f"{what} must be a [{', '.join(fields)}] row")
-    if all(type(v) is str for v in value):
-        return tuple(value)
-    return tuple(_scalar(v, f"each field of {what}") for v in value)
+def _rows(values: list, what: str, *fields: str) -> list[tuple[str, ...]]:
+    """Sequences of scalars, one per named field: checked in one pass when
+    all are lists of strings of the right length, else row by row."""
+    if (
+        set(map(type, values)) <= {list}
+        and set(map(len, values)) <= {len(fields)}
+        and set(map(type, chain.from_iterable(values))) <= {str}
+    ):
+        return list(map(tuple, values))
+    out = []
+    for value in values:
+        if not isinstance(value, list) or len(value) != len(fields):
+            raise FileFormatError(f"{what} must be a [{', '.join(fields)}] row")
+        out.append(tuple(_scalar(v, f"each field of {what}") for v in value))
+    return out
 
 
 # -- the YAML subset reader --------------------------------------------------
@@ -103,9 +116,10 @@ class _Decline(Exception):
     """The document is outside the subset that ``_read_subset`` reads."""
 
 
-#: Anything but a line feed and printable ASCII: tabs, carriage returns, a
-#: byte-order mark, NUL, surrogates and YAML's other line breaks.
-_OUTSIDE = re.compile(r"[^\n -~]")
+#: A line feed and printable ASCII.  Any other character (a tab, a carriage
+#: return, a byte-order mark, NUL, a surrogate, YAML's other line breaks)
+#: leaves the document to PyYAML.
+_INSIDE = bytes(range(0x20, 0x7F)) + b"\n"
 
 #: Plain scalars that YAML 1.1's implicit resolver types (yaml.org/type):
 #: PyYAML's expressions for bool, float, int, merge, null, value and timestamp.
@@ -137,34 +151,76 @@ def _typed(text: str) -> bool:
     return re.fullmatch(_TYPED, text, re.X) is not None
 
 
-#: One token after any spaces: a scalar (s), an indicator (i), a line break
-#: with the blank and comment lines after it and the next line's
-#: indentation (n), or anything else (x).  A scalar is quoted on one line
-#: and without escapes, or plain: it starts with no indicator and no ``.``
-#: (so never ``...``), holds no ``:``, ``?`` or flow indicator, and stops
-#: before `` #``.
+#: A plain scalar: it starts with no indicator and no ``.`` (so never
+#: ``...``), holds no ``:``, ``?`` or flow indicator, and stops before `` #``.
+#: ``{q}`` lists what else it may not hold.
+_PLAIN = (
+    r"[^ \n\-?:,\[\]{{}}\#&*!|>'\"%@`.{q}][^ \n:?,\[\]{{}}{q}]*"
+    r"(?:[ ]+[^ \n\#:?,\[\]{{}}{q}][^ \n:?,\[\]{{}}{q}]*)*"
+)
+
+#: A flow sequence on one line that the tokenizer reads whole: one or more
+#: items joined by ``, ``, each a plain scalar or a single-quoted one that
+#: holds no ``, ``, and no ``'`` but its own two.
+_FLOW = r"\[(?:(?:'[^',\n]*(?:,(?! )[^',\n]*)*'|{plain})(?:, (?!\])|(?=\])))+\]".format(
+    plain=_PLAIN.format(q="'")
+)
+
+#: One token after any spaces: a ``_FLOW`` sequence, or a line break and
+#: one or more lines at one indentation that each hold an entry ``- `` of
+#: one (f); a scalar, plain or quoted on one line and without escapes (s);
+#: an indicator (i); a line break with the blank and comment lines after it
+#: and the next line's indentation (n); or anything else (x).  Any other
+#: flow collection reads as the scalars and indicators it is written with.
 _TOKEN = re.compile(
-    r"""[ ]*(?:(?P<s>'(?:[^'\n]|'')*'|"[^"\\\n]*\""""
-    r"|[^ \n\-?:,\[\]{}\#&*!|>'\"%@`.][^ \n:?,\[\]{}]*(?:[ ]+[^ \n\#:?,\[\]{}][^ \n:?,\[\]{}]*)*)"
+    rf"[ ]*(?:(?P<f>(?:\n(?P<indent>[ ]*)- (?=\[))?"
+    rf"(?:{_FLOW}(?:\n(?P=indent)- (?=\[)|(?!\[)))+(?(indent)(?=\n)))"
+    rf"""|(?P<s>'[^'\n]*(?:''[^'\n]*)*'|"[^"\\\n]*"|{_PLAIN.format(q="")})"""
     r"|(?P<i>[-:](?=[ \n])|[\[\]{},])"
     r"|(?P<n>(?:(?<=[ ])\#[^\n]*)?\n(?:[ ]*(?:\#[^\n]*)?\n)*[ ]*)"
     r"|(?P<x>.))"
 )
 
 
-def _tokens(src: str) -> list[tuple[str, Any, int]]:
+def _tokens(src: str) -> list[tuple[str, Any, Any]]:
     """(kind, value, column) per token: kind ``s`` is a scalar, with its
-    string as value; ``n`` is a line break, whose value is the next line's
-    indentation (-1 at the end); any other kind is an indicator."""
+    string as value; ``f`` a flow sequence, with its list as value; ``n`` a
+    line break, whose value is the next line's indentation (-1 at the end);
+    any other kind is an indicator.  An f token of entries reads as a line
+    break and one ``-`` whose value is the list of their lists; a ``-``
+    indicator's value is None."""
     toks = []
     line = 0
-    untyped = set()  # plain scalars already checked by _typed
+    untyped = set()  # scalars that _typed passed
+
+    def items(joined: str, sep: str) -> list[list[str]]:
+        # The items of the _FLOW sequences joined by sep: strip the quotes,
+        # then split.  A value that _typed types must not be written plain.
+        bare = joined.replace("'", "") if "'" in joined else joined
+        out = [row.split(", ") for row in bare.split(sep)]
+        if not untyped.issuperset(chain.from_iterable(out)):
+            plain = set(joined.replace(sep, ", ").split(", "))
+            for item in set(chain.from_iterable(out)) - untyped:
+                if not _typed(item):
+                    untyped.add(item)
+                elif item in plain:
+                    raise _Decline
+        return out
+
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
         if kind == "x":
             raise _Decline
         text = m.group(kind)
-        if kind == "s":
+        if kind == "f":
+            indent = m.group("indent")
+            if indent is not None:
+                col = len(indent)
+                toks.append(("n", col, 0))
+                toks.append(("-", items(text[col + 4 : -1], f"]\n{indent}- ["), col))
+            else:
+                toks.append(("f", items(text[1:-1], "\n")[0], None))
+        elif kind == "s":
             if text[0] == "'":
                 text = text[1:-1].replace("''", "'")
             elif text[0] == '"':
@@ -188,7 +244,7 @@ def _read_subset(text: str) -> Any:
     type resolves, one-line quoted scalars without escapes, and comments.
     Raises _Decline on anything else, null values and duplicate keys too.
     """
-    if _OUTSIDE.search(text):
+    if not text.isascii() or text.encode().translate(None, _INSIDE):
         raise _Decline
     toks = _tokens("\n" + text + "\n")
 
@@ -211,7 +267,7 @@ def _read_subset(text: str) -> Any:
 
     def flow(i: int, floor: int) -> tuple[Any, int]:
         kind, value, _ = toks[i]
-        if kind == "s":
+        if kind == "s" or kind == "f":
             return value, i + 1
         if kind not in ("[", "{"):
             raise _Decline
@@ -265,8 +321,13 @@ def _read_subset(text: str) -> Any:
     def sequence(i: int, col: int) -> tuple[list, int]:
         out = []
         while True:
-            item, i = value(i + 1, col, False)
-            out.append(item)
+            entries = toks[i][1]
+            if entries is None:
+                item, i = value(i + 1, col, False)
+                out.append(item)
+            else:
+                out += entries
+                i += 1
             if toks[i][1] != col or toks[i + 1][0] != "-":
                 return out, i
             i += 1
@@ -313,7 +374,7 @@ def _parse_location(entry: Any) -> Location:
         parsed = []
         for t in _field(entry, "traces", f"location {loc_id!r}", _sequence):
             trace = _sequence(t, f"each trace of {loc_id!r}")
-            parsed.append(tuple(_row(x, f"a label of {loc_id!r}", "channel", "value") for x in trace))
+            parsed.append(tuple(_rows(trace, f"a label of {loc_id!r}", "channel", "value")))
         # Stored as given: prefix-closure is a well-formedness condition
         # that validate_frame reports, not something the parser repairs.
         return Location(loc_id, ExplicitTraces(frozenset(parsed)))
@@ -322,15 +383,14 @@ def _parse_location(entry: Any) -> Location:
     _reject_unknown(body, {"states", "initial", "transitions"}, where)
     states = frozenset(_field(body, "states", where, _scalars))
     initial = _field(body, "initial", where, _scalar)
-    transitions = set()
-    for row in _field(body, "transitions", where, _sequence):
-        s, c, v, t = _row(row, f"each transition in {where}", "state", "channel", "value", "state")
-        transitions.add((s, (c, v), t))
+    rows = _field(body, "transitions", where, _sequence)
+    fields = ("state", "channel", "value", "state")
+    transitions = {(s, (c, v), t) for s, c, v, t in _rows(rows, f"each transition in {where}", *fields)}
     return Location(loc_id, Lts(states, initial, frozenset(transitions)))
 
 
 def _parse_blur(name: str, body: Any, frame: Frame) -> BlurSpec:
-    from .blur import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
+    from .frames.blurforms import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
 
     where = f"blur {name!r}"
     body = _mapping(body, where)
@@ -422,13 +482,11 @@ def parse_machine_document(text: str) -> MachineSpec:
     )
     domains = _field(body, "domains", "machine", _scalars)
     influence = {(d, d) for d in domains}
-    for pair in _sequence(body.get("influence", []), "'influence' in machine"):
-        influence.add(_row(pair, "each influence entry", "from", "to"))
+    pairs = _sequence(body.get("influence", []), "'influence' in machine")
+    influence.update(_rows(pairs, "each influence entry", "from", "to"))
     actions = _field(body, "actions", "machine", _mapping)
-    transitions = {
-        _row(row, "each transition", "state", "action", "state")
-        for row in _field(body, "transitions", "machine", _sequence)
-    }
+    rows = _field(body, "transitions", "machine", _sequence)
+    transitions = set(_rows(rows, "each transition", "state", "action", "state"))
     obs = {}
     for s, per_domain in _field(body, "obs", "machine", _mapping).items():
         for d, o in _mapping(per_domain, f"obs[{s!r}]").items():
@@ -448,79 +506,11 @@ def parse_machine_document(text: str) -> MachineSpec:
         raise FileFormatError(str(exc)) from exc
 
 
-# -- emission ----------------------------------------------------------------
+def __getattr__(name: str) -> Any:
+    # ``emit_frame_document`` lives in ``emitter``, which only the commands
+    # that write a file compile; this name is kept for existing imports.
+    if name == "emit_frame_document":
+        from .emitter import emit_frame_document
 
-
-def emit_frame_document(
-    frame: Frame,
-    named_sets: dict[str, frozenset[str]] | None = None,
-    blurs: dict[str, BlurSpec] | None = None,
-) -> str:
-    """Serialize a frame (with optional named sets and declarative blurs)
-    so that reparsing yields an equal frame."""
-    locations = []
-    for loc in frame.locations:
-        spec = loc.behavior
-        if isinstance(spec, ExplicitTraces):
-            body = {
-                "id": loc.id,
-                "traces": [[[c, v] for c, v in t] for t in sorted(spec.traces)],
-            }
-        else:
-            body = {
-                "id": loc.id,
-                "lts": {
-                    "states": sorted(spec.states),
-                    "initial": spec.initial,
-                    "transitions": [
-                        [s, lab[0], lab[1], t] for s, lab, t in sorted(spec.transitions)
-                    ],
-                },
-            }
-        locations.append(body)
-    doc: dict = {
-        "frame": {
-            "data": sorted(frame.data),
-            "locations": locations,
-            "channels": [
-                {"id": c.id, "sender": c.sender, "recipient": c.recipient}
-                for c in frame.channels
-            ],
-        }
-    }
-    if named_sets:
-        doc["frame"]["channel_sets"] = {k: sorted(v) for k, v in sorted(named_sets.items())}
-    if blurs:
-        rendered = {}
-        for name, blur in sorted(blurs.items()):
-            rendered[name] = _emit_blur(name, blur)
-        doc["frame"]["blurs"] = rendered
-    import yaml
-
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
-
-
-def _emit_blur(name: str, blur: BlurSpec) -> dict:
-    from .blur import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
-
-    if isinstance(blur, IdentityBlur):
-        return {"kind": "identity"}
-    if isinstance(blur, AllBlur):
-        return {"kind": "all"}
-    if isinstance(blur, PermutationBlur):
-        out: dict = {"kind": "permutation", "members": list(blur.members)}
-        if blur.blocks is not None:
-            out["blocks"] = [sorted(b) for b in blur.blocks]
-        if blur.fixed:
-            out["fixed"] = sorted(blur.fixed)
-        return out
-    if isinstance(blur, SelectionBlur):
-        out = {"kind": "selection"}
-        if blur.channels is not None:
-            out["channels"] = sorted(blur.channels)
-        if blur.values is not None:
-            out["values"] = sorted(blur.values)
-        return out
-    raise FileFormatError(
-        f"blur {name!r} of kind {type(blur).__name__} has no file representation"
-    )
+        return emit_frame_document
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

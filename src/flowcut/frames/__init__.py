@@ -12,7 +12,9 @@ here are pure functions.
 Every command loads this module, so it also holds the base that all the
 package's record types share (plain ``__slots__`` classes, which no
 module builds with ``dataclasses``) and the event budget ``Bound``, which
-the purge checks take without loading the enumeration.
+the purge checks take without loading the enumeration.  The blur forms a
+frame file declares are in the submodule ``blurforms``, which only the
+code that reads or builds blurs imports.
 """
 
 from __future__ import annotations
@@ -180,12 +182,11 @@ class Lts(_Record):
     def __init__(
         self, states: frozenset[str], initial: str, transitions: frozenset[tuple[str, Label, str]]
     ) -> None:
-        moves: dict[tuple[str, Label], set[str]] = {}
-        for s, lab, t in transitions:
-            moves.setdefault((s, lab), set()).add(t)
-        self._fill(
-            states, initial, transitions, {move: frozenset(ts) for move, ts in moves.items()}
-        )
+        moves = {(s, lab): frozenset((t,)) for s, lab, t in transitions}
+        if len(moves) < len(transitions):  # some move has several targets
+            for s, lab, t in transitions:
+                moves[s, lab] |= {t}
+        self._fill(states, initial, transitions, moves)
 
     def labels(self) -> set[Label]:
         return {lab for _, lab, _ in self.transitions}

@@ -37,7 +37,7 @@ from .frames import Bound, Channel, Frame, InputError, Label, Location, Lts, Unk
 from .frames import _compared_by, _Record
 
 if TYPE_CHECKING:
-    from .blur import PartitionBlur
+    from .frames.blurforms import PartitionBlur
 
 
 class MachineError(InputError):
@@ -528,7 +528,7 @@ def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdic
 def purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
     """The blur induced by a purge: input runs are equivalent when they
     purge equally.  Its universe is the realized bounded input runs."""
-    from .blur import PartitionBlur
+    from .frames.blurforms import PartitionBlur
 
     _, rows = _execution_rows(machine, kind, bound, ())
     blocks = _purge_classes(rows)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 
-from .blur import BlurSpec, PermutationBlur, SelectionBlur
 from .frames import Channel, Frame, InputError, Label, Location, Lts, _Record
+from .frames.blurforms import BlurSpec, PermutationBlur, SelectionBlur
 
 
 class ScenarioError(InputError):

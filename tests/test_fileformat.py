@@ -17,12 +17,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcut.blur import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
+from flowcut.frames.blurforms import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
 from flowcut.fileformat import (
     FileFormatError,
     _TYPED,
     _Decline,
     _read_subset,
+    _tokens,
     _typed,
     emit_frame_document,
     parse_frame_document,
@@ -139,6 +140,123 @@ def test_nesting_past_the_recursion_limit_falls_back_to_pyyaml():
     text = "frame: " + "[" * 3000 + "]" * 3000
     with pytest.raises(FileFormatError, match="^parse error: the document nests too deeply$"):
         parse_frame_document(text)
+
+
+#: flow sequences, which the tokenizer reads whole when they are on one
+#: line and every item is a plain scalar or a single-quoted one without
+#: ``''`` or ``, ``, and item by item otherwise (flow mappings too); both
+#: ways give PyYAML's value
+FLOW_READ = [
+    "a: [b, 'c', '', 'd]e', '#f', 'g #h', 'i,j', 'k:l', 'm\"n', o#p, q r]\n",
+    "a: ['b, c', 'd: e', 'it''s', \"f, g\", \"h\"]\n",
+    "a: [b , c]\n",
+    "a: [b,c]\n",
+    "a: []\n",
+    "a: ['']\n",
+    "a: [[b, c], [d], []]\n",
+    "a: [b,\n  c]\n",
+    "a: [b] # c\n",
+    "a:\n- [b, 'c']\n- [d]\n- e\n- [f]  # g\n- [h]\n\n- [i]\n",
+    "a:\n  - [b]\n  - [c]\nd:\n- [e]\n- - [f]\n  - [g]\n",
+    "- [a]\n- [b]\n",
+    "a: {b: c, 'd': 'e f', 'g, h': 'i: j'}\n",
+    "- {a: b, c: d}\n- {e: f}\n- [g]\n",
+    "a: [{b: c}, {d: e}]\n",
+    "a: {" + "k" * 1023 + ": b}\n",
+]
+
+#: and the ones it declines, whichever way it reads them: trailing commas,
+#: items YAML 1.1 types, text after the closing bracket, malformed or
+#: duplicate pairs, and a flow mapping's key 1024 characters before its ':'
+FLOW_DECLINED = [
+    "a: [b, c,]",
+    "a: [b, c, ]",
+    "a:\n- [b,]\n- [c]\n",
+    "a: [b, 1]",
+    "a: [b, yes]",
+    "a: [b, ~]",
+    "a: [b, =]",
+    "a: [b, '1', 0x1F]",
+    "a:\n- [b]\n- [c, null]\n",
+    "a: [b] c",
+    "a: [b]]",
+    "a: [b][c]",
+    "a: [b]: c",
+    "- [b] c\n",
+    "a: [b: c]",
+    "a: [b}",
+    "a: {b: 1}",
+    "a: {b: c, b: d}",
+    "a: {b, c}",
+    "a: {b: c: d}",
+    "a: {b: c,}",
+    "a: {b: c]",
+    "a: {" + "k" * 1024 + ": b}\n",
+]
+
+
+@pytest.mark.parametrize("text", FLOW_READ)
+def test_reads_one_line_flow_collections(text):
+    assert _reads(text)
+
+
+@pytest.mark.parametrize("text", FLOW_DECLINED)
+def test_declines_flow_collections_outside_the_subset(text):
+    assert not _reads(text)
+
+
+def test_a_run_of_flow_sequence_entries_is_one_token():
+    # Lines that each hold one entry ``- [...]`` at one indentation read
+    # as one line break and one '-' whose value is every entry's list; a
+    # line with a comment after it, or at another indentation, ends the run.
+    toks = _tokens("\n- [a, 'b c']\n- ['']\n  - [f]\n- [d] # e\n")
+    assert toks == [
+        ("n", 0, 0),
+        ("-", [["a", "b c"], [""]], 0),
+        ("n", 2, 0),
+        ("-", [["f"]], 2),
+        ("n", 0, 0),
+        ("-", None, 0),
+        ("f", ["d"], None),
+        ("n", -1, 0),
+    ]
+
+
+#: The characters of the one-line fuzz: every YAML indicator, quotes, and
+#: the characters of typed scalars.
+FUZZ_ALPHABET = "ab1 ,[]{}'\"#:-.?!&*|>%@`~=x_"
+FUZZ_TEMPLATES = [
+    "a: [{0}]", "a: [{0}, {1}]", "- [{0}]\n- [{1}]", "a:\n- [{0}]\n- [{1}]\n", "a: {{{0}: {1}}}", "[{0}]"
+]
+#: items the tokenizer may read whole, and near misses
+FLOW_ITEMS = [
+    "a", "b c", "a#b", "'a'", "''", "'a, b'", "'a,b'", "'a: b'", "'a:b'", "'x]'", "' #c'", "'it''s'", '"q"',
+    "a'b", "1", "yes", "~", "=", "-a", ".a", "[]", "[a]", "{a: b}", "a #c", "'ab",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    template=st.sampled_from(FUZZ_TEMPLATES),
+    pieces=st.lists(st.text(st.sampled_from(FUZZ_ALPHABET), max_size=8), min_size=2, max_size=2),
+)
+def test_one_line_flow_fuzz_reads_equal_or_declines(template, pieces):
+    _reads(template.format(*pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    template=st.sampled_from(FUZZ_TEMPLATES),
+    rows=st.lists(
+        st.lists(st.sampled_from(FLOW_ITEMS), max_size=4).flatmap(
+            lambda items: st.sampled_from([", ", ", ", ",", " ,", ": "]).map(lambda sep: sep.join(items))
+        ),
+        min_size=2,
+        max_size=2,
+    ),
+)
+def test_flow_items_read_equal_or_decline(template, rows):
+    _reads(template.format(*rows))
 
 
 #: names that need quoting, that YAML 1.1 would type, or that the emitter

@@ -18,23 +18,15 @@ from pathlib import Path
 
 import flowcut
 from flowcut.fileformat import emit_frame_document
-from flowcut.scenarios import FirewallParams, build_firewall
+from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
 from support import child_env, downgrader_machine, machine_document
 
 #: The names ``flowcut`` re-exports, by home module.
 EXPORTS = {
     "blur": [
-        "AllBlur",
-        "BlurError",
-        "BlurSpec",
-        "IdentityBlur",
-        "PartitionBlur",
-        "PermutationBlur",
-        "SelectionBlur",
         "SharedCore",
         "SharedCoreError",
-        "TableBlur",
         "blur_apply",
         "build_shared_core",
         "f_limits_flow",
@@ -54,6 +46,7 @@ EXPORTS = {
         "no_disclosure",
         "obs_equivalent",
     ],
+    "emitter": ["emit_frame_document"],
     "enumeration": ["ExecutionSet", "enumerate_executions", "enumerate_runs"],
     "events": [
         "CanonicalRun",
@@ -64,7 +57,7 @@ EXPORTS = {
         "is_initial_substructure",
         "project",
     ],
-    "fileformat": ["FileFormatError", "emit_frame_document", "parse_frame_document", "parse_machine_document"],
+    "fileformat": ["FileFormatError", "parse_frame_document", "parse_machine_document"],
     "frames": [
         "Bound",
         "Channel",
@@ -78,6 +71,16 @@ EXPORTS = {
         "UnknownChannelError",
         "location_language",
         "validate_frame",
+    ],
+    "frames.blurforms": [
+        "AllBlur",
+        "BlurError",
+        "BlurSpec",
+        "IdentityBlur",
+        "PartitionBlur",
+        "PermutationBlur",
+        "SelectionBlur",
+        "TableBlur",
     ],
     "purge": [
         "MachineError",
@@ -101,8 +104,11 @@ EXPORTS = {
     ],
 }
 
-#: What reading a frame file that declares blurs loads.
-FRAME_SET = {"cli", "fileformat", "frames", "blur", "events"}
+#: What reading a frame file that declares blurs loads: the blur forms,
+#: without the blur analysis and the run type it applies them to.
+FRAME_SET = {"cli", "fileformat", "frames", "frames.blurforms"}
+#: What a flow check with a blur loads on top of the frame file.
+BLUR_SET = FRAME_SET | {"blur", "events", "enumeration", "disclosure"}
 #: What reading a machine file and deciding ``ni`` on it loads.
 PURGE_SET = {"cli", "fileformat", "frames", "events", "purge"}
 
@@ -127,6 +133,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     scn = build_firewall(FirewallParams())
     (tmp_path / "fw.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets, scn.blurs))
     (tmp_path / "plain.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets))
+    for name, precincts in (("v1.yaml", (2,)), ("v22.yaml", (2, 2))):
+        vot = build_voting(VotingParams(precincts=precincts))
+        (tmp_path / name).write_text(emit_frame_document(vot.frame, vot.named_sets, vot.blurs))
     (tmp_path / "m.yaml").write_text(machine_document(downgrader_machine()))
     code = (
         "import contextlib, io, json, sys\n"
@@ -138,24 +147,41 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "print(json.dumps([status, loaded, generators, 'yaml' in sys.modules]))\n"
     )
     # Frame and machine files are read without PyYAML; only writing a
-    # scenario file loads it.  The purge commands search the machine's
-    # words, so they load no enumeration.
+    # scenario file loads it.  A frame file's blurs read with the forms
+    # alone, so only the commands that apply a blur load ``blur``.  The
+    # purge commands search the machine's words, so they load no
+    # enumeration.
     purge_args = ["--target", "d2", "--purge", "hy", "--bound", "5"]
+    fw_flow = ["--source", "chans_i", "--observed", "chans_n"]
     cases = [
         (["validate", "fw.yaml"], {0}, FRAME_SET, False),
         (["validate", "plain.yaml"], {0}, {"cli", "fileformat", "frames"}, False),
-        (["enumerate", "fw.yaml", "--bound", "4"], {0}, FRAME_SET | {"enumeration"}, False),
-        (["min-cut", "fw.yaml", "--source", "chans_i", "--observed", "chans_n"], {0}, FRAME_SET | {"cuts"}, False),
+        (["enumerate", "fw.yaml", "--bound", "4"], {0}, FRAME_SET | {"enumeration", "events"}, False),
+        (["min-cut", "fw.yaml", *fw_flow], {0}, FRAME_SET | {"cuts"}, False),
         (
-            ["nodisclosure", "fw.yaml", "--source", "chans_i", "--observed", "chans_n", "--bound", "4"],
+            ["nodisclosure", "fw.yaml", *fw_flow, "--bound", "4"],
             {0, 1},
-            FRAME_SET | {"enumeration", "disclosure"},
+            FRAME_SET | {"enumeration", "events", "disclosure"},
+            False,
+        ),
+        (["check-blur", "fw.yaml", "--blur", "f_i", *fw_flow, "--bound", "4"], {0, 1}, BLUR_SET, False),
+        (
+            ["verify-cutblur", "fw.yaml", "--blur", "f_i", "--cut", "cut", *fw_flow, "--bound", "4"],
+            {0, 1},
+            BLUR_SET | {"cuts"},
+            False,
+        ),
+        (
+            ["compose", "v1.yaml", "v22.yaml", "--core", "v1_1,v1_2,BB1", "--blur", "f0_p1"]
+            + ["--source", "voters1", "--observed", "p", "--bound", "4"],
+            {0, 1},
+            BLUR_SET,
             False,
         ),
         (["ni", "m.yaml", *purge_args], {0, 1}, PURGE_SET, False),
         (["nd", "m.yaml", *purge_args], {0, 1}, PURGE_SET | {"disclosure"}, False),
-        (["purge-blur", "m.yaml", *purge_args], {0}, PURGE_SET | {"blur"}, False),
-        (["scenario", "firewall"], {0}, FRAME_SET | {"scenarios"}, True),
+        (["purge-blur", "m.yaml", *purge_args], {0}, PURGE_SET | {"frames.blurforms"}, False),
+        (["scenario", "firewall"], {0}, FRAME_SET | {"scenarios", "emitter"}, True),
     ]
     children = [_child(code, *argv, cwd=tmp_path) for argv, *_ in cases]
     for (argv, statuses, modules, uses_yaml), child in zip(cases, children):
@@ -164,6 +190,44 @@ def test_each_command_loads_only_its_modules(tmp_path):
         assert set(loaded) == {f"flowcut.{m}" for m in modules}, argv
         assert generators == [], argv
         assert yaml_loaded == uses_yaml, argv
+
+
+def test_validate_loads_no_pathlib_without_site(tmp_path):
+    # ``site`` may import ``pathlib`` itself (through a ``.pth`` file), so
+    # the child starts without it: then nothing ``validate`` runs loads it.
+    scn = build_firewall(FirewallParams())
+    (tmp_path / "fw.yaml").write_text(emit_frame_document(scn.frame, scn.named_sets, scn.blurs))
+    code = (
+        "import contextlib, io, sys\n"
+        "import flowcut.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['validate', 'fw.yaml'])\n"
+        "print(status, 'site' in sys.modules, 'pathlib' in sys.modules)\n"
+    )
+    argv = [sys.executable, "-S", "-c", code]
+    child = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=child_env())
+    assert child.returncode == 0, child.stderr.decode(errors="replace")
+    assert child.stdout.decode().split() == ["0", "False", "False"]
+
+
+def test_readers_and_builders_import_the_blur_forms_not_the_blur_analysis():
+    # ``fileformat``, ``scenarios`` and ``purge`` build blurs but never apply
+    # one: an import of ``blur`` anywhere in them, at the top or inside a
+    # function, would load the analysis and ``events`` with every frame file.
+    found = []
+    for name in ("fileformat", "scenarios", "purge"):
+        path = Path(flowcut.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [("." * node.level) + (node.module or "")]
+                if node.module is None:
+                    modules = ["." + alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules if m in (".blur", "flowcut.blur")]
+    assert found == []
 
 
 def test_a_child_writes_no_bytecode_when_this_process_writes_none(tmp_path, monkeypatch):
@@ -191,7 +255,7 @@ def test_no_module_imports_dataclasses_or_calls_exec_or_eval():
     # methods generated from source text at import.
     banned = {"dataclasses", "exec()", "eval()"}
     found = []
-    for path in sorted(Path(flowcut.__file__).parent.glob("*.py")):
+    for path in sorted(Path(flowcut.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -212,7 +276,7 @@ def test_lru_cache_decorates_only_the_enumeration_cache():
     # the definition it decorates.
     caches = {"lru_cache", "cache", "cached_property"}
     found = []
-    for path in sorted(Path(flowcut.__file__).parent.glob("*.py")):
+    for path in sorted(Path(flowcut.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         decorates = {}
         for node in ast.walk(tree):
@@ -234,7 +298,7 @@ def test_only_events_and_enumeration_name_event_system():
     # a view that ``events`` defines and ``ExecutionSet.systems`` builds.
     # Every identifier, attribute and imported name is checked.
     found = []
-    for path in sorted(Path(flowcut.__file__).parent.glob("*.py")):
+    for path in sorted(Path(flowcut.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 name = node.id

@@ -11,18 +11,16 @@ import pickle
 
 import pytest
 
-from flowcut.blur import (
+import flowcut.blur
+import flowcut.frames.blurforms
+from flowcut.blur import BlurValidation, CompositionVerdict, CutBlurVerdict, FlowCheck, SharedCore
+from flowcut.frames.blurforms import (
     AllBlur,
     BlurError,
-    BlurValidation,
-    CompositionVerdict,
-    CutBlurVerdict,
-    FlowCheck,
     IdentityBlur,
     PartitionBlur,
     PermutationBlur,
     SelectionBlur,
-    SharedCore,
     TableBlur,
 )
 from flowcut.cli import Report
@@ -385,3 +383,31 @@ def test_report_is_mutable_and_unhashable_with_fresh_notes():
     assert a.timing_s == 1.5
     with pytest.raises(TypeError):
         hash(a)
+
+
+#: The blur forms, which ``frames.blurforms`` defines and ``blur`` re-exports.
+FORMS = [(cls, fields) for cls, fields in RECORDS if cls.__module__ == "flowcut.frames.blurforms"]
+
+
+def test_blur_re_exports_the_forms():
+    names = {cls.__name__ for cls, _ in FORMS}
+    assert names == {
+        "AllBlur", "IdentityBlur", "PartitionBlur", "PermutationBlur", "SelectionBlur", "TableBlur"
+    }
+    for name in names | {"BlurError", "BlurSpec"}:
+        assert getattr(flowcut.blur, name) is getattr(flowcut.frames.blurforms, name)
+
+
+@pytest.mark.parametrize("cls, fields", FORMS, ids=[cls.__name__ for cls, _ in FORMS])
+@pytest.mark.parametrize("protocol", [0, 2])
+def test_a_pickle_naming_the_blur_module_loads_the_form(cls, fields, protocol):
+    # Pickles written before the forms moved name them as ``flowcut.blur``
+    # attributes; the re-export loads them as the same class, equal to the
+    # record pickled.
+    record = _build(cls, fields)
+    data = pickle.dumps(record, protocol=protocol)
+    assert b"cflowcut.frames.blurforms\n" in data
+    old = pickle.loads(data.replace(b"cflowcut.frames.blurforms\n", b"cflowcut.blur\n"))
+    assert type(old) is cls and repr(old) == repr(record)
+    if cls in VALUES:
+        assert old == record and hash(old) == hash(record)
