@@ -61,6 +61,11 @@ CORPUS = {
     "nd-m-d1-gm": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "9"],
     "nd-m-d2-hy": ["nd", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
     "purge-blur-m-d2-hy": ["purge-blur", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
+    # The purge-star workload's commands, at its bound.
+    "ni-m-d1-gm-13": ["ni", M, "--target", "d1", "--purge", "gm", "--bound", "13"],
+    "nd-m-d1-gm-13": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "13"],
+    "nd-m-d2-hy-13": ["nd", M, "--target", "d2", "--purge", "hy", "--bound", "13"],
+    "purge-blur-m-d2-hy-13": ["purge-blur", M, "--target", "d2", "--purge", "hy", "--bound", "13"],
 }
 
 
