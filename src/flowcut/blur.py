@@ -191,7 +191,7 @@ def f_limits_flow(
     # the table's values cover the source universe.
     index = _ClassIndex(blur, frozenset().union(*table.values()))
     laws = BlurValidation(True, True) if index.keyed else index.laws()
-    leak = _first_leak(table, index.apply)
+    leak = _first_leak(table, index.apply, CanonicalRun.serialize)
     return FlowCheck(leak is None, laws, *(leak or ()))
 
 

@@ -16,12 +16,12 @@ Each analysis command reads its arguments through one ``Query`` (input
 files, bound, channel sets, blur, ``params``) and keeps only its analysis
 and the details of its report.
 
-Only the file format and ``frames`` load with this module; each command
-imports the analysis modules it runs when it runs, so ``validate`` loads
-no enumeration and only ``scenario`` loads the scenario builders and the
-file writer.  For the same reason ``main`` gives only the invoked command
-its arguments, and ``entry``, the process's entry point, ends the process
-as soon as the report is flushed.
+Only the file format loads with this module; each command imports the
+modules it runs when it runs, so ``validate`` loads no enumeration, the
+purge commands load no frame model and no run type, and only ``scenario``
+loads the scenario builders and the file writer.  For the same reason
+``main`` gives only the invoked command its arguments, and ``entry``, the
+process's entry point, ends the process as soon as the report is flushed.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import sys
 import time
 from typing import NoReturn
 
+from . import Bound, InputError, _Record
 from .fileformat import parse_frame_document, parse_machine_document
-from .frames import Bound, InputError, _Record, validate_frame
 
 SCHEMA = "flowcut-report/1"
 DEFAULT_BOUND = 6
@@ -173,6 +173,8 @@ class Query:
 
 
 def cmd_validate(args) -> Report:
+    from .frames import validate_frame
+
     q = Query(args)
     report = validate_frame(q.frames[0])
     return q.report(report.ok, {"violations": [f"{v.code}: {v.message}" for v in report.violations]})
@@ -319,27 +321,29 @@ def cmd_compose(args) -> Report:
 
 
 def cmd_ni_nd(args) -> Report:
-    """``ni`` and ``nd``: one purge check each, witnessed by two runs."""
-    from .purge import PurgeKind, check_nd, check_ni
+    """``ni`` and ``nd``: one purge check each, witnessed by two words,
+    printed as the runs they stand for."""
+    from .purge import PurgeKind, nd_witness, ni_witness, word_texts
 
     q = Query(args, machine=True)
     if args.cmd == "ni":
-        check, witness = check_ni, ("witness_inputs_1", "witness_inputs_2")
+        find, keys = ni_witness, ("witness_inputs_1", "witness_inputs_2")
     else:
-        check, witness = check_nd, ("witness_view", "witness_inputs")
-    res = check(q.machine, PurgeKind(args.purge, args.target), q.bound)
+        find, keys = nd_witness, ("witness_view", "witness_inputs")
+    witness = find(q.machine, PurgeKind(args.purge, args.target), q.bound)
     details: dict = {}
-    if res.witness is not None:
-        details.update(zip(witness, (run.serialize() for run in res.witness)))
-    return q.report(res.holds, details)
+    if witness is not None:
+        details.update(zip(keys, map(word_texts(), witness)))
+    return q.report(witness is None, details)
 
 
 def cmd_purge_blur(args) -> Report:
-    from .purge import PurgeKind, purge_blur
+    from .purge import PurgeKind, input_classes, word_texts
 
     q = Query(args, machine=True)
-    blur = purge_blur(q.machine, PurgeKind(args.purge, args.target), q.bound)
-    blocks = [sorted(r.serialize() for r in block) for block in blur.blocks]
+    text = word_texts()
+    classes = input_classes(q.machine, PurgeKind(args.purge, args.target), q.bound)
+    blocks = [sorted(map(text, block)) for block in classes]
     return q.report(None, {"classes": sorted(blocks), "class_count": len(blocks)})
 
 

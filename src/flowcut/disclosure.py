@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, TYPE_CHECKING
 
-from .events import CanonicalRun, EventSystemError, is_execution
-from .frames import Bound, Frame, _Record
+from . import Bound, _Record
 
 if TYPE_CHECKING:
     from .blur import SharedCore
+    from .events import CanonicalRun
+    from .frames import Frame
 
 
 class MergeError(ValueError):
@@ -66,13 +67,14 @@ def _cmpt_table(
 def _first_leak(
     table: dict[Hashable, frozenset],
     f: Callable[[frozenset], frozenset],
-    key: Callable[[Hashable], str] = CanonicalRun.serialize,
+    key: Callable[[Hashable], str],
 ) -> tuple[Hashable, Hashable] | None:
-    """The least observed run, by serialization, whose compatibility set
-    ``f`` enlarges, and the least run ``f`` adds to it; None when ``f``
-    fixes every compatibility set of the table.  ``key`` serializes a run
-    of the table, for a table that holds its runs another way, as words;
-    only the observed runs that leak are serialized."""
+    """The least observed run, by ``key``, whose compatibility set ``f``
+    enlarges, and the least run ``f`` adds to it; None when ``f`` fixes
+    every compatibility set of the table.  ``key`` is the serialization of
+    a table's runs (``CanonicalRun.serialize``, or the word text for a
+    table of words), and only the observed runs that leak and the runs
+    they gain are serialized."""
     leaks = {}
     for b, compat in table.items():
         extra = f(compat) - compat
@@ -115,13 +117,15 @@ def no_disclosure(
     run B' that never occur together in one bounded execution: the
     witness of flow limited by the all-blur.
     """
+    from .events import CanonicalRun
+
     obs = frame.check_channels(observed)
     src = frame.check_channels(source)
     table = _cmpt_table(frame, obs, src, bound)
     # Every execution's source run is compatible with its observed run, so
     # the table's values cover the source universe.
     all_src = frozenset().union(*table.values())
-    leak = _first_leak(table, lambda compat: all_src)
+    leak = _first_leak(table, lambda compat: all_src, CanonicalRun.serialize)
     return DisclosureResult(leak is None, leak)
 
 
@@ -182,6 +186,8 @@ def cmpt_propagation_check(
 
     The inclusion can be strict; strictness is reported, not classified.
     """
+    from .events import CanonicalRun
+
     s1 = frame.check_channels(c1)
     s2 = frame.check_channels(c2)
     s3 = frame.check_channels(c3)
@@ -218,6 +224,8 @@ def merge_across_cut(
     id) under the least partial order extending both.  When ``bound`` is
     given, the run preconditions are verified by enumeration first.
     """
+    from .events import CanonicalRun, EventSystemError, is_execution
+
     cut = shared.cut0
     left_chans = shared.left0 | cut
     right_chans = frozenset(frame_right.channel_ids) - shared.left0

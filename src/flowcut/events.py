@@ -28,10 +28,11 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-from .frames import _compared_by, _Record, _set
+from . import _compared_by, _Record, _set
 
 if TYPE_CHECKING:
-    from .frames import Frame, Label
+    from . import Label
+    from .frames import Frame
 
 
 class EventSystemError(ValueError):

@@ -19,9 +19,10 @@ declined document is parsed by PyYAML's pure-Python ``safe_load``, never
 by libyaml, so a document reads, and fails with the same message, on every
 host whether or not PyYAML was built with libyaml.  The blur forms
 (``frames.blurforms``, not the blur analysis in ``blur``) are imported only
-to read a ``blurs`` block, so a machine file, or a frame file without blurs,
-reads with ``frames`` alone.  Files are written by ``emitter``, which a
-command that only reads does not compile.
+to read a ``blurs`` block, so a frame file without blurs reads with
+``frames`` alone.  The frame model itself is imported only to build a
+frame, so a machine file reads with ``purge`` alone.  Files are written by
+``emitter``, which a command that only reads does not compile.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import re
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
-from .frames import Channel, ExplicitTraces, Frame, InputError, Location, Lts
+from . import InputError
 
 if TYPE_CHECKING:
+    from .frames import Frame, Location
     from .frames.blurforms import BlurSpec
     from .purge import MachineSpec
 
@@ -365,6 +367,8 @@ def _load_yaml_pure(text: str) -> Any:
 
 
 def _parse_location(entry: Any) -> Location:
+    from .frames import ExplicitTraces, Location, Lts
+
     entry = _mapping(entry, "each location")
     _reject_unknown(entry, {"id", "traces", "lts"}, "location")
     loc_id = _field(entry, "id", "location", _scalar)
@@ -441,6 +445,8 @@ def parse_frame_document(
     text: str,
 ) -> tuple[Frame, dict[str, frozenset[str]], dict[str, BlurSpec]]:
     """Parse a frame file into (frame, named channel sets, blurs)."""
+    from .frames import Channel, Frame
+
     doc = _load_yaml(text)
     _reject_unknown(doc, {"frame"}, "document")
     body = _field(doc, "frame", "document", _mapping)

@@ -15,10 +15,15 @@ offers them, so an execution of the star frame is a chain: one word of the
 hub's language, and every local run of it is the subword on its channels.
 The checks search those words straight from the machine, a subset
 construction over machine states and the output phase, and compare input
-and view subwords instead of canonical runs.  A run is built from a word
-(``CanonicalRun.chain``) only where one is reported or ordered by its
-serialization.  ``star_frame`` and ``purge`` keep the frame view for
-callers that enumerate it.
+and view subwords instead of canonical runs.  Words are ordered, and
+printed, by their text (``word_texts``), which is the serialization of the
+run a word stands for, written from the word.  The word-level functions
+``ni_witness``, ``nd_witness`` and ``input_classes`` are what the CLI runs;
+``check_ni``, ``check_nd``, ``validate_purge`` and ``purge_blur`` wrap them,
+and a run is built from a word (``CanonicalRun.chain``) only there, where
+one is returned.  So ``events`` and the frame model are imported only in
+the functions that build runs or frames: ``star_frame`` and ``purge`` keep
+the frame view for callers that enumerate it.
 
 Purges map executions to the subsequence of input events a target domain
 is entitled to know about.  The chain-based intransitive purge retains an
@@ -30,13 +35,14 @@ inputs and collapse to the simple purge under transitive policies.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .events import CanonicalRun, chain_order, is_execution
-from .frames import Bound, Channel, Frame, InputError, Label, Location, Lts, UnknownChannelError
-from .frames import _compared_by, _Record
+from . import Bound, InputError, Label, _compared_by, _Record
 
 if TYPE_CHECKING:
+    from .events import CanonicalRun
+    from .frames import Frame
     from .frames.blurforms import PartitionBlur
 
 
@@ -111,6 +117,10 @@ class MachineSpec(_Record):
         doms = set(self.domains)
         if HUB in doms:
             raise MachineError(f"domain name {HUB!r} is reserved for the hub location")
+        for what, names in (("domain", self.domains), ("state", self.states), ("output", self.outputs)):
+            if len(set(names)) < len(names):
+                repeated = next(n for i, n in enumerate(names) if n in names[:i])
+                raise MachineError(f"{what} {repeated!r} declared twice")
         for d in doms:
             if (d, d) not in self.influence:
                 raise MachineError(f"influence relation is not reflexive at {d!r}")
@@ -137,6 +147,11 @@ class MachineSpec(_Record):
             for o in (obs_map[(s, d)] for d in self.domains):
                 if o not in outputs:
                     raise MachineError(f"obs uses undeclared output {o!r}")
+        for s, d in obs_map:
+            if s not in state_set:
+                raise MachineError(f"obs[{s!r}][{d!r}] names undeclared state {s!r}")
+            if d not in doms:
+                raise MachineError(f"obs[{s!r}][{d!r}] names undeclared domain {d!r}")
 
     def dom(self, action: str) -> str:
         return self._dom[action]
@@ -188,6 +203,8 @@ def star_frame(machine: MachineSpec) -> Frame:
     domain order, then accept the next input.  Domain locations send any
     of their own actions and receive any output, in any order.
     """
+    from .frames import Channel, Frame, Location, Lts
+
     machine.validate()
     k = len(machine.domains)
     dom_map = machine._dom
@@ -241,6 +258,8 @@ def input_sequence(machine: MachineSpec, run: CanonicalRun) -> tuple[Label, ...]
     Star-frame executions are totally ordered, so their input restrictions
     are chains.
     """
+    from .events import chain_order
+
     chain, bad = chain_order(range(run.n_events), run.ancestors)
     if bad is not None:
         raise MachineError("input run of a star frame must be totally ordered")
@@ -300,6 +319,9 @@ def purge(machine: MachineSpec, kind: PurgeKind, execution: CanonicalRun) -> Pur
 
     Depends only on the execution's input events.
     """
+    from .events import is_execution
+    from .frames import UnknownChannelError
+
     frame = star_frame(machine)
     try:
         check = is_execution(execution, frame)
@@ -317,9 +339,56 @@ def purge(machine: MachineSpec, kind: PurgeKind, execution: CanonicalRun) -> Pur
 Word = tuple[Label, ...]
 
 
-def _serialized(word: Word) -> str:
-    """The serialization of the run a word stands for."""
-    return CanonicalRun.chain(word).serialize()
+def word_texts() -> Callable[[Word], str]:
+    """A writer of word texts.  A word's text is the serialization of the
+    run it stands for, ``CanonicalRun.chain(word).serialize()``, written
+    from the word: that run's events are the word's labels, in canonical
+    order by channel and then ordinal, and its covering pairs join each
+    label to the next, listed in the canonical order of the lower one.
+    Reports print words as these texts and witness rules order words by
+    them.  The writer keeps each channel entry (a channel and its messages)
+    and each event id it writes, which the words of one search share."""
+    entries: dict[tuple[str, tuple[str, ...]], str] = {}
+    events: dict[str, list[str]] = {}  # channel -> its event ids, by ordinal
+
+    def text(word: Word) -> str:
+        msgs: dict[str, list[str]] = {}
+        pairs: dict[str, list[str]] = {}  # channel -> the pairs its events begin
+        below = None
+        for chan, msg in word:
+            if chan in msgs:
+                k = len(msgs[chan])
+                msgs[chan].append(msg)
+            else:
+                k = 0
+                msgs[chan] = [msg]
+                pairs[chan] = []
+            ids = events.setdefault(chan, [])
+            if k == len(ids):
+                ids.append(f"[{_quote(chan)},{k}]")
+            if below is not None:
+                pairs[below_chan].append(f"[{below},{ids[k]}]")
+            below, below_chan = ids[k], chan
+        chans, order = [], []
+        for chan in sorted(msgs):
+            seq = tuple(msgs[chan])
+            entry = entries.get((chan, seq))
+            if entry is None:
+                entry = entries[chan, seq] = f"[{_quote(chan)},[{','.join(map(_quote, seq))}]]"
+            chans.append(entry)
+            order += pairs[chan]
+        return f'{{"ch":[{",".join(chans)}],"ord":[{",".join(order)}]}}'
+
+    return text
+
+
+def _runs(words: tuple[Word, Word] | None) -> tuple[CanonicalRun, CanonicalRun] | None:
+    """A witness of two words as the runs they stand for."""
+    if words is None:
+        return None
+    from .events import CanonicalRun
+
+    return CanonicalRun.chain(words[0]), CanonicalRun.chain(words[1])
 
 
 def _hub_words(
@@ -428,9 +497,9 @@ class PurgeValidation(_Record):
         return self.visible_inputs_ok
 
 
-def _view_conflict(rows, words: Sequence[Word]) -> tuple[CanonicalRun, CanonicalRun] | None:
-    """The input runs of the first two purge-equal rows whose views differ,
-    the rows taken in the serialization order of their executions
+def _view_conflict(rows, words: Sequence[Word]) -> tuple[Word, Word] | None:
+    """The input words of the first two purge-equal rows whose views
+    differ, the rows taken in the text order of their executions
     (``words[i]`` is row i's).  Only a group holding two views can
     conflict, and its first row in any order is one of its own, so only
     the rows of such groups are sorted."""
@@ -440,13 +509,14 @@ def _view_conflict(rows, words: Sequence[Word]) -> tuple[CanonicalRun, Canonical
         if first_view.setdefault(value, view_word) != view_word:
             mixed.add(value)
     order = [i for i, row in enumerate(rows) if row[0] in mixed]
-    order.sort(key=lambda i: _serialized(words[i]))
+    text = word_texts()
+    order.sort(key=lambda i: text(words[i]))
     first: dict[PurgedValue, tuple[Word, Word]] = {}
     for i in order:
         value, in_word, view_word = rows[i]
         in_word_0, view_word_0 = first.setdefault(value, (in_word, view_word))
         if view_word_0 != view_word:
-            return CanonicalRun.chain(in_word_0), CanonicalRun.chain(in_word)
+            return in_word_0, in_word
     return None
 
 
@@ -469,7 +539,7 @@ def validate_purge(
     vis = machine.visible_inputs(kind.target)
     words, rows = _execution_rows(machine, kind, bound, vis, purge_fn)
     witness = _view_conflict(rows, words)
-    return PurgeValidation(witness is None, witness)
+    return PurgeValidation(witness is None, _runs(witness))
 
 
 # -- noninterference and nondeducibility -------------------------------------
@@ -485,12 +555,19 @@ class PurgeVerdict(_Record):
         return self.holds
 
 
+def ni_witness(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> tuple[Word, Word] | None:
+    """The input words that refute noninterference, or None when it holds:
+    those of the first two purge-equal executions, in text order, whose
+    words at the target domain's own channels differ."""
+    words, rows = _execution_rows(machine, kind, bound)
+    return _view_conflict(rows, words)
+
+
 def check_ni(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
     """Noninterference: purge-equal executions look identical on the
     target domain's own channels."""
-    words, rows = _execution_rows(machine, kind, bound)
-    witness = _view_conflict(rows, words)
-    return PurgeVerdict(witness is None, witness)
+    witness = ni_witness(machine, kind, bound)
+    return PurgeVerdict(witness is None, _runs(witness))
 
 
 def _purge_classes(rows) -> dict[PurgedValue, set[Word]]:
@@ -501,12 +578,12 @@ def _purge_classes(rows) -> dict[PurgedValue, set[Word]]:
     return classes
 
 
-def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
-    """Nondeducibility: for purge-equal executions, the second's inputs
-    are compatible with the first's view of the target channels; that is,
-    the purge blur limits flow from the inputs to the target's channels,
-    with the witness ``f_limits_flow`` gives.  The blur's image of a set of
-    input words is the union of its members' purge classes."""
+def nd_witness(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> tuple[Word, Word] | None:
+    """The view word and the input word that refute nondeducibility, or
+    None when it holds: the first leak of the purge blur, by text, in the
+    table of target views against the input words co-realized with them.
+    The blur's image of a set of input words is the union of its members'
+    purge classes."""
     from .disclosure import _first_leak
 
     _, rows = _execution_rows(machine, kind, bound)
@@ -519,19 +596,31 @@ def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdic
     def blur(ins: set[Word]) -> set[Word]:
         return set().union(*(classes[value] for value in {value_of[w] for w in ins}))
 
-    leak = _first_leak(table, blur, _serialized)
-    if leak is None:
-        return PurgeVerdict(True)
-    return PurgeVerdict(False, (CanonicalRun.chain(leak[0]), CanonicalRun.chain(leak[1])))
+    return _first_leak(table, blur, word_texts())
+
+
+def check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PurgeVerdict:
+    """Nondeducibility: for purge-equal executions, the second's inputs
+    are compatible with the first's view of the target channels; that is,
+    the purge blur limits flow from the inputs to the target's channels,
+    with the witness ``f_limits_flow`` gives."""
+    witness = nd_witness(machine, kind, bound)
+    return PurgeVerdict(witness is None, _runs(witness))
+
+
+def input_classes(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> list[set[Word]]:
+    """The realized bounded input words grouped by purged value, in value
+    order: the classes of the purge blur, as words."""
+    _, rows = _execution_rows(machine, kind, bound, ())
+    classes = _purge_classes(rows)
+    return [classes[value] for value in sorted(classes)]
 
 
 def purge_blur(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> PartitionBlur:
     """The blur induced by a purge: input runs are equivalent when they
     purge equally.  Its universe is the realized bounded input runs."""
+    from .events import CanonicalRun
     from .frames.blurforms import PartitionBlur
 
-    _, rows = _execution_rows(machine, kind, bound, ())
-    blocks = _purge_classes(rows)
-    return PartitionBlur(
-        tuple(frozenset(map(CanonicalRun.chain, blocks[value])) for value in sorted(blocks))
-    )
+    blocks = input_classes(machine, kind, bound)
+    return PartitionBlur(tuple(frozenset(map(CanonicalRun.chain, block)) for block in blocks))

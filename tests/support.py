@@ -258,7 +258,7 @@ def oracle_check_nd(machine: MachineSpec, kind: PurgeKind, bound: Bound) -> Purg
     )
     universe = frozenset().union(*table.values())
     blur = oracle_purge_blur(machine, kind, bound)
-    leak = _first_leak(table, _ClassIndex(blur, universe).apply)
+    leak = _first_leak(table, _ClassIndex(blur, universe).apply, CanonicalRun.serialize)
     return PurgeVerdict(leak is None, leak)
 
 

@@ -287,6 +287,30 @@ def test_unknown_purge_target_exits_2_naming_the_domains(machine_file, capsys, c
     assert captured.err == f"error: unknown purge target {target!r}; declared domains: ['hi', 'lo']\n"
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("domains: [hi, lo]", "domains: [hi, lo, hi]", "domain 'hi' declared twice"),
+        ("states: [s]", "states: [s, s]", "state 's' declared twice"),
+        ("outputs: [o0]", "outputs: [o0, o0]", "output 'o0' declared twice"),
+        ("    s: {hi: o0, lo: o0}", "    s: {hi: o0, lo: o0}\n    zz: {d9: o0}", "obs['zz']['d9'] names undeclared state 'zz'"),
+        ("s: {hi: o0, lo: o0}", "s: {hi: o0, lo: o0, d9: o0}", "obs['s']['d9'] names undeclared domain 'd9'"),
+    ],
+    ids=["domain", "state", "output", "obs-state", "obs-domain"],
+)
+@pytest.mark.parametrize("command", ["ni", "nd", "purge-blur"])
+def test_machine_with_a_repeated_name_or_a_stray_obs_entry_exits_2(tmp_path, capsys, command, old, new, message):
+    # A repeated domain was read as one more domain, which the hub then
+    # sent two outputs per input; a stray obs entry was dropped unread.
+    assert old in MACHINE
+    path = tmp_path / "machine.yaml"
+    path.write_text(MACHINE.replace(old, new))
+    assert main([command, str(path), "--target", "hi", "--bound", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_scenario_voting_roundtrips_through_analysis(tmp_path, capsys):
     out = tmp_path / "v.yaml"
     assert main(["scenario", "voting", "--precincts", "2", "--out", str(out)]) == 0

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import flowcut
+import flowcut.frames
 from flowcut.fileformat import emit_frame_document
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
@@ -109,8 +110,9 @@ EXPORTS = {
 FRAME_SET = {"cli", "fileformat", "frames", "frames.blurforms"}
 #: What a flow check with a blur loads on top of the frame file.
 BLUR_SET = FRAME_SET | {"blur", "events", "enumeration", "disclosure"}
-#: What reading a machine file and deciding ``ni`` on it loads.
-PURGE_SET = {"cli", "fileformat", "frames", "events", "purge"}
+#: What reading a machine file and deciding ``ni`` on it loads: no frame
+#: model and no run type.
+PURGE_SET = {"cli", "fileformat", "purge"}
 
 
 def _child(code: str, *args: str, cwd: Path | None = None) -> subprocess.Popen:
@@ -149,8 +151,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # Frame and machine files are read without PyYAML; only writing a
     # scenario file loads it.  A frame file's blurs read with the forms
     # alone, so only the commands that apply a blur load ``blur``.  The
-    # purge commands search the machine's words, so they load no
-    # enumeration.
+    # purge commands search the machine's words and print them as texts, so
+    # they load no enumeration, no frame model and no run type.
     purge_args = ["--target", "d2", "--purge", "hy", "--bound", "5"]
     fw_flow = ["--source", "chans_i", "--observed", "chans_n"]
     cases = [
@@ -180,7 +182,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ),
         (["ni", "m.yaml", *purge_args], {0, 1}, PURGE_SET, False),
         (["nd", "m.yaml", *purge_args], {0, 1}, PURGE_SET | {"disclosure"}, False),
-        (["purge-blur", "m.yaml", *purge_args], {0}, PURGE_SET | {"frames.blurforms"}, False),
+        (["purge-blur", "m.yaml", *purge_args], {0}, PURGE_SET, False),
         (["scenario", "firewall"], {0}, FRAME_SET | {"scenarios", "emitter"}, True),
     ]
     children = [_child(code, *argv, cwd=tmp_path) for argv, *_ in cases]
@@ -227,6 +229,51 @@ def test_readers_and_builders_import_the_blur_forms_not_the_blur_analysis():
             else:
                 continue
             found += [f"{name}:{node.lineno} {m}" for m in modules if m in (".blur", "flowcut.blur")]
+    assert found == []
+
+
+#: The names of the frame model: what ``frames`` defines, apart from the
+#: base it re-exports from the package.
+FRAME_MODEL = sorted(
+    name
+    for name, value in vars(flowcut.frames).items()
+    if getattr(value, "__module__", None) == "flowcut.frames" or name in ("Trace", "TraceSpec")
+)
+
+
+def test_purge_path_imports_events_and_the_frame_model_only_in_functions():
+    # A top-level import of ``events``, or of a ``frames`` name, in these
+    # modules would load it with every purge command.  Imports inside a
+    # function body, and those read only by type checkers, are allowed.
+    assert {"Frame", "Lts", "validate_frame", "UnknownChannelError"} <= set(FRAME_MODEL)
+    assert not {"Bound", "InputError", "Label", "_Record"} & set(FRAME_MODEL)
+    found = []
+    for name in ("cli", "fileformat", "purge", "disclosure"):
+        path = Path(flowcut.__file__).parent / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        nested = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(id(sub) for sub in ast.walk(node))
+            elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+                nested.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in nested:
+                continue
+            if isinstance(node, ast.Import):
+                modules = [(alias.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                modules = [(base, alias.name) for alias in node.names]
+            else:
+                continue
+            for module, imported in modules:
+                if module in (".events", "flowcut.events") or imported == "events":
+                    found.append(f"{name}:{node.lineno} {module}")
+                elif module in (".frames", "flowcut.frames") and imported in FRAME_MODEL:
+                    found.append(f"{name}:{node.lineno} {module}.{imported}")
+                elif module.startswith((".frames.", "flowcut.frames.")) or imported == "frames":
+                    found.append(f"{name}:{node.lineno} {module}.{imported}")
     assert found == []
 
 

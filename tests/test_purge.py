@@ -22,7 +22,9 @@ from flowcut.purge import (
     purge_sequence,
     star_frame,
     validate_purge,
+    word_texts,
 )
+from flowcut.cli import main as cli_main
 
 from support import (
     child_env,
@@ -111,6 +113,39 @@ def test_machine_requires_reflexive_influence():
     )
     with pytest.raises(MachineError):
         broken.validate()
+
+
+def _downgrader_fields() -> dict:
+    m = downgrader_machine()
+    return dict(
+        domains=list(m.domains),
+        influence=m.influence,
+        action_domain=dict(m.action_domain),
+        outputs=list(m.outputs),
+        states=list(m.states),
+        initial=m.initial,
+        transitions=m.transitions,
+        obs=dict(m.obs),
+    )
+
+
+@pytest.mark.parametrize(
+    "field, change, message",
+    [
+        ("domains", lambda v: v + ["d1"], "domain 'd1' declared twice"),
+        ("states", lambda v: v + ["b1p0"], "state 'b1p0' declared twice"),
+        ("outputs", lambda v: ["1"] + v, "output '1' declared twice"),
+        ("obs", lambda v: {**v, ("zz", "d9"): "0"}, "obs['zz']['d9'] names undeclared state 'zz'"),
+        ("obs", lambda v: {**v, ("b0p0", "d9"): "0"}, "obs['b0p0']['d9'] names undeclared domain 'd9'"),
+    ],
+)
+def test_machine_rejects_repeated_names_and_stray_obs_entries(field, change, message):
+    fields = _downgrader_fields()
+    MachineSpec.build(**fields)
+    fields[field] = change(fields[field])
+    with pytest.raises(MachineError) as info:
+        MachineSpec.build(**fields)
+    assert str(info.value) == message
 
 
 def test_star_frame_shape_smallest():
@@ -499,6 +534,59 @@ def test_purge_blur_collapses_invisible_domains():
     assert validate_blur(blur, uni).is_blur
     # tgt has no actions and sees nothing else: all input runs are one class.
     assert len(blur.blocks) == 1
+
+
+#: Names that exercise the text's quoting: a quote, a backslash, non-ASCII
+#: characters, a line break, and the empty name.
+_NAME = st.text(alphabet='ab"\\\né\u20ac\U0001f600', max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.lists(st.tuples(_NAME, _NAME), max_size=10), max_size=6))
+def test_word_text_is_the_serialization_of_the_chain(words):
+    # One writer for all the words, so later words reuse memoized entries.
+    text = word_texts()
+    for word in [(), *map(tuple, words)]:
+        assert text(word) == CanonicalRun.chain(word).serialize(), word
+
+
+def test_word_text_lists_each_label_before_the_next():
+    # Events are numbered by channel, then ordinal; each covering pair joins
+    # a label to the next one in the word, listed by the lower one's number.
+    word = (("b", "1"), ("a", "x"), ("b", "2"), ("a", "y"), ("b", "1"))
+    expected = (
+        '{"ch":[["a",["x","y"]],["b",["1","2","1"]]],'
+        '"ord":[[["a",0],["b",1]],[["a",1],["b",2]],[["b",0],["a",0]],[["b",1],["a",1]]]}'
+    )
+    assert word_texts()(word) == expected == CanonicalRun.chain(word).serialize()
+    assert word_texts()(()) == '{"ch":[],"ord":[]}'
+
+
+def test_cli_purge_commands_build_and_serialize_no_run(tmp_path, monkeypatch, capsys):
+    # The purge commands order and print words as their texts; only the
+    # library's checks, which return runs, build them.
+    chain, calls = CanonicalRun.chain, [0]
+
+    def counted(word):
+        calls[0] += 1
+        return chain(word)
+
+    monkeypatch.setattr(CanonicalRun, "chain", staticmethod(counted))
+    serializations = count_serializations(monkeypatch)
+    (tmp_path / "m.yaml").write_text(machine_document(downgrader_machine()))
+    monkeypatch.chdir(tmp_path)
+    for argv, status in (
+        (["ni", "m.yaml", "--target", "d1", "--purge", "gm"], 1),
+        (["nd", "m.yaml", "--target", "d1", "--purge", "gm"], 0),
+        (["nd", "m.yaml", "--target", "d2", "--purge", "hy"], 1),
+        (["purge-blur", "m.yaml", "--target", "d2", "--purge", "hy"], 0),
+    ):
+        assert cli_main([*argv, "--bound", "9"]) == status, argv
+        printed = '{"ch":[' in capsys.readouterr().out
+        assert printed == (status == 1 or argv[0] == "purge-blur"), argv
+    assert (calls[0], serializations[0]) == (0, 0)
+    assert check_ni(downgrader_machine(), PurgeKind("gm", "d1"), Bound(9)).witness is not None
+    assert calls[0] == 2
 
 
 def test_nd_report_is_byte_stable_across_hash_seeds(tmp_path):

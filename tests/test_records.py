@@ -411,3 +411,15 @@ def test_a_pickle_naming_the_blur_module_loads_the_form(cls, fields, protocol):
     assert type(old) is cls and repr(old) == repr(record)
     if cls in VALUES:
         assert old == record and hash(old) == hash(record)
+
+
+@pytest.mark.parametrize("protocol", [0, 2])
+def test_a_pickle_naming_frames_loads_the_bound(protocol):
+    # ``Bound`` moved from ``frames`` to the package, which ``frames``
+    # re-exports it from: a pickle written before the move names it
+    # ``flowcut.frames.Bound`` and loads as the same class.
+    bound = Bound(13, 2)
+    data = pickle.dumps(bound, protocol=protocol)
+    assert b"cflowcut\nBound\n" in data
+    old = pickle.loads(data.replace(b"cflowcut\nBound\n", b"cflowcut.frames\nBound\n"))
+    assert type(old) is Bound and old == bound and hash(old) == hash(bound)
