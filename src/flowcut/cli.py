@@ -10,31 +10,36 @@ bound and a reminder that verdicts are bound-relative; wall-clock timing
 is omitted unless requested so identical inputs produce byte-identical
 reports.
 
-Each command is one row of the table in ``build_parser``: its name, its
-help, its function and its arguments, whose settings come from one dict.
-Each analysis command reads its arguments through one ``Query`` (input
-files, bound, channel sets, blur, ``params``) and keeps only its analysis
-and the details of its report.
+Each command is one row of the command table: its name, its function, its
+arguments and its help, with each argument's settings in one dict.  Each
+analysis command reads its arguments through one ``Query`` (input files,
+bound, channel sets, blur, ``params``) and keeps only its analysis and the
+details of its report.
 
 Only the file format loads with this module; each command imports the
 modules it runs when it runs, so ``validate`` loads no enumeration, the
 purge commands load no frame model and no run type, and only ``scenario``
 loads the scenario builders and the file writer.  For the same reason
-``main`` gives only the invoked command its arguments, and ``entry``, the
-process's entry point, ends the process as soon as the report is flushed.
+``main`` reads a well-formed analysis command line straight from the
+command table and imports ``argparse`` only for help, errors and other
+spellings, and ``entry``, the process's entry point, ends the process as
+soon as the report is flushed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from . import Bound, InputError, _Record
 from .fileformat import parse_frame_document, parse_machine_document
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = "flowcut-report/1"
 DEFAULT_BOUND = 6
@@ -383,6 +388,9 @@ def cmd_scenario(args) -> Report:
 #: ``add_argument`` settings by argument; an argument not listed takes
 #: argparse's defaults.
 _ARGUMENTS = {
+    "--json": {"action": "store_true", "help": "structured report output"},
+    "--seed": {"type": int, "help": "seed echoed into the report"},
+    "--timing": {"action": "store_true", "help": "include wall-clock timing"},
     "--channels": {"required": True},
     "--observed": {"required": True},
     "--source": {"required": True},
@@ -399,25 +407,50 @@ _ARGUMENTS = {
     "--precincts": {"default": "2"},
     "--candidates": {"default": "0,1"},
 }
+#: The arguments every command takes, ahead of its own.
+_COMMON = "--json --seed --timing"
 _BOUND = " --bound --per-location"
 _PURGE = "file --target --purge" + _BOUND
 
+#: The command table: name -> (function name, arguments, help).  A function
+#: is looked up by name when a command line is read, so a command function
+#: replaced on the module after import is the one that runs.
+_COMMANDS = {
+    "validate": ("cmd_validate", "file", "well-formedness of a frame file"),
+    "enumerate": ("cmd_enumerate", "file" + _BOUND, "all bounded executions"),
+    "runs": ("cmd_runs", "file --channels" + _BOUND, "local runs at a channel set"),
+    "cmpt": ("cmd_cmpt", "file --observed --source --run-index" + _BOUND,
+             "compatibility set of an observed run"),
+    "nodisclosure": ("cmd_nodisclosure", "file --source --observed" + _BOUND,
+                     "no-disclosure between two channel sets"),
+    "check-blur": ("cmd_check_blur", "file --blur --source --observed" + _BOUND,
+                   "blur-limited flow from source to observed"),
+    "check-cut": ("cmd_check_cut", "file --source --cut --observed", "is the channel set a cut"),
+    "min-cut": ("cmd_min_cut", "file --source --observed", "minimum channel cut between two sets"),
+    "verify-cutblur": ("cmd_verify_cutblur", "file --blur --source --cut --observed" + _BOUND,
+                       "cut-blur transport of a flow limit"),
+    "compose": ("cmd_compose", "file1 file2 --core --blur --source --observed" + _BOUND,
+                "transport a flow limit across a shared core"),
+    "ni": ("cmd_ni_nd", _PURGE, "purge-based noninterference"),
+    "nd": ("cmd_ni_nd", _PURGE, "purge-based nondeducibility"),
+    "purge-blur": ("cmd_purge_blur", _PURGE, "the blur a purge induces on input runs"),
+    "scenario": (None, "", "emit a frame file for a built-in scenario"),
+}
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given ``argv``, one in which only the
-    command ``argv`` names has its arguments.  Every other command is a bare
-    entry, which is all that ``--help`` and an invalid-choice error print.
-    The top level takes no option with a value, so the command is the first
-    argument that does not start with ``-``."""
-    named = None if argv is None else next((a for a in argv if a[:1] != "-"), None)
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from the command table.  It is the
+    parser of record: ``main`` runs it for ``--help``, for every usage error
+    and for any spelling that ``_read_args`` leaves to it."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="flowcut",
         description="Brute-force information-flow analysis of message-passing frames",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="structured report output")
-    common.add_argument("--seed", type=int, default=None, help="seed echoed into the report")
-    common.add_argument("--timing", action="store_true", help="include wall-clock timing")
+    for arg in _COMMON.split():
+        common.add_argument(arg, **_ARGUMENTS[arg])
     sub = top.add_subparsers(dest="cmd", required=True, parser_class=argparse.ArgumentParser)
 
     def add(parent, name: str, fn, arguments: str, **kwargs) -> None:
@@ -426,39 +459,67 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
         p.set_defaults(fn=fn)
 
-    # The functions are looked up when the parser is built, so a command
-    # function replaced on the module after import is the one that runs.
-    for name, fn, arguments, help_text in (
-        ("validate", cmd_validate, "file", "well-formedness of a frame file"),
-        ("enumerate", cmd_enumerate, "file" + _BOUND, "all bounded executions"),
-        ("runs", cmd_runs, "file --channels" + _BOUND, "local runs at a channel set"),
-        ("cmpt", cmd_cmpt, "file --observed --source --run-index" + _BOUND,
-         "compatibility set of an observed run"),
-        ("nodisclosure", cmd_nodisclosure, "file --source --observed" + _BOUND,
-         "no-disclosure between two channel sets"),
-        ("check-blur", cmd_check_blur, "file --blur --source --observed" + _BOUND,
-         "blur-limited flow from source to observed"),
-        ("check-cut", cmd_check_cut, "file --source --cut --observed", "is the channel set a cut"),
-        ("min-cut", cmd_min_cut, "file --source --observed", "minimum channel cut between two sets"),
-        ("verify-cutblur", cmd_verify_cutblur, "file --blur --source --cut --observed" + _BOUND,
-         "cut-blur transport of a flow limit"),
-        ("compose", cmd_compose, "file1 file2 --core --blur --source --observed" + _BOUND,
-         "transport a flow limit across a shared core"),
-        ("ni", cmd_ni_nd, _PURGE, "purge-based noninterference"),
-        ("nd", cmd_ni_nd, _PURGE, "purge-based nondeducibility"),
-        ("purge-blur", cmd_purge_blur, _PURGE, "the blur a purge induces on input runs"),
-        ("scenario", None, "", "emit a frame file for a built-in scenario"),
-    ):
-        if argv is not None and name != named:
-            sub.add_parser(name, help=help_text)
-        elif name != "scenario":
-            add(sub, name, fn, arguments, help=help_text)
+    for name, (fn_name, arguments, help_text) in _COMMANDS.items():
+        if fn_name is not None:
+            add(sub, name, globals()[fn_name], arguments, help=help_text)
         else:
             p = sub.add_parser(name, help=help_text, parents=[common])
             scn_sub = p.add_subparsers(dest="which", required=True)
             add(scn_sub, "firewall", cmd_scenario, "--filtering --region-sends --out")
             add(scn_sub, "voting", cmd_scenario, "--precincts --candidates --out")
     return top
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives a well-formed analysis
+    command line, read from the command table without argparse; None for
+    any other line, which argparse then reads.
+
+    The line taken is the command, exactly its positionals, and then each
+    option at most once, spelled in full: ``--name value``, or a bare
+    ``--json`` or ``--timing``.  No positional or value starts with ``-``,
+    an ``int`` value is read by ``int()`` and a value with choices is one of
+    them.  Help, an abbreviation, ``--name=value``, a repeated option, a
+    value that fails and a missing required option are all left to
+    argparse, so every message it prints is its own."""
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None or row[0] is None:
+        return None
+    fn_name, arguments, _ = row
+    names = f"{_COMMON} {arguments}".split()
+    positionals = [name for name in names if name[0] != "-"]
+    given = dict(zip(positionals, argv[1:]))
+    if len(given) < len(positionals) or any(value[:1] == "-" for value in given.values()):
+        return None
+    rest = iter(argv[1 + len(positionals):])
+    for option in rest:
+        if option[:2] != "--" or option not in names or option in given:
+            return None
+        settings = _ARGUMENTS.get(option, {})
+        if settings.get("action") == "store_true":
+            given[option] = True
+            continue
+        value = next(rest, "-")  # no value left: argparse says so
+        if value[:1] == "-":
+            return None
+        if "type" in settings:
+            try:
+                value = settings["type"](value)
+            except ValueError:
+                return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        given[option] = value
+    # In argparse's order: the command, each argument, then the function.
+    namespace = {"cmd": argv[0]}
+    for name in names:
+        settings = _ARGUMENTS.get(name, {})
+        if name not in given and settings.get("required"):
+            return None
+        default = False if settings.get("action") == "store_true" else settings.get("default")
+        namespace[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+    namespace["fn"] = globals()[fn_name]
+    return SimpleNamespace(**namespace)
 
 
 def _error(line: str) -> None:
@@ -479,11 +540,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit status; never ends the process."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
         report: Report = args.fn(args)

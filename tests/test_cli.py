@@ -3,14 +3,17 @@ from __future__ import annotations
 import errno
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flowcut.cli import build_parser, main
+from flowcut.cli import _ARGUMENTS, _COMMANDS, _COMMON, _read_args, build_parser, main
 from flowcut.fileformat import (
     FileFormatError,
     _read_subset,
@@ -21,6 +24,8 @@ from flowcut.fileformat import (
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
 from support import BROKEN_DOCUMENTS, child_env, count_restrictions, downgrader_machine, machine_document
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_FRAME = """
 frame:
@@ -811,6 +816,13 @@ def test_usage_output_through_the_exit_path_is_the_full_parsers(fw_dir, capsys, 
     assert (status, out.decode(), err.decode()) == (exc.value.code, full.out, full.err)
 
 
+#: The lines below that name an analysis command with its required arguments.
+_TAKEN = [
+    ["validate", "f.yaml"],
+    ["compose", "a.yaml", "b.yaml", "--core", "L", "--blur", "b", "--source", "s", "--observed", "o"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -823,10 +835,10 @@ def test_usage_output_through_the_exit_path_is_the_full_parsers(fw_dir, capsys, 
         ["--", "validate", "f.yaml"],
         ["--json", "validate", "f.yaml"],
         ["validate", "--bogus", "f.yaml"],
-        ["validate", "f.yaml"],
+        _TAKEN[0],
         ["enumerate", "f.yaml", "--bound", "x"],
         ["ni", "m.yaml", "--target", "d", "--purge", "xx"],
-        ["compose", "a.yaml", "b.yaml", "--core", "L", "--blur", "b", "--source", "s", "--observed", "o"],
+        _TAKEN[1],
         ["scenario"],
         ["scenario", "-h"],
         ["scenario", "voting", "-h"],
@@ -836,17 +848,140 @@ def test_usage_output_through_the_exit_path_is_the_full_parsers(fw_dir, capsys, 
     ids=repr,
 )
 def test_the_parser_for_argv_parses_as_the_full_parser(capsys, monkeypatch, argv):
-    # Only the command argv names has its arguments; what argparse prints,
-    # its status and the namespace are those of the parser of every command.
+    # ``main`` reads argv with ``_read_args`` and, where that declines, with
+    # the full parser, so what argparse prints and its status are the full
+    # parser's.  A line the reader takes reads as the full parser reads it,
+    # and nothing is printed.
     monkeypatch.setenv("COLUMNS", "80")
-    results = []
-    for parser in (build_parser(), build_parser(argv)):
-        try:
-            outcome = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            outcome = exc.code
-        results.append((outcome, capsys.readouterr()))
-    assert results[0] == results[1]
+    taken = _reads_as_the_full_parser(argv)
+    assert capsys.readouterr() == ("", "")
+    assert taken == (argv in _TAKEN)
+
+
+def _namespace(args) -> list:
+    """A namespace's entries in order, with each value's type."""
+    return [(k, type(v), v) for k, v in vars(args).items()]
+
+
+def _reads_as_the_full_parser(argv: list[str]) -> bool:
+    """Whether ``_read_args`` takes argv; where it does, the full parser
+    takes it too, into the same namespace."""
+    read = _read_args(argv)
+    if read is None:
+        return False
+    try:
+        full = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects a line the reader takes: {argv!r}")
+    assert _namespace(read) == _namespace(full), argv
+    return True
+
+
+#: The ways ``_command_lines`` changes a well-formed line.
+_CHANGES = ("abbreviate", "equals", "repeat", "dash", "bad value", "drop", "extra positional")
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """An argv made of a command's own vocabulary: a well-formed line, its
+    options in random order, and then up to two changes: an option
+    abbreviated, spelled ``--opt=value`` or repeated, help, ``--`` or an
+    unknown option added, a value that is an int, a negative int, ``''``,
+    ``-``, ``--``, one of the option's choices or random text, an argument
+    dropped, or a positional added."""
+    command = draw(st.sampled_from([*_COMMANDS, "-h", "--json", ""]))
+    _, arguments, _ = _COMMANDS.get(command, (None, "", ""))
+    names = f"{_COMMON} {arguments}".split()
+    options = [n for n in names if n[0] == "-"]
+    choices = [c for n in options for c in _ARGUMENTS.get(n, {}).get("choices", ())]
+    anything = st.one_of(
+        st.sampled_from(["", "-", "--", "x", "1.5", " 7", "\u0663", *choices]),
+        st.integers(-20, 20).map(str),
+        st.text(max_size=5),
+    )
+
+    def fitting(name: str) -> str:
+        settings = _ARGUMENTS.get(name, {})
+        if "choices" in settings:
+            return draw(st.sampled_from(settings["choices"]))
+        if "type" in settings:
+            return str(draw(st.integers(0, 20)))
+        return draw(st.sampled_from(["f.yaml", "s", "a,b", ""]))
+
+    def spelled(option: str, value: str | None = None) -> list[str]:
+        if _ARGUMENTS[option].get("action") == "store_true":
+            return [option]
+        return [option, fitting(option) if value is None else value]
+
+    positionals = [[fitting(n)] for n in names if n[0] != "-"]
+    pieces = [spelled(o) for o in options if _ARGUMENTS[o].get("required") or draw(st.booleans())]
+    for change in draw(st.lists(st.sampled_from(_CHANGES), max_size=2)) if options else ():
+        option = draw(st.sampled_from(options))
+        if change == "abbreviate":
+            cut = draw(st.integers(3, len(option) - 1))
+            pieces.append([option[:cut], *spelled(option)[1:]])
+        elif change == "equals":
+            pieces.append([f"{option}={draw(anything)}"])
+        elif change == "repeat":
+            pieces.append(spelled(option))
+        elif change == "dash":
+            pieces.append([draw(st.sampled_from(["-h", "--help", "--", "--bogus"]))])
+        elif change == "bad value":
+            typed = [o for o in options if {"type", "choices"} & set(_ARGUMENTS[o])]
+            pieces.append(spelled(draw(st.sampled_from(typed or options)), draw(anything)))
+        elif change == "drop" and pieces + positionals:
+            parts = draw(st.sampled_from([parts for parts in (pieces, positionals) if parts]))
+            parts.pop(draw(st.integers(0, len(parts) - 1)))
+        elif change == "extra positional":
+            positionals.append([draw(anything)])
+    pieces = draw(st.permutations(pieces))
+    return [command] + [a for p in positionals + pieces for a in p]
+
+
+_PURGE_LINE = ["ni", "m.yaml", "--target", "d1", "--purge", "gm", "--bound", "13"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+# One line for each kind of line the reader leaves to argparse.
+@example(_PURGE_LINE + ["-h"])
+@example(_PURGE_LINE + ["--help"])
+@example(_PURGE_LINE + ["--bou", "4"])
+@example(_PURGE_LINE + ["--per-location=2"])
+@example(_PURGE_LINE + ["--bound", "4"])
+@example(_PURGE_LINE + ["--per-location", "-1"])
+@example(_PURGE_LINE + ["--", "--seed", "1"])
+@example(_PURGE_LINE + ["--bogus", "1"])
+@example(_PURGE_LINE[:1] + _PURGE_LINE[2:])
+@example(["validate"])
+@example(_PURGE_LINE[:2] + ["extra"] + _PURGE_LINE[2:])
+@example(_PURGE_LINE[:2] + _PURGE_LINE[4:])
+@example(_PURGE_LINE + ["--seed", "x"])
+@example(_PURGE_LINE[:5] + ["xx"] + _PURGE_LINE[6:])
+@example(_PURGE_LINE[:-1])
+def test_the_reader_takes_only_lines_argparse_reads_alike(argv):
+    # A taken line reads as argparse reads it.  A line with a dash-led
+    # argument that is not one of the command's options in full (help, an
+    # abbreviation, ``--opt=value``, ``--``, a negative number) or with an
+    # option twice is declined, even where argparse would read it alike.
+    taken = _reads_as_the_full_parser(argv)
+    _, arguments, _ = _COMMANDS.get(argv[0], (None, "", ""))
+    options = f"{_COMMON} {arguments}".split()
+    dashed = [a for a in argv[1:] if a[:1] == "-"]
+    if set(dashed) - set(options) or len(set(dashed)) < len(dashed):
+        assert not taken, argv
+
+
+def test_every_benchmark_and_corpus_line_is_read_without_argparse():
+    # The benchmark's commands and the golden corpus are what the reader is
+    # for: each is taken, and reads as the full parser reads it.
+    from test_reports import CORPUS
+
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    lines = [list(c.argv) for w in workloads.values() for c in (w.setup, *w.commands)]
+    assert len(lines) == 16
+    lines += [argv + extra for argv in CORPUS.values() for extra in ([], ["--json"])]
+    assert [argv for argv in lines if not _reads_as_the_full_parser(argv)] == []
 
 
 class _FullDisk:

@@ -1,6 +1,7 @@
 """
 What importing flowcut loads: each CLI command imports only the modules it
-runs, no command loads ``dataclasses`` or ``inspect``, frame and machine
+runs, no command loads ``dataclasses`` or ``inspect``, a well-formed
+analysis command line loads no ``argparse``, frame and machine
 files are read without PyYAML, and the package's lazy exports resolve to
 the same objects the submodules define.  Import state is per process, so
 every check of what is loaded runs in a fresh child interpreter.
@@ -146,13 +147,16 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "    status = cli.main(sys.argv[1:])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('flowcut.'))\n"
         "generators = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
-        "print(json.dumps([status, loaded, generators, 'yaml' in sys.modules]))\n"
+        "parsing = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+        "print(json.dumps([status, loaded, generators, parsing, 'yaml' in sys.modules]))\n"
     )
     # Frame and machine files are read without PyYAML; only writing a
     # scenario file loads it.  A frame file's blurs read with the forms
     # alone, so only the commands that apply a blur load ``blur``.  The
     # purge commands search the machine's words and print them as texts, so
-    # they load no enumeration, no frame model and no run type.
+    # they load no enumeration, no frame model and no run type.  A
+    # well-formed analysis command line is read without argparse; the
+    # scenario commands and an abbreviated option go through it.
     purge_args = ["--target", "d2", "--purge", "hy", "--bound", "5"]
     fw_flow = ["--source", "chans_i", "--observed", "chans_n"]
     cases = [
@@ -184,14 +188,22 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["nd", "m.yaml", *purge_args], {0, 1}, PURGE_SET | {"disclosure"}, False),
         (["purge-blur", "m.yaml", *purge_args], {0}, PURGE_SET, False),
         (["scenario", "firewall"], {0}, FRAME_SET | {"scenarios", "emitter"}, True),
+        (["ni", "m.yaml", "--targ", *purge_args[1:]], {0, 1}, PURGE_SET, False),
     ]
     children = [_child(code, *argv, cwd=tmp_path) for argv, *_ in cases]
-    for (argv, statuses, modules, uses_yaml), child in zip(cases, children):
-        status, loaded, generators, yaml_loaded = json.loads(_finish(child))
-        assert status in statuses, argv
+    statuses = {}
+    for (argv, expected, modules, uses_yaml), child in zip(cases, children):
+        status, loaded, generators, parsing, yaml_loaded = json.loads(_finish(child))
+        statuses[tuple(argv)] = status
+        assert status in expected, argv
         assert set(loaded) == {f"flowcut.{m}" for m in modules}, argv
         assert generators == [], argv
+        assert ("argparse" in parsing) == (argv[0] == "scenario" or "--targ" in argv), argv
+        if "argparse" not in parsing:
+            assert parsing == [], argv
         assert yaml_loaded == uses_yaml, argv
+    # argparse reads the abbreviation as the option it abbreviates.
+    assert statuses["ni", "m.yaml", "--targ", *purge_args[1:]] == statuses["ni", "m.yaml", *purge_args]
 
 
 def test_validate_loads_no_pathlib_without_site(tmp_path):
