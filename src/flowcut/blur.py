@@ -348,9 +348,9 @@ def verify_composition(
     source: Iterable[str],
     observed: Iterable[str],
     blur: BlurSpec,
-    bound: Bound,
 ) -> CompositionVerdict:
-    """Transport a flow limit across the shared core.
+    """Transport a flow limit across the shared core, at the core's bound,
+    where its side condition was checked.
 
     Checks the blur limit from the source to the core boundary in the
     first frame, then asserts the same limit from the source to the
@@ -371,6 +371,7 @@ def verify_composition(
             "side condition unverified: the second frame has cut runs the first lacks"
         )
 
+    bound = core.bound
     antecedent = f_limits_flow(core.frame1, src, core.cut0, blur, bound)
     consequent = f_limits_flow(core.frame2, src, obs, blur, bound)
 

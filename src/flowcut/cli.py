@@ -196,11 +196,10 @@ def cmd_enumerate(args) -> Report:
 
 def cmd_runs(args) -> Report:
     from .enumeration import enumerate_runs
-    from .events import CanonicalRun
 
     q = Query(args)
-    runs = sorted(enumerate_runs(q.frames[0], q.channels, q.bound), key=CanonicalRun.serialize)
-    return q.report(None, {"count": len(runs), "runs": [r.serialize() for r in runs]})
+    runs = sorted(r.serialize() for r in enumerate_runs(q.frames[0], q.channels, q.bound))
+    return q.report(None, {"count": len(runs), "runs": runs})
 
 
 def cmd_cmpt(args) -> Report:
@@ -310,7 +309,7 @@ def cmd_compose(args) -> Report:
 
     q = Query(args)
     core = build_shared_core(*q.frames, q.core, q.bound)
-    res = verify_composition(core, q.source, q.observed, q.blur, q.bound)
+    res = verify_composition(core, q.source, q.observed, q.blur)
     return q.report(
         res.antecedent.holds and res.consequent.holds and res.locality_ok,
         {

@@ -14,16 +14,19 @@ The order attached to each execution is the least partial order making
 every location projection a chain.  Such an execution is determined by
 the tuple of its locations' label sequences: the k-th ``c`` label at the
 sender and the k-th ``c`` label at the recipient are the same event, with
-canonical id ``(c, k)``.  Firing sequences that differ only in the order of
-independent events reach the same tuple, so the search dedups on it (the
-trace-theory view of an execution as its location projections).  Each
-distinct execution is reached once, from one parent, by one event, so the
-search keeps only its tree: per execution, the parent, the channel step
-and the value.  Executions come out in the reverse of the order the search
-first reached them; that order follows only the frame's channel order and
-sorted values, never string hashing, so it is the same in every process.
-No run is written out as text here; a report that prints executions puts
-them in order itself.
+canonical id ``(c, k)``.  So an execution's firing sequences differ only in
+the order of independent events, events that share no location (the
+trace-theory view of an execution as its location projections), and the
+search fires only the least of them in channel-id order: a step is taken
+only if no event after the last one at its endpoints lies on a later
+channel, which it could move left past.  Each distinct execution is then
+reached once, from one parent, by one event, with no record of the
+executions seen, and the search keeps only its tree: per execution, the
+parent, the channel step and the value.  Executions come out in the
+reverse of the order the search first reached them; that order follows
+only the frame's channel order and sorted values, never string hashing,
+so it is the same in every process.  No run is written out as text here;
+a report that prints executions puts them in order itself.
 
 Restricting an execution to a channel set C keeps every event on C, so
 canonical ids survive restriction, and one walk down the tree, parents
@@ -221,9 +224,6 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
 
     total = bound.max_total_events
     per_loc = bound.max_events_per_location
-    empty_key = ((),) * len(specs)
-    # Dedup keys: per-location label sequences.
-    found = {empty_key}
     # The search tree, in the order the search reached the executions:
     # execution i is execution parents[i] plus one event that carries
     # values[i] on steps[i] = (channel, sender, recipient).  Execution 0 is
@@ -231,16 +231,17 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
     parents: list[int] = [-1]
     steps: list = [None]
     found_values: list = [None]
-    # Worklist entries: key, successor row per location, execution, events.
+    # Worklist entries: events per location, successor row per location,
+    # execution, events.
     start = tuple(row(i, behavior_start(spec)) for i, spec in enumerate(specs))
-    stack = [(empty_key, start, 0, 0)]
+    stack = [((0,) * len(specs), start, 0, 0)]
     while stack:
-        key, here, node, n = stack.pop()
+        counts, here, node, n = stack.pop()
         if n >= total:
             continue
         for step in chans:
             chan, s, r = step
-            if per_loc is not None and (len(key[s]) >= per_loc or len(key[r]) >= per_loc):
+            if per_loc is not None and (counts[s] >= per_loc or counts[r] >= per_loc):
                 continue
             steps_s = here[s].get(chan)
             if steps_s is None:
@@ -248,27 +249,30 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
             steps_r = steps_s if s == r else here[r].get(chan)
             if steps_r is None:
                 continue
+            # Only an execution's least firing sequence in channel-id order
+            # reaches it.  Walk back past the events at neither s nor r (a
+            # step is (channel, sender, recipient)): one on a later channel
+            # means this step would commute left past it.
+            k = node
+            while k and s not in steps[k] and r not in steps[k] and steps[k][0] < chan:
+                k = parents[k]
+            if k and s not in steps[k] and r not in steps[k]:
+                continue
             for value, next_s in steps_s.items():
                 next_r = steps_r.get(value)
                 if next_r is None:
                     continue
-                label = (chan, value)
-                key2 = list(key)
-                key2[s] = key[s] + (label,)
-                key2[r] = key2[s] if s == r else key[r] + (label,)
-                key2 = tuple(key2)
-                if key2 in found:
-                    continue
-                found.add(key2)
                 child = len(parents)
                 parents.append(node)
                 steps.append(step)
                 found_values.append(value)
                 if n + 1 < total:
-                    here2 = list(here)
+                    here2, counts2 = list(here), list(counts)
                     here2[s] = row(s, next_s)
                     here2[r] = row(r, next_r)
-                    stack.append((key2, tuple(here2), child, n + 1))
+                    counts2[s] += 1
+                    counts2[r] += s != r
+                    stack.append((tuple(counts2), tuple(here2), child, n + 1))
     return ExecutionSet._grown(frame, bound, (parents, steps, found_values, len(specs)))
 
 

@@ -511,12 +511,3 @@ def parse_machine_document(text: str) -> MachineSpec:
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
 
-
-def __getattr__(name: str) -> Any:
-    # ``emit_frame_document`` lives in ``emitter``, which only the commands
-    # that write a file compile; this name is kept for existing imports.
-    if name == "emit_frame_document":
-        from .emitter import emit_frame_document
-
-        return emit_frame_document
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

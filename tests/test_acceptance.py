@@ -40,7 +40,7 @@ from flowcut.disclosure import (
 )
 from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
 from flowcut.events import CanonicalRun
-from flowcut.fileformat import emit_frame_document
+from flowcut.emitter import emit_frame_document
 from flowcut.purge import (
     PurgeKind,
     check_nd,
@@ -309,7 +309,7 @@ def test_criterion_5_composition_on_voting():
         failures.append("cut-run inclusion side condition failed")
 
     blur = v_one.blurs["f0_p1"]
-    verdict = verify_composition(core, v_one.named_sets["voters1"], {"p"}, blur, bound)
+    verdict = verify_composition(core, v_one.named_sets["voters1"], {"p"}, blur)
     if not verdict.antecedent.holds:
         failures.append("F1 does not blur-limit flow from voters to its tally channel")
     if not verdict.consequent.holds:

@@ -470,9 +470,9 @@ def test_composition_checks_side_condition_and_scopes():
     core = build_shared_core(v1.frame, v2.frame, {"v1_1", "v1_2", "BB1"}, Bound(8))
     blur = v1.blurs["f0_p1"]
     with pytest.raises(SharedCoreError):
-        verify_composition(core, {"c1"}, {"p"}, blur, Bound(8))
+        verify_composition(core, {"c1"}, {"p"}, blur)
     with pytest.raises(SharedCoreError):
-        verify_composition(core, core.left0, {"c1"}, blur, Bound(8))
+        verify_composition(core, core.left0, {"c1"}, blur)
 
 
 def test_composition_on_same_frame_matches_cut_blur():
@@ -487,9 +487,7 @@ def test_composition_on_same_frame_matches_cut_blur():
         Bound(6),
     )
     assert core.cut0 == frozenset({"mid_up", "mid_down"})
-    comp = verify_composition(
-        core, frozenset({"n1_out"}), frozenset({"i_in"}), fw.blurs["f_e"], Bound(6)
-    )
+    comp = verify_composition(core, frozenset({"n1_out"}), frozenset({"i_in"}), fw.blurs["f_e"])
     cut = verify_cut_blur(
         fw.frame,
         ChannelSetTriple(frozenset({"n1_out"}), core.cut0, frozenset({"i_in"})),

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcut.cli import _ARGUMENTS, _COMMANDS, _COMMON, _read_args, build_parser, main
+from flowcut.emitter import emit_frame_document
 from flowcut.fileformat import (
     FileFormatError,
     _read_subset,
-    emit_frame_document,
     parse_frame_document,
     parse_machine_document,
 )

@@ -336,21 +336,42 @@ def test_executions_and_runs_match_the_reference_enumerator(seed):
         )
         assert exset.runs_at(chans) == expected
         assert tuple(reference_canonicalize(sys.restrict(chans)) for sys in exset.systems) == expected
+    cap = rng.randint(1, 4)
+    capped = enumerate_executions(frame, Bound(5, cap))
+    expected = {crun for crun in reference if _within_cap(frame, crun, cap)}
+    assert len(capped.canonicals) == len(expected)
+    assert set(capped.canonicals) == expected
 
 
-def _check_runs_along_the_tree(frame, bound, channel_sets):
+def _within_cap(frame, run, cap):
+    """Whether every location has at most ``cap`` events in ``run``; a
+    self-loop event counts once."""
+    msgs = dict(run.channels)
+    counts = dict.fromkeys(frame.location_ids, 0)
+    for c in frame.channels:
+        for loc in {c.sender, c.recipient}:
+            counts[loc] += len(msgs.get(c.id, ()))
+    return max(counts.values()) <= cap
+
+
+def _check_runs_along_the_tree(frame, bound, channel_sets, cap):
     """Each channel set's runs, built along the search tree before the
     canonicals are, equal the canonicals restricted one by one, in
-    execution order; the canonicals are the reference enumerator's."""
+    execution order; the canonicals are the reference enumerator's, and
+    at the per-location ``cap`` those of them within the cap."""
     _enumerate_cached.cache_clear()
-    exset = enumerate_executions(frame, Bound(bound))
-    built = [exset.runs_at(chans) for chans in channel_sets]
-    reference = reference_enumerate(frame, bound)
-    assert len(exset.canonicals) == len(exset) == len(reference)
-    assert set(exset.canonicals) == {crun for crun, _ in reference}
-    for chans, runs in zip(channel_sets, built):
-        assert runs == tuple(run.restrict(chans) for run in exset.canonicals)
-    assert exset.runs_at(frame.channel_ids) is exset.canonicals
+    reference = {crun for crun, _ in reference_enumerate(frame, bound)}
+    for limit, expected in [
+        (Bound(bound), reference),
+        (Bound(bound, cap), {crun for crun in reference if _within_cap(frame, crun, cap)}),
+    ]:
+        exset = enumerate_executions(frame, limit)
+        built = [exset.runs_at(chans) for chans in channel_sets]
+        assert len(exset.canonicals) == len(exset) == len(expected)
+        assert set(exset.canonicals) == expected
+        for chans, runs in zip(channel_sets, built):
+            assert runs == tuple(run.restrict(chans) for run in exset.canonicals)
+        assert exset.runs_at(frame.channel_ids) is exset.canonicals
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -364,7 +385,7 @@ def test_runs_along_the_tree_on_random_frames(seed):
     loop = frozenset({rng.choice(loops)})
     sets = [frozenset(), frozenset(frame.channel_ids), loop, loop | random_channel_subset(rng, frame)]
     sets += [random_channel_subset(rng, frame) for _ in range(3)]
-    _check_runs_along_the_tree(frame, 5, sets)
+    _check_runs_along_the_tree(frame, 5, sets, rng.randint(1, 4))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -375,4 +396,4 @@ def test_runs_along_the_tree_on_star_frames(seed):
     sets = [frozenset(), frozenset(frame.channel_ids), machine.input_channels()]
     sets += [machine.domain_channels(d) for d in machine.domains]
     sets += [random_channel_subset(rng, frame) for _ in range(2)]
-    _check_runs_along_the_tree(frame, 8, sets)
+    _check_runs_along_the_tree(frame, 8, sets, rng.randint(1, 7))

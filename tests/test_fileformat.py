@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcut.frames.blurforms import AllBlur, IdentityBlur, PermutationBlur, SelectionBlur
+from flowcut.emitter import emit_frame_document
 from flowcut.fileformat import (
     FileFormatError,
     _TYPED,
@@ -25,7 +26,6 @@ from flowcut.fileformat import (
     _read_subset,
     _tokens,
     _typed,
-    emit_frame_document,
     parse_frame_document,
 )
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, Lts

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import flowcut
 import flowcut.frames
-from flowcut.fileformat import emit_frame_document
+from flowcut.emitter import emit_frame_document
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
 from support import child_env, downgrader_machine, machine_document

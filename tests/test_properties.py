@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowcut.cli import main
-from flowcut.fileformat import emit_frame_document, parse_frame_document
+from flowcut.emitter import emit_frame_document
+from flowcut.fileformat import parse_frame_document
 from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
 
 from support import downgrader_machine, machine_document
