@@ -66,6 +66,18 @@ CORPUS = {
     "nd-m-d1-gm-13": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "13"],
     "nd-m-d2-hy-13": ["nd", M, "--target", "d2", "--purge", "hy", "--bound", "13"],
     "purge-blur-m-d2-hy-13": ["purge-blur", M, "--target", "d2", "--purge", "hy", "--bound", "13"],
+    # The scenario documents themselves, which every file above is built from.
+    **{
+        f"scenario-firewall-{filtering}-{sends}": [
+            "scenario", "firewall", "--filtering", filtering, "--region-sends", str(sends),
+        ]
+        for filtering in ("standard", "discard_all")
+        for sends in range(4)
+    },
+    **{
+        f"scenario-voting-{precincts}": ["scenario", "voting", "--precincts", precincts]
+        for precincts in ("2", "2,2", "3,3")
+    },
 }
 
 
