@@ -6,12 +6,12 @@ precinct voting system reporting through ballot boxes to a commission.
 Both builders target desk-scale enumeration.  The firewall uses the
 expanded topology (regions, routers, and one interface location per
 segment direction per router side); datagrams are (src, dst, src-port
-class, dst-port class) drawn from tiny declared address sets, and the
-default emission catalogs keep every region to at most one originated
-datagram so the flow checks stay exact at the default event budget.
-Interfaces model filtering as receive-and-discard: a failing datagram is
-accepted (the reception event occurs) and silently dropped, so filters
-never wedge a buffer.
+class, dst-port class) over three addresses, one per region, and the
+external region and n1 each originate one of three datagrams per send,
+so the flow checks stay exact at the default event budget.  Each
+interface and router buffers one datagram.  Interfaces model filtering
+as receive-and-discard: a failing datagram is accepted (the reception
+event occurs) and silently dropped, so filters never wedge a buffer.
 
 The voting system has one-shot voters, ballot boxes that emit a sorted
 tally after a full quorum, a commission aggregating per-precinct tallies,
@@ -32,8 +32,6 @@ class ScenarioError(InputError):
 
 # -- firewall ----------------------------------------------------------------
 
-PORT_CLASSES = ("web", "hi", "oth")  # 80/443, >=1024, everything else
-
 
 def datagram(src: str, dst: str, sport: str, dport: str) -> str:
     return f"{src}>{dst}:{sport}>{dport}"
@@ -46,71 +44,56 @@ def datagram_fields(d: str) -> tuple[str, str, str, str]:
     return src, dst, sport, dport
 
 
+#: The external region's address, the web server's (in region n1) and
+#: region n2's.
+EXT, WWW, H2 = "ext", "www", "h2"
+INTERNAL = (WWW, H2)
+ADDRESSES = (EXT, *INTERNAL)
+
+#: The datagrams regions i and n1 originate; region n2 originates none.
+I_EMISSIONS = (
+    datagram(EXT, WWW, "oth", "web"),  # importable (web request)
+    datagram(EXT, H2, "web", "hi"),  # importable (response)
+    datagram(EXT, WWW, "oth", "oth"),  # junk: right addresses, bad ports
+)
+N1_EMISSIONS = (
+    datagram(WWW, EXT, "web", "oth"),  # exportable (server reply)
+    datagram(WWW, EXT, "hi", "web"),  # exportable (client request)
+    datagram(WWW, EXT, "oth", "oth"),  # junk: not exportable
+)
+DOMAIN = frozenset(I_EMISSIONS + N1_EMISSIONS)
+
+
+def importable(d: str) -> bool:
+    src, dst, sport, dport = datagram_fields(d)
+    if src != EXT:
+        return False
+    if dst == WWW and dport == "web":
+        return True
+    return dst in INTERNAL and sport == "web" and dport == "hi"
+
+
+def exportable(d: str) -> bool:
+    src, dst, sport, dport = datagram_fields(d)
+    if dst != EXT:
+        return False
+    if src == WWW and sport == "web":
+        return True
+    return src in INTERNAL and dport == "web" and sport == "hi"
+
+
 class FirewallParams(_Record):
-    """``filtering`` is "standard" or "discard_all".  The ``*_emissions``
-    are the datagrams each region may originate (None picks a small
-    default catalog with importable/exportable and junk representatives);
-    the ``*_local`` are the internal datagrams deliverable on each region's
-    self-loop; ``region_sends`` is the originations allowed per region
-    before it goes quiet."""
+    """``filtering`` is "standard" or "discard_all"; ``region_sends`` is
+    the originations allowed per region before it goes quiet."""
 
-    __slots__ = (
-        "external_addrs", "n1_addrs", "n2_addrs", "web_server", "filtering",
-        "i_emissions", "n1_emissions", "n2_emissions", "i_local", "n1_local", "n2_local",
-        "region_sends", "buffer_capacity",
-    )
+    __slots__ = ("filtering", "region_sends")
 
-    def __init__(
-        self,
-        external_addrs: tuple[str, ...] = ("ext",),
-        n1_addrs: tuple[str, ...] = ("www",),
-        n2_addrs: tuple[str, ...] = ("h2",),
-        web_server: str = "www",
-        filtering: str = "standard",
-        i_emissions: tuple[str, ...] | None = None,
-        n1_emissions: tuple[str, ...] | None = None,
-        n2_emissions: tuple[str, ...] | None = None,
-        i_local: tuple[str, ...] = (),
-        n1_local: tuple[str, ...] = (),
-        n2_local: tuple[str, ...] = (),
-        region_sends: int = 1,
-        buffer_capacity: int = 1,
-    ) -> None:
+    def __init__(self, filtering: str = "standard", region_sends: int = 1) -> None:
         if filtering not in ("standard", "discard_all"):
             raise ScenarioError(f"unknown filtering mode {filtering!r}")
-        if web_server not in n1_addrs:
-            raise ScenarioError("the web server address must belong to region n1")
-        pools = [set(external_addrs), set(n1_addrs), set(n2_addrs)]
-        for a, b in itertools.combinations(pools, 2):
-            if a & b:
-                raise ScenarioError("region address sets must be disjoint")
-        if region_sends < 0 or buffer_capacity < 1:
-            raise ScenarioError("region_sends must be >= 0 and buffer_capacity >= 1")
-        self._fill(
-            external_addrs, n1_addrs, n2_addrs, web_server, filtering,
-            i_emissions, n1_emissions, n2_emissions, i_local, n1_local, n2_local,
-            region_sends, buffer_capacity,
-        )
-
-    @property
-    def internal_addrs(self) -> tuple[str, ...]:
-        return self.n1_addrs + self.n2_addrs
-
-    def importable(self, d: str) -> bool:
-        src, dst, sport, dport = datagram_fields(d)
-        if src not in self.external_addrs:
-            return False
-        if dst == self.web_server and dport == "web":
-            return True
-        return dst in self.internal_addrs and sport == "web" and dport == "hi"
-
-    def exportable(self, d: str) -> bool:
-        src, dst, sport, dport = datagram_fields(d)
-        if dst not in self.external_addrs:
-            return False
-        if src == self.web_server and sport == "web":
-            return True
-        return src in self.internal_addrs and dport == "web" and sport == "hi"
+        if region_sends < 0:
+            raise ScenarioError("region_sends must be >= 0")
+        self._fill(filtering, region_sends)
 
 
 class FirewallScenario(_Record):
@@ -128,81 +111,34 @@ class FirewallScenario(_Record):
         self._fill(frame, params, named_sets, blurs, importable, exportable)
 
 
-def _buffered_hop(
-    loc_id: str,
-    intake: dict[str, frozenset[str]],
-    route: dict[str, str] | None,
-    out_default: str | None,
-    accepts,
-    capacity: int,
-    domain: frozenset[str],
-) -> Location:
-    """An interface or router as a bounded-multiset buffer LTS.
+def _buffered_hop(loc_id: str, intake: tuple[str, ...], route: dict[str, str], accepts) -> Location:
+    """An interface or router as a one-datagram buffer LTS.
 
-    ``intake`` maps inbound channel id to the datagrams arriving there;
-    accepted datagrams are stored (if room remains), rejected ones are
-    received and discarded.  Stored datagrams leave on ``route[dst]`` or
-    on the single default output.
+    Any datagram may arrive on each ``intake`` channel.  An empty buffer
+    stores an accepted datagram; a rejected one, or any arrival at a full
+    buffer, is received and discarded.  The stored datagram leaves on
+    ``route[dst]`` and empties the buffer.
     """
-    states: set[str] = set()
+    stored = frozenset(d for d in DOMAIN if accepts(d))
     trans: set[tuple[str, Label, str]] = set()
-    seen: set[tuple[str, ...]] = set()
-    frontier: list[tuple[str, ...]] = [()]
-
-    def name(buf: tuple[str, ...]) -> str:
-        return "|".join(buf) if buf else "empty"
-
-    while frontier:
-        buf = frontier.pop()
-        if buf in seen:
-            continue
-        seen.add(buf)
-        states.add(name(buf))
-        for chan, arrivals in intake.items():
-            for d in sorted(arrivals & domain):
-                if accepts(d) and len(buf) < capacity:
-                    nxt = tuple(sorted(buf + (d,)))
-                else:
-                    nxt = buf  # received and discarded, or no room to store
-                trans.add((name(buf), (chan, d), name(nxt)))
-                if nxt not in seen:
-                    frontier.append(nxt)
-        for d in set(buf):
-            out = route[datagram_fields(d)[1]] if route else out_default
-            rest = list(buf)
-            rest.remove(d)
-            nxt = tuple(sorted(rest))
-            trans.add((name(buf), (out, d), name(nxt)))
-            if nxt not in seen:
-                frontier.append(nxt)
-    return Location(loc_id, Lts(frozenset(states), "empty", frozenset(trans)))
+    for chan in intake:
+        for d in DOMAIN:
+            trans.add(("empty", (chan, d), d if d in stored else "empty"))
+            trans.update((s, (chan, d), s) for s in stored)
+    trans.update((d, (route[datagram_fields(d)[1]], d), "empty") for d in stored)
+    return Location(loc_id, Lts(stored | {"empty"}, "empty", frozenset(trans)))
 
 
-def _region(
-    loc_id: str,
-    out_chan: str,
-    in_chan: str,
-    self_chan: str,
-    emissions: tuple[str, ...],
-    local: tuple[str, ...],
-    max_sends: int,
-    domain: frozenset[str],
-) -> Location:
-    """Regions originate a bounded number of datagrams, absorb anything
-    delivered to them, and may replay internal traffic on their self-loop.
-    They never re-encode received traffic into fresh emissions, matching
-    the independent-generation assumption."""
-    states = {f"sent{j}" for j in range(max_sends + 1)}
+def _region(loc_id: str, out_chan: str, in_chan: str, emissions: tuple[str, ...], max_sends: int) -> Location:
+    """Regions originate a bounded number of datagrams and absorb anything
+    delivered to them.  They never re-encode received traffic into fresh
+    emissions, matching the independent-generation assumption."""
+    states = [f"sent{j}" for j in range(max_sends + 1)]
     trans: set[tuple[str, Label, str]] = set()
-    for j in range(max_sends + 1):
-        here = f"sent{j}"
+    for j, here in enumerate(states):
         if j < max_sends:
-            for d in emissions:
-                trans.add((here, (out_chan, d), f"sent{j + 1}"))
-        for d in sorted(domain):
-            trans.add((here, (in_chan, d), here))
-        for d in local:
-            trans.add((here, (self_chan, d), here))
+            trans.update((here, (out_chan, d), states[j + 1]) for d in emissions)
+        trans.update((here, (in_chan, d), here) for d in DOMAIN)
     return Location(loc_id, Lts(frozenset(states), "sent0", frozenset(trans)))
 
 
@@ -214,104 +150,39 @@ def build_firewall(params: FirewallParams) -> FirewallScenario:
     cut) and the importable/exportable selection blurs.
     """
     p = params
-    all_addrs = p.external_addrs + p.internal_addrs
+    standard = p.filtering == "standard"  # discard_all: every filter drops everything
 
-    def default_catalog(region: str) -> tuple[str, ...]:
-        ext, www = p.external_addrs[0], p.web_server
-        if region == "i":
-            other = p.n2_addrs[0] if p.n2_addrs else www
-            return (
-                datagram(ext, www, "oth", "web"),  # importable (web request)
-                datagram(ext, other, "web", "hi"),  # importable (response)
-                datagram(ext, www, "oth", "oth"),  # junk: right addresses, bad ports
-            )
-        if region == "n1":
-            return (
-                datagram(www, ext, "web", "oth"),  # exportable (server reply)
-                datagram(www, ext, "hi", "web"),  # exportable (client request)
-                datagram(www, ext, "oth", "oth"),  # junk: not exportable
-            )
-        return ()
+    def passing(srcs: tuple[str, ...], dsts: tuple[str, ...] = ADDRESSES):
+        return lambda d: standard and datagram_fields(d)[0] in srcs and datagram_fields(d)[1] in dsts
 
-    i_cat = p.i_emissions if p.i_emissions is not None else default_catalog("i")
-    n1_cat = p.n1_emissions if p.n1_emissions is not None else default_catalog("n1")
-    n2_cat = p.n2_emissions if p.n2_emissions is not None else default_catalog("n2")
-    for cat, region, pool in (
-        (i_cat, "i", p.external_addrs),
-        (n1_cat, "n1", p.n1_addrs),
-        (n2_cat, "n2", p.n2_addrs),
-    ):
-        for d in cat:
-            src, dst, _, _ = datagram_fields(d)
-            if src not in pool:
-                raise ScenarioError(f"region {region} cannot originate {d!r}: foreign source")
-            if dst not in all_addrs:
-                raise ScenarioError(f"datagram {d!r} has an unroutable destination")
+    def to(chan: str) -> dict[str, str]:
+        return dict.fromkeys(ADDRESSES, chan)
 
-    domain = frozenset(i_cat) | frozenset(n1_cat) | frozenset(n2_cat)
-    domain |= frozenset(p.i_local) | frozenset(p.n1_local) | frozenset(p.n2_local)
-    if not domain:
-        raise ScenarioError("the datagram space is empty")
-
-    imp = frozenset(d for d in domain if p.importable(d))
-    exp = frozenset(d for d in domain if p.exportable(d))
-    assert not imp & exp, "importable and exportable datagrams must be disjoint"
-
-    if p.filtering == "discard_all":
-        entry_down = entry_up1 = entry_up2 = inner_down = inner_up = lambda d: False
-    else:
-        entry_down = lambda d: (
-            datagram_fields(d)[0] in p.external_addrs
-            and datagram_fields(d)[1] in p.internal_addrs
-        )
-        entry_up1 = lambda d: datagram_fields(d)[0] in p.n1_addrs
-        entry_up2 = lambda d: datagram_fields(d)[0] in p.n2_addrs
-        inner_down = p.importable
-        inner_up = p.exportable
     accept_all = lambda d: True
-    upward_gate = (
-        (lambda d: False)
-        if p.filtering == "discard_all"
-        else lambda d: (
-            datagram_fields(d)[0] in p.internal_addrs
-            and datagram_fields(d)[1] in p.external_addrs
-        )
-    )
-
-    route_r1 = {a: "r1_down" for a in p.internal_addrs}
-    route_r1.update({a: "r1_to_i" for a in p.external_addrs})
-    route_r2 = {a: "r2_to_n1" for a in p.n1_addrs}
-    route_r2.update({a: "r2_to_n2" for a in p.n2_addrs})
-    route_r2.update({a: "r2_up" for a in p.external_addrs})
-
-    cap = p.buffer_capacity
     locations = [
-        _region("i", "i_out", "i_in", "self_i", i_cat, p.i_local, p.region_sends, domain),
-        _region("n1", "n1_out", "n1_in", "self_n1", n1_cat, p.n1_local, p.region_sends, domain),
-        _region("n2", "n2_out", "n2_in", "self_n2", n2_cat, p.n2_local, p.region_sends, domain),
+        _region("i", "i_out", "i_in", I_EMISSIONS, p.region_sends),
+        _region("n1", "n1_out", "n1_in", N1_EMISSIONS, p.region_sends),
+        _region("n2", "n2_out", "n2_in", (), p.region_sends),
         # i <-> r1 segment
-        _buffered_hop("I_ir1_down", {"i_out": domain}, None, "r1_from_i", entry_down, cap, domain),
-        _buffered_hop("I_ir1_up", {"r1_to_i": domain}, None, "i_in", accept_all, cap, domain),
+        _buffered_hop("I_ir1_down", ("i_out",), to("r1_from_i"), passing((EXT,), INTERNAL)),
+        _buffered_hop("I_ir1_up", ("r1_to_i",), to("i_in"), accept_all),
         # r1 <-> r2 segment (one interface per router per direction)
-        _buffered_hop("I_r1r2_down_a", {"r1_down": domain}, None, "mid_down", accept_all, cap, domain),
-        _buffered_hop("I_r1r2_down_b", {"mid_down": domain}, None, "c2", inner_down, cap, domain),
-        _buffered_hop("I_r1r2_up_a", {"r2_up": domain}, None, "mid_up", upward_gate, cap, domain),
-        _buffered_hop("I_r1r2_up_b", {"mid_up": domain}, None, "c1", inner_up, cap, domain),
+        _buffered_hop("I_r1r2_down_a", ("r1_down",), to("mid_down"), accept_all),
+        _buffered_hop("I_r1r2_down_b", ("mid_down",), to("c2"), lambda d: standard and importable(d)),
+        _buffered_hop("I_r1r2_up_a", ("r2_up",), to("mid_up"), passing(INTERNAL, (EXT,))),
+        _buffered_hop("I_r1r2_up_b", ("mid_up",), to("c1"), lambda d: standard and exportable(d)),
         # r2 <-> regions segments
-        _buffered_hop("I_r2n1_down", {"r2_to_n1": domain}, None, "n1_in", accept_all, cap, domain),
-        _buffered_hop("I_n1r2_up", {"n1_out": domain}, None, "r2_from_n1", entry_up1, cap, domain),
-        _buffered_hop("I_r2n2_down", {"r2_to_n2": domain}, None, "n2_in", accept_all, cap, domain),
-        _buffered_hop("I_n2r2_up", {"n2_out": domain}, None, "r2_from_n2", entry_up2, cap, domain),
+        _buffered_hop("I_r2n1_down", ("r2_to_n1",), to("n1_in"), accept_all),
+        _buffered_hop("I_n1r2_up", ("n1_out",), to("r2_from_n1"), passing((WWW,))),
+        _buffered_hop("I_r2n2_down", ("r2_to_n2",), to("n2_in"), accept_all),
+        _buffered_hop("I_n2r2_up", ("n2_out",), to("r2_from_n2"), passing((H2,))),
         # routers
-        _buffered_hop("r1", {"r1_from_i": domain, "c1": domain}, route_r1, None, accept_all, cap, domain),
+        _buffered_hop("r1", ("r1_from_i", "c1"), {EXT: "r1_to_i", WWW: "r1_down", H2: "r1_down"}, accept_all),
         _buffered_hop(
             "r2",
-            {"c2": domain, "r2_from_n1": domain, "r2_from_n2": domain},
-            route_r2,
-            None,
+            ("c2", "r2_from_n1", "r2_from_n2"),
+            {EXT: "r2_up", WWW: "r2_to_n1", H2: "r2_to_n2"},
             accept_all,
-            cap,
-            domain,
         ),
     ]
     channels = [
@@ -337,13 +208,15 @@ def build_firewall(params: FirewallParams) -> FirewallScenario:
         Channel("n2_out", "n2", "I_n2r2_up"),
         Channel("r2_from_n2", "I_n2r2_up", "r2"),
     ]
-    frame = Frame.build(locations, channels, domain)
+    frame = Frame.build(locations, channels, DOMAIN)
 
     named = {
         "chans_i": frame.chans("i"),
         "chans_n": frame.chans({"n1", "n2"}),
         "cut": frozenset({"c1", "c2"}),
     }
+    imp = frozenset(filter(importable, DOMAIN))
+    exp = frozenset(filter(exportable, DOMAIN))
     blurs: dict[str, BlurSpec] = {
         "f_i": SelectionBlur(name="importable", values=imp),
         "f_e": SelectionBlur(name="exportable", values=exp),

@@ -51,7 +51,14 @@ from flowcut.purge import (
     star_frame,
     validate_purge,
 )
-from flowcut.scenarios import FirewallParams, VotingParams, build_firewall, build_voting
+from flowcut.scenarios import (
+    ADDRESSES,
+    FirewallParams,
+    VotingParams,
+    build_firewall,
+    build_voting,
+    datagram_fields,
+)
 
 from support import (
     canonical_to_naive,
@@ -366,7 +373,7 @@ def test_criterion_6_firewall_reproduction():
         failures.append("discard-all: disclosure from the cut to the external region")
 
     scn = build_firewall(FirewallParams())
-    addrs = set(scn.params.external_addrs + scn.params.internal_addrs)
+    addrs = set(ADDRESSES) | {a for d in scn.frame.data for a in datagram_fields(d)[:2]}
     if len(addrs) > 3:
         failures.append(f"address budget exceeded: {sorted(addrs)}")
     if not f_limits_flow(

@@ -595,6 +595,12 @@ def test_precincts_that_are_not_numbers_exit_2(capsys):
     assert err == "error: --precincts takes comma-separated voter counts, got '2,x'\n"
 
 
+def test_negative_region_sends_exits_2(capsys):
+    assert main(["scenario", "firewall", "--region-sends", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: region_sends must be >= 0\n")
+
+
 @pytest.mark.parametrize("candidates", ["0,,1", "a,a"])
 def test_empty_or_repeated_candidates_exit_2(tmp_path, capsys, candidates):
     out = tmp_path / "v.yaml"

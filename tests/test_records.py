@@ -54,9 +54,7 @@ CHANNEL = Channel("c", "L", "L")
 FRAME = Frame((LOCATION,), (CHANNEL,), frozenset({"v"}))
 LAWS = BlurValidation(True, False)
 FLOW = FlowCheck(True, LAWS, None, None)
-FIREWALL = FirewallParams(
-    ("ext",), ("www",), ("h2",), "www", "standard", None, None, None, (), (), (), 1, 1
-)
+FIREWALL = FirewallParams("standard", 1)
 VOTING = VotingParams((2,), ("0", "1"), ())
 
 MACHINE = (
@@ -128,21 +126,7 @@ RECORDS = [
     (PurgeVerdict, (("holds", True), ("witness", None))),
     (
         FirewallParams,
-        (
-            ("external_addrs", ("ext",)),
-            ("n1_addrs", ("www",)),
-            ("n2_addrs", ("h2",)),
-            ("web_server", "www"),
-            ("filtering", "discard_all"),
-            ("i_emissions", ("ext>www:oth>web",)),
-            ("n1_emissions", None),
-            ("n2_emissions", ()),
-            ("i_local", ()),
-            ("n1_local", ("www>h2:hi>hi",)),
-            ("n2_local", ()),
-            ("region_sends", 2),
-            ("buffer_capacity", 3),
-        ),
+        (("filtering", "discard_all"), ("region_sends", 2)),
     ),
     (
         FirewallScenario,
@@ -220,8 +204,8 @@ def test_positional_and_keyword_construction_and_repr(cls, fields):
 def test_constructor_defaults():
     assert repr(Bound(13)) == "Bound(max_total_events=13, max_events_per_location=None)"
     assert repr(Bound(13, 2)) == "Bound(max_total_events=13, max_events_per_location=2)"
-    params = FirewallParams(region_sends=2)
-    assert repr(params) == repr(FIREWALL).replace("region_sends=1", "region_sends=2")
+    assert repr(FirewallParams()) == repr(FIREWALL) == "FirewallParams(filtering='standard', region_sends=1)"
+    assert repr(FirewallParams(region_sends=2)) == "FirewallParams(filtering='standard', region_sends=2)"
     assert repr(VotingParams(precincts=(2, 2))) == (
         "VotingParams(precincts=(2, 2), candidates=('0', '1'), commissioners=())"
     )
@@ -262,17 +246,7 @@ def test_constructor_defaults():
         ),
         (lambda: PurgeKind("xx", "d"), MachineError, "unknown purge kind 'xx'"),
         (lambda: FirewallParams(filtering="open"), ScenarioError, "unknown filtering mode 'open'"),
-        (
-            lambda: FirewallParams(web_server="h2"),
-            ScenarioError,
-            "the web server address must belong to region n1",
-        ),
-        (lambda: FirewallParams(n2_addrs=("ext",)), ScenarioError, "region address sets must be disjoint"),
-        (
-            lambda: FirewallParams(buffer_capacity=0),
-            ScenarioError,
-            "region_sends must be >= 0 and buffer_capacity >= 1",
-        ),
+        (lambda: FirewallParams(region_sends=-1), ScenarioError, "region_sends must be >= 0"),
         (
             lambda: VotingParams(precincts=(2, 0)),
             ScenarioError,

@@ -30,11 +30,7 @@ def test_firewall_params_validation():
     with pytest.raises(ScenarioError):
         FirewallParams(filtering="nonsense")
     with pytest.raises(ScenarioError):
-        FirewallParams(web_server="elsewhere")
-    with pytest.raises(ScenarioError):
-        FirewallParams(n1_addrs=("x",), n2_addrs=("x",), web_server="x")
-    with pytest.raises(ScenarioError):
-        build_firewall(FirewallParams(i_emissions=(datagram("spoof", "www", "oth", "oth"),)))
+        FirewallParams(region_sends=-1)
 
 
 def test_firewall_frame_is_well_formed():
