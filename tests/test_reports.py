@@ -34,6 +34,70 @@ from support import child_env, downgrader_machine, machine_document
 DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
 FW, V1, V22, M = "fw.yaml", "v1.yaml", "v22.yaml", "m.yaml"
+T, BAD_T = "t.yaml", "bad-t.yaml"
+
+#: A frame whose every location lists its traces: a relay ``M`` copies the
+#: sender's value from ``a`` to ``b``, and ``R`` takes ``b`` and ``c`` in
+#: either order for some values only.
+TRACES_FRAME = """
+frame:
+  data: ["0", "1"]
+  locations:
+    - id: M
+      traces:
+        - []
+        - [[a, "0"]]
+        - [[a, "1"]]
+        - [[a, "0"], [b, "0"]]
+        - [[a, "1"], [b, "1"]]
+    - id: R
+      traces:
+        - []
+        - [[b, "0"]]
+        - [[b, "1"]]
+        - [[c, "0"]]
+        - [[b, "1"], [c, "0"]]
+        - [[c, "0"], [b, "0"]]
+        - [[c, "0"], [b, "1"]]
+    - id: S
+      traces:
+        - []
+        - [[s, "0"]]
+        - [[a, "0"]]
+        - [[a, "1"]]
+        - [[a, "1"], [c, "0"]]
+        - [[s, "0"], [a, "0"]]
+        - [[s, "0"], [c, "0"]]
+  channels:
+    - {id: a, sender: S, recipient: M}
+    - {id: b, sender: M, recipient: R}
+    - {id: c, sender: S, recipient: R}
+    - {id: s, sender: S, recipient: S}
+  channel_sets:
+    high: [s]
+    low: [b, c]
+"""
+
+#: A malformed trace set: a trace whose prefix is missing, a label on a
+#: channel not at the location and a value outside ``data``.
+BAD_TRACES_FRAME = """
+frame:
+  data: ["0"]
+  locations:
+    - id: K
+      traces:
+        - []
+        - [[d, "0"]]
+    - id: L
+      traces:
+        - []
+        - [[c, "0"], [c, "0"]]
+        - [[d, "0"]]
+        - [[c, "9"]]
+  channels:
+    - {id: c, sender: L, recipient: L}
+    - {id: d, sender: K, recipient: K}
+"""
 
 #: name -> CLI arguments (``--json`` is appended)
 CORPUS = {
@@ -61,6 +125,12 @@ CORPUS = {
     "nd-m-d1-gm": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "9"],
     "nd-m-d2-hy": ["nd", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
     "purge-blur-m-d2-hy": ["purge-blur", M, "--target", "d2", "--purge", "hy", "--bound", "9"],
+    # Explicit trace sets, well-formed and not.
+    "validate-t": ["validate", T],
+    "enumerate-t": ["enumerate", T, "--bound", "5"],
+    "runs-t-low": ["runs", T, "--channels", "low", "--bound", "5"],
+    "nodisclosure-t-high-low": ["nodisclosure", T, "--source", "high", "--observed", "low", "--bound", "5"],
+    "validate-bad-t": ["validate", BAD_T],
     # The purge-star workload's commands, at its bound.
     "ni-m-d1-gm-13": ["ni", M, "--target", "d1", "--purge", "gm", "--bound", "13"],
     "nd-m-d1-gm-13": ["nd", M, "--target", "d1", "--purge", "gm", "--bound", "13"],
@@ -105,6 +175,8 @@ def compute_digests(workdir: Path) -> dict[str, dict]:
             code, _ = _run(argv)
             assert code == 0, argv
         Path(M).write_text(machine_document(downgrader_machine()))
+        Path(T).write_text(TRACES_FRAME)
+        Path(BAD_T).write_text(BAD_TRACES_FRAME)
         digests = {}
         for name, argv in CORPUS.items():
             code, out = _run(argv + ["--json"])
