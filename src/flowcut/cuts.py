@@ -135,28 +135,25 @@ def find_min_cut(frame: Frame, source: Iterable[str], sink: Iterable[str]) -> Mi
     if src_locs & snk_locs:
         return MinCutResult(None, True, f"source and sink share location {min(src_locs & snk_locs)!r}")
 
-    # Unit-capacity max-flow on a gadget graph: each removable channel
-    # becomes a capacity-1 arc between two private nodes reachable from
-    # either endpoint, so cutting the arc removes the channel in both
-    # directions; everything else is effectively infinite.  Locations are
-    # strings and every other node is a tuple, so no names collide.
+    # Unit-capacity max-flow on the undirected frame graph: each removable
+    # channel adds one unit to the arcs between its endpoints, both ways,
+    # and a source or sink channel an effectively infinite amount.  The
+    # terminals are tuples, so no location name collides with them.
     inf = len(frame.channels) + 1
     terminals = src | snk
     residual: dict = defaultdict(dict)
 
     def arc(u, v, capacity: int) -> None:
-        residual[u][v] = capacity
+        residual[u][v] = residual[u].get(v, 0) + capacity
         residual[v].setdefault(u, 0)
 
     for c in frame.channels:
-        if c.is_self_loop:
-            continue
-        a, b = ("a", c.id), ("b", c.id)
-        arc(a, b, inf if c.id in terminals else 1)
-        for loc in (c.sender, c.recipient):
-            arc(loc, a, inf)
-            arc(b, loc, inf)
-    # The flow runs from the sink's locations to the source's.
+        if not c.is_self_loop:
+            capacity = inf if c.id in terminals else 1
+            arc(c.sender, c.recipient, capacity)
+            arc(c.recipient, c.sender, capacity)
+    # The flow runs from the sink's locations to the source's.  The reverse
+    # entries ``arc`` keeps let the walk below step back from ``bottom``.
     top, bottom = ("SNK*",), ("SRC*",)
     for loc in snk_locs:
         arc(top, loc, inf)
@@ -166,8 +163,9 @@ def find_min_cut(frame: Frame, source: Iterable[str], sink: Iterable[str]) -> Mi
     if _max_flow(residual, top, bottom, inf) >= inf:
         return MinCutResult(None, True, "every separating path traverses only source or sink channels")
     # The nodes that can still reach ``bottom`` in the residual graph form
-    # the same side for every maximum flow, so the cut does not depend on
-    # the order in which augmenting paths were found.
+    # the same side for every maximum flow, so the cut (the removable
+    # channels with one endpoint on that side) does not depend on the order
+    # in which augmenting paths were found.
     reaches = {bottom}
     stack = [bottom]
     while stack:
@@ -177,15 +175,12 @@ def find_min_cut(frame: Frame, source: Iterable[str], sink: Iterable[str]) -> Mi
                 reaches.add(u)
                 stack.append(u)
     cut = frozenset(
-        c.id
-        for c in frame.channels
-        if ("b", c.id) in reaches and ("a", c.id) not in reaches and c.id not in terminals
+        c.id for c in frame.channels
+        if c.id not in terminals and (c.sender in reaches) != (c.recipient in reaches)
     )
-    result = MinCutResult(cut)
-    check = is_cut(frame, ChannelSetTriple(src, cut, snk))
-    if not check.is_cut:
+    if not is_cut(frame, ChannelSetTriple(src, cut, snk)).is_cut:
         raise AssertionError("max-flow produced a non-cut; internal invariant violated")
-    return result
+    return MinCutResult(cut)
 
 
 def _max_flow(residual: dict, top, bottom, limit: int) -> int:

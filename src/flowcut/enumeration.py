@@ -8,7 +8,8 @@ locations.  A step on channel c with value v is enabled only when the
 label (c, v) is enabled at both endpoints simultaneously (synchronous
 message passing); a self-loop channel consults its single location once.
 Each location's enabled steps are read from a successor row built once per
-(location, behaviour state) of the enumeration.
+(location, behaviour state) of the enumeration, from the labels the
+location's move table enables in that state.
 
 The order attached to each execution is the least partial order making
 every location projection a chain.  Such an execution is determined by
@@ -37,11 +38,12 @@ with the event inserted at the end of its channel: mask bits at or above
 its position move up one, and its mask is the kept events at or below the last
 events of its two endpoints, which the walk keeps per location.  The
 canonical runs are that walk at all channels.  ``ExecutionSet.runs_at``
-makes it once per channel set and execution set, on first use; the
-execution sets themselves are cached per (frame, bound), and that cache
-is the package's only process-level one.  Every analysis result is
-relative to the bound, and callers are expected to surface that bound in
-their reports.
+makes it once per channel set and execution set, on first use.  An
+execution set is made only from its frame and bound, by the search, so a
+copy or a pickle searches again; the sets are cached per (frame, bound),
+and that cache is the package's only process-level one.  Every analysis
+result is relative to the bound, and callers are expected to surface that
+bound in their reports.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .frames import (  # Bound and EnumerationError are re-exported here
     EnumerationError,
     Frame,
     _Record,
+    behavior_enabled,
     behavior_start,
     behavior_step,
     validate_frame,
@@ -66,33 +69,26 @@ class ExecutionSet(_Record):
     """All minimal-order executions of a frame within a bound, one per
     isomorphism class, in the search's deterministic order.
 
-    A set from the search keeps the search tree and builds every channel
-    set's local runs from it in one pass, on the first ``runs_at`` call;
-    ``canonicals`` is the pass at all channels.  A set made from its
-    canonicals, such as a copy, restricts them instead.  The runs are kept
-    as long as the set.  The tree and the runs are private state, not
-    fields: ``repr`` and pickling carry the frame, the bound and the
-    canonicals, and equality is identity."""
+    Construction validates the frame and runs the search.  The set keeps
+    the search tree and builds every channel set's local runs from it in
+    one pass, on the first ``runs_at`` call; ``canonicals`` is the pass at
+    all channels.  The runs are kept as long as the set.  The tree and the
+    runs are private state, not fields: ``repr`` shows the frame and the
+    bound, a copy or a pickle searches again from them, and equality is
+    identity."""
 
     __slots__ = ("frame", "bound", "_tree", "_runs")
 
-    def __init__(self, frame: Frame, bound: Bound, canonicals: tuple[CanonicalRun, ...]) -> None:
-        self._fill(frame, bound, None, {frozenset(frame.channel_ids): canonicals})
-
-    @staticmethod
-    def _grown(frame: Frame, bound: Bound, tree: tuple) -> "ExecutionSet":
-        exset = ExecutionSet.__new__(ExecutionSet)
-        exset._fill(frame, bound, tree, {})
-        return exset
-
-    def __repr__(self) -> str:
-        return f"ExecutionSet(frame={self.frame!r}, bound={self.bound!r}, canonicals={self.canonicals!r})"
-
-    def __reduce__(self):
-        return ExecutionSet, (self.frame, self.bound, self.canonicals)
+    def __init__(self, frame: Frame, bound: Bound) -> None:
+        report = validate_frame(frame)
+        if not report.ok:
+            raise EnumerationError(
+                "frame is not well-formed: " + "; ".join(v.message for v in report.violations)
+            )
+        self._fill(frame, bound, _search(frame, bound), {})
 
     def __len__(self) -> int:
-        return len(self._tree[0]) if self._tree else len(self.canonicals)
+        return len(self._tree[0])
 
     @property
     def canonicals(self) -> tuple[CanonicalRun, ...]:
@@ -119,8 +115,6 @@ class ExecutionSet(_Record):
 def _local_runs(exset: ExecutionSet, keep: frozenset[str]) -> tuple[CanonicalRun, ...]:
     """One pass over the executions: each one's run at the channel set
     ``keep``, in execution order."""
-    if exset._tree is None:
-        return tuple(run.restrict(keep) for run in exset.canonicals)
     parents, steps, values, n_locs = exset._tree
     has_child = bytearray(len(parents))
     for p in islice(parents, 1, None):
@@ -188,18 +182,16 @@ def enumerate_executions(frame: Frame, bound: Bound) -> ExecutionSet:
 
 @lru_cache(maxsize=256)
 def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
-    # Inside the cache, so each frame is validated once per enumeration; a
-    # malformed frame raises on every call, as exceptions are not cached.
-    report = validate_frame(frame)
-    if not report.ok:
-        raise EnumerationError(
-            "frame is not well-formed: " + "; ".join(v.message for v in report.violations)
-        )
+    # A malformed frame raises on every call, as exceptions are not cached.
+    return ExecutionSet(frame, bound)
+
+
+def _search(frame: Frame, bound: Bound) -> tuple:
+    """The search tree of a well-formed frame's executions within
+    ``bound``: (parents, steps, values, number of locations)."""
     specs = [loc.behavior for loc in frame.locations]
     index = {loc.id: i for i, loc in enumerate(frame.locations)}
-    values = sorted(frame.data)
     chans = [(c.id, index[c.sender], index[c.recipient]) for c in frame.channels]
-    own = [[c for c, s, r in chans if i in (s, r)] for i in range(len(specs))]
 
     # (location, behaviour state) -> {channel: {value: next state}}, the
     # values in sorted order; channels with nothing enabled are absent.
@@ -211,14 +203,9 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
         except KeyError:
             pass
         out = {}
-        for chan in own[i]:
-            steps = {}
-            for value in values:
-                nxt = behavior_step(specs[i], state, (chan, value))
-                if nxt is not None:
-                    steps[value] = nxt
-            if steps:
-                out[chan] = steps
+        spec = specs[i]
+        for chan, value in sorted(behavior_enabled(spec, state)):
+            out.setdefault(chan, {})[value] = behavior_step(spec, state, (chan, value))
         rows[i, state] = out
         return out
 
@@ -273,7 +260,7 @@ def _enumerate_cached(frame: Frame, bound: Bound) -> ExecutionSet:
                     counts2[s] += 1
                     counts2[r] += s != r
                     stack.append((tuple(counts2), tuple(here2), child, n + 1))
-    return ExecutionSet._grown(frame, bound, (parents, steps, found_values, len(specs)))
+    return parents, steps, found_values, len(specs)
 
 
 def enumerate_runs(frame: Frame, chans: Iterable[str], bound: Bound) -> frozenset[CanonicalRun]:

@@ -434,7 +434,6 @@ def _parse_blur(name: str, body: Any, frame: Frame) -> BlurSpec:
             return frozenset(names(_field(body, key, where, _scalars), key, known, what))
 
         return SelectionBlur(
-            name=name,
             channels=selected("channels", chans, "a declared channel"),
             values=selected("values", frame.data, "in 'data'"),
         )

@@ -61,11 +61,15 @@ class ExplicitTraces(_Record):
     """A finite, explicitly listed trace set.  Must be prefix-closed; the
     empty trace is always a member of a well-formed set."""
 
-    __slots__ = ("traces",)
-    __eq__, __hash__ = _compared_by(*__slots__)
+    __slots__ = ("traces", "_moves")
+    # Each trace is the state it reaches, from the empty trace ``initial``:
+    # in ``_moves``, the table an ``Lts`` keeps, ``t[:-1]`` moves by
+    # ``t[-1]`` to ``t``, so a trace whose prefix is missing is never reached.
+    __eq__, __hash__ = _compared_by(*__slots__[:-1])
+    initial: Trace = ()
 
     def __init__(self, traces: frozenset[Trace]) -> None:
-        self._fill(traces)
+        self._fill(traces, {(t[:-1], t[-1]): frozenset((t,)) for t in traces if t})
 
     @staticmethod
     def of(*traces: Iterable[Label]) -> "ExplicitTraces":
@@ -198,24 +202,20 @@ class Frame(_Record):
 
 # -- behavior stepping ---------------------------------------------------
 #
-# Both TraceSpec forms are driven through one stepping interface.  A
-# behavior state is the residual-language identifier: the consumed prefix
-# for ExplicitTraces, the subset of reachable LTS states for an Lts.
-# Subset construction collapses nondeterministic branching so that equal
-# label sequences always reach equal states.
+# Both TraceSpec forms step through their ``_moves`` table, which maps a
+# (state, label) pair to its target states.  A behavior state is the
+# residual-language identifier: the set of states the label sequence so
+# far reaches, traces of an ExplicitTraces or states of an Lts.  Subset
+# construction collapses nondeterministic branching so that equal label
+# sequences always reach equal states.
 
 
-def behavior_start(spec: TraceSpec):
-    if isinstance(spec, ExplicitTraces):
-        return ()
+def behavior_start(spec: TraceSpec) -> frozenset:
     return frozenset({spec.initial})
 
 
-def behavior_step(spec: TraceSpec, state, label: Label):
+def behavior_step(spec: TraceSpec, state: frozenset, label: Label):
     """Advance by one label; None if the label is not enabled."""
-    if isinstance(spec, ExplicitTraces):
-        nxt = state + (label,)
-        return nxt if nxt in spec.traces else None
     moves = spec._moves
     if len(state) == 1:
         (s,) = state
@@ -224,11 +224,8 @@ def behavior_step(spec: TraceSpec, state, label: Label):
     return targets or None
 
 
-def behavior_enabled(spec: TraceSpec, state) -> set[Label]:
-    if isinstance(spec, ExplicitTraces):
-        n = len(state)
-        return {t[n] for t in spec.traces if len(t) > n and t[:n] == state}
-    return {lab for (s, lab, _) in spec.transitions if s in state}
+def behavior_enabled(spec: TraceSpec, state: frozenset) -> set[Label]:
+    return {lab for (s, lab) in spec._moves if s in state}
 
 
 def accepts_trace(spec: TraceSpec, trace: Iterable[Label]) -> bool:
@@ -366,8 +363,6 @@ def location_language(loc: Location, max_len: int) -> set[Trace]:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     spec = loc.behavior
-    if isinstance(spec, ExplicitTraces):
-        return {t for t in spec.traces if len(t) <= max_len}
     out: set[Trace] = set()
     frontier: dict[Trace, object] = {(): behavior_start(spec)}
     for _ in range(max_len + 1):

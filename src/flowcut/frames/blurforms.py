@@ -137,19 +137,13 @@ class PermutationBlur(_Record):
 class SelectionBlur(_Record):
     """Two runs are equivalent when their restrictions to the selected
     events are isomorphic; selection is declarative over (channel, value)
-    so blur specs can live in frame files.  The name is reporting
-    metadata and does not affect equality."""
+    so blur specs can live in frame files."""
 
-    __slots__ = ("name", "channels", "values")
-    __eq__, __hash__ = _compared_by("channels", "values")
+    __slots__ = ("channels", "values")
+    __eq__, __hash__ = _compared_by(*__slots__)
 
-    def __init__(
-        self,
-        name: str = "selection",
-        channels: frozenset[str] | None = None,
-        values: frozenset[str] | None = None,
-    ) -> None:
-        self._fill(name, channels, values)
+    def __init__(self, channels: frozenset[str] | None = None, values: frozenset[str] | None = None) -> None:
+        self._fill(channels, values)
 
     def selects(self, chan: str, msg: str) -> bool:
         if self.channels is not None and chan not in self.channels:

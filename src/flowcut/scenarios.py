@@ -218,8 +218,8 @@ def build_firewall(params: FirewallParams) -> FirewallScenario:
     imp = frozenset(filter(importable, DOMAIN))
     exp = frozenset(filter(exportable, DOMAIN))
     blurs: dict[str, BlurSpec] = {
-        "f_i": SelectionBlur(name="importable", values=imp),
-        "f_e": SelectionBlur(name="exportable", values=exp),
+        "f_i": SelectionBlur(values=imp),
+        "f_e": SelectionBlur(values=exp),
     }
     return FirewallScenario(frame, p, named, blurs, imp, exp)
 

@@ -146,6 +146,23 @@ def test_self_loops_never_needed_in_cuts():
     assert is_cut(frame2, ChannelSetTriple.of({"sa"}, {"c1", "sd"}, {"sc"})).is_cut
 
 
+def test_min_cut_reaches_a_source_location_that_carries_no_flow():
+    # One unit of flow leaves S through m0 and ends at A or at B; the other
+    # source location carries none, and the residual walk from the source
+    # side must still find it, or m1 or m2 would look cut.
+    locs = [Location(l, ExplicitTraces.of()) for l in ("S", "S2", "M", "A", "A2", "B", "B2")]
+    chans = [
+        Channel("s0", "S", "S2"),
+        Channel("a", "A", "A2"),
+        Channel("b", "B", "B2"),
+        Channel("m0", "S", "M"),
+        Channel("m1", "M", "A"),
+        Channel("m2", "M", "B"),
+    ]
+    frame = Frame.build(locs, chans, ["v"])
+    assert find_min_cut(frame, {"a", "b"}, {"s0"}) == MinCutResult(frozenset({"m0"}))
+
+
 def _graph_is_cut(frame: Frame, triple: ChannelSetTriple) -> CutCheck:
     """Reference cut check: BFS on the networkx multigraph of the frame
     with the cut's edges removed, hops taken in (neighbour, channel)
@@ -195,8 +212,10 @@ def test_is_cut_matches_graph_reference(seed):
 
 
 def _networkx_min_cut(frame: Frame, source, sink) -> MinCutResult:
-    """Reference min cut: the same gadget graph solved by
-    ``networkx.minimum_cut``, the cut read from its source-side partition."""
+    """Reference min cut: a gadget graph, in which each removable channel
+    is a unit arc between two private nodes that either endpoint enters and
+    leaves, solved by ``networkx.minimum_cut``; the cut is read from its
+    source-side partition."""
     import networkx as nx
 
     src, snk = frozenset(source), frozenset(sink)

@@ -228,10 +228,10 @@ def test_execution_set_restricts_once_per_channel_set_and_keeps_no_field(monkeyp
     assert enumerate_executions(frame, Bound(4)).runs_at(chans) is runs
     assert calls[0] == 1
     assert runs == tuple(run.restrict(chans) for run in exset.canonicals)
-    # The memo is private state: repr and pickling carry the three fields
-    # only, and a copy restricts afresh.
+    # The memo is private state: repr and pickling carry the two fields
+    # only, and a copy searches and restricts afresh.
     assert repr(exset).startswith("ExecutionSet(frame=") and "_runs" not in repr(exset)
-    assert exset.__reduce__()[1] == (exset.frame, exset.bound, exset.canonicals)
+    assert exset.__reduce__()[1] == (exset.frame, exset.bound)
     twin = pickle.loads(pickle.dumps(exset))
     assert (twin.frame, twin.bound, twin.canonicals) == (exset.frame, exset.bound, exset.canonicals)
     assert twin != exset

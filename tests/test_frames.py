@@ -13,6 +13,7 @@ from flowcut.frames import (
     FrameError,
     Location,
     Lts,
+    accepts_trace,
     behavior_step,
     location_language,
     validate_frame,
@@ -118,6 +119,13 @@ def test_language_bound_zero_is_epsilon():
     assert location_language(loc, 0) == {()}
 
 
+def test_language_of_a_malformed_explicit_set_holds_only_reachable_traces():
+    # A trace whose prefix is missing is never reached: the language stays
+    # prefix-closed and holds the empty trace, as it does for any set.
+    loc = Location("L", ExplicitTraces(frozenset({(("c", "v"), ("c", "w"))})))
+    assert location_language(loc, 2) == {()}
+
+
 def test_language_lts_loop_unrolls():
     lts = Lts(frozenset({"s"}), "s", frozenset({("s", ("c", "v"), "s")}))
     loc = Location("L", lts)
@@ -144,6 +152,19 @@ def test_indexed_lts_step_equals_the_transition_scan(transitions, states):
     for state in states:
         for label in [("a", "0"), ("a", "1"), ("b", "0"), ("b", "1")]:
             assert behavior_step(lts, state, label) == oracle_step(lts, state, label)
+
+
+_TRACES = st.lists(_LABELS, max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces=st.frozensets(_TRACES, max_size=12), queries=st.lists(_TRACES, max_size=6))
+def test_indexed_explicit_step_accepts_the_traces_whose_prefixes_are_listed(traces, queries):
+    # Any set, prefix-closed or not: a trace is accepted exactly when every
+    # one of its non-empty prefixes is listed.
+    spec = ExplicitTraces(traces)
+    for t in [*traces, *queries]:
+        assert accepts_trace(spec, t) == all(t[:i] in traces for i in range(1, len(t) + 1))
 
 
 def test_language_voting_voter():

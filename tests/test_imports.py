@@ -352,6 +352,37 @@ def test_lru_cache_decorates_only_the_enumeration_cache():
     assert sorted(found) == ["enumeration: import lru_cache", "enumeration: lru_cache on _enumerate_cached"]
 
 
+def test_only_validation_and_the_writer_tell_the_trace_set_forms_apart():
+    # Both trace-set forms step through one move table, so only the code
+    # that checks a form's own well-formedness or writes the form out asks
+    # which form a behaviour is.  Every ``isinstance`` naming
+    # ``ExplicitTraces`` is listed with the function that makes it.
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(
+                isinstance(sub, ast.Name) and sub.id == "ExplicitTraces"
+                or isinstance(sub, ast.Attribute) and sub.attr == "ExplicitTraces"
+                for arg in node.args[1:]
+                for sub in ast.walk(arg)
+            )
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(flowcut.__file__).parent.rglob("*.py")):
+        module = path.parent.name if path.stem == "__init__" else path.stem
+        visit(ast.parse(path.read_text(), str(path)), module, module)
+    assert sorted(found) == ["emitter.emit_frame_document", "frames.validate_frame"]
+
+
 def test_only_events_and_enumeration_name_event_system():
     # Every analysis takes and returns canonical runs; an ``EventSystem`` is
     # a view that ``events`` defines and ``ExecutionSet.systems`` builds.

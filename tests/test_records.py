@@ -87,7 +87,7 @@ RECORDS = [
     (AllBlur, ()),
     (PartitionBlur, (("blocks", (frozenset({RUN}),)),)),
     (PermutationBlur, (("members", ("a", "b")), ("blocks", None), ("fixed", frozenset({"a"})))),
-    (SelectionBlur, (("name", "importable"), ("channels", frozenset({"c"})), ("values", None))),
+    (SelectionBlur, (("channels", frozenset({"c"})), ("values", None))),
     (TableBlur, (("table", ((RUN, frozenset({RUN})),)),)),
     (BlurValidation, (("idempotence_ok", True), ("partition_generated", False))),
     (FlowCheck, (("holds", False), ("laws", LAWS), ("failing_observed", RUN), ("unblurred", OTHER_RUN))),
@@ -119,7 +119,7 @@ RECORDS = [
     (DisclosureResult, (("holds", False), ("counterexample", (RUN, OTHER_RUN)))),
     (PropagationResult, (("holds", True), ("counterexample", None), ("strict_somewhere", True))),
     (Bound, (("max_total_events", 13), ("max_events_per_location", 2))),
-    (ExecutionSet, (("frame", FRAME), ("bound", Bound(2)), ("canonicals", (RUN,)))),
+    (ExecutionSet, (("frame", FRAME), ("bound", Bound(2)))),
     (MachineSpec, MACHINE),
     (PurgeKind, (("kind", "hy"), ("target", "d2"))),
     (PurgeValidation, (("visible_inputs_ok", False), ("witness", (RUN, OTHER_RUN)))),
@@ -134,7 +134,7 @@ RECORDS = [
             ("frame", FRAME),
             ("params", FIREWALL),
             ("named_sets", {"cut": frozenset({"c"})}),
-            ("blurs", {"f_i": SelectionBlur("importable", None, frozenset({"v"}))}),
+            ("blurs", {"f_i": SelectionBlur(None, frozenset({"v"}))}),
             ("importable", frozenset({"v"})),
             ("exportable", frozenset()),
         ),
@@ -213,7 +213,7 @@ def test_constructor_defaults():
     assert repr(PermutationBlur(("a",))) == (
         "PermutationBlur(members=('a',), blocks=None, fixed=frozenset())"
     )
-    assert repr(SelectionBlur()) == "SelectionBlur(name='selection', channels=None, values=None)"
+    assert repr(SelectionBlur()) == "SelectionBlur(channels=None, values=None)"
     assert repr(ValidationReport()) == "ValidationReport(violations=())"
     assert ExecutionCheck(True).failures == ()
     assert FlowCheck(True, LAWS).failing_observed is None and FlowCheck(True, LAWS).unblurred is None
@@ -315,14 +315,6 @@ def test_records_of_equal_fields_and_different_types_differ():
     assert DisclosureResult(True, None) != PurgeVerdict(True, None)
     assert Event("c", "v") != Violation("c", "v")
     assert Event("c", "v") != ("c", "v")
-
-
-def test_selection_blur_equality_ignores_the_name():
-    a = SelectionBlur("importable", None, frozenset({"v"}))
-    b = SelectionBlur("exportable", None, frozenset({"v"}))
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) != repr(b)
-    assert a != SelectionBlur("importable", frozenset({"v"}), None)
 
 
 @pytest.mark.parametrize("cls, fields", FROZEN, ids=[cls.__name__ for cls, _ in FROZEN])
