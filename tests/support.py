@@ -209,6 +209,32 @@ def random_machine(rng: random.Random, transitive: bool = False) -> MachineSpec:
     )
 
 
+def reference_hub(machine: MachineSpec) -> tuple[frozenset[str], str, frozenset]:
+    """The hub of a machine's star frame, written out phase by phase: its
+    states, its initial state and its transitions.  State ``s#j`` owes the
+    observation of state s to domain j for j < k and takes an input at
+    j = k."""
+    k = len(machine.domains)
+    dom_map = dict(machine.action_domain)
+
+    def hub_state(s: str, j: int) -> str:
+        return f"{s}#{j}"
+
+    hub_states: set[str] = set()
+    hub_trans: set = set()
+    for s in machine.states:
+        for j in range(k + 1):
+            hub_states.add(hub_state(s, j))
+    for (s, a, t) in machine.transitions:
+        d = dom_map[a]
+        hub_trans.add((hub_state(s, k), (machine.in_chan(d), a), hub_state(t, 0)))
+    obs = dict(machine.obs)
+    for s in machine.states:
+        for j, d in enumerate(machine.domains):
+            hub_trans.add((hub_state(s, j), (machine.out_chan(d), obs[s, d]), hub_state(s, j + 1)))
+    return frozenset(hub_states), hub_state(machine.initial, k), frozenset(hub_trans)
+
+
 # -- the star-frame oracle of the purge checks ----------------------------------
 #
 # The purge checks decided on the star frame, as the library decided them

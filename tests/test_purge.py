@@ -37,6 +37,7 @@ from support import (
     oracle_validate_purge,
     random_machine,
     reference_check_nd,
+    reference_hub,
     reference_view_conflict,
 )
 
@@ -217,6 +218,14 @@ def test_star_frame_hub_of_a_large_machine_has_its_closed_form():
     for d in domains:
         spoke = frame.location(d).behavior
         assert len(spoke.transitions) == 2 + 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), transitive=st.booleans())
+def test_star_frame_hub_is_the_reference_hub(seed, transitive):
+    m = random_machine(random.Random(seed), transitive=transitive)
+    hub = star_frame(m).location("M").behavior
+    assert (hub.states, hub.initial, hub.transitions) == reference_hub(m)
 
 
 def test_gm_purge_with_total_influence_keeps_everything():

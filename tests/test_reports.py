@@ -148,6 +148,8 @@ CORPUS = {
         f"scenario-voting-{precincts}": ["scenario", "voting", "--precincts", precincts]
         for precincts in ("2", "2,2", "3,3")
     },
+    "scenario-voting-2-xyz": ["scenario", "voting", "--precincts", "2", "--candidates", "x,y,z"],
+    "scenario-voting-1,2,3-abc": ["scenario", "voting", "--precincts", "1,2,3", "--candidates", "a,b,c"],
 }
 
 
