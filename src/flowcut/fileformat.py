@@ -486,9 +486,8 @@ def parse_machine_document(text: str) -> MachineSpec:
         "machine",
     )
     domains = _field(body, "domains", "machine", _scalars)
-    influence = {(d, d) for d in domains}
     pairs = _sequence(body.get("influence", []), "'influence' in machine")
-    influence.update(_rows(pairs, "each influence entry", "from", "to"))
+    influence = _rows(pairs, "each influence entry", "from", "to")
     actions = _field(body, "actions", "machine", _mapping)
     rows = _field(body, "transitions", "machine", _sequence)
     transitions = set(_rows(rows, "each transition", "state", "action", "state"))

@@ -7,13 +7,13 @@ hub location and one spoke location per domain: domain d feeds actions to
 the hub on its input channel and receives observations on its output
 channel.  After each accepted input the hub broadcasts one observation per
 domain in fixed index order; this concrete output protocol is a modelling
-choice the definitions are sensitive to, so it is stated here once and
-surfaced in reports.
+choice the definitions are sensitive to, so it is stated once, in
+``_hub_moves``, and surfaced in reports.
 
 The hub takes part in every event and the spokes accept whatever the hub
 offers them, so an execution of the star frame is a chain: one word of the
 hub's language, and every local run of it is the subword on its channels.
-The checks search those words straight from the machine, a subset
+The checks search those words straight from the hub's moves, a subset
 construction over machine states and the output phase, and compare input
 and view subwords instead of canonical runs.  Words are ordered, and
 printed, by their text (``word_texts``), which is the serialization of the
@@ -54,7 +54,9 @@ HUB = "M"
 
 
 class MachineSpec(_Record):
-    """Finite nondeterministic state machine with security domains.
+    """Finite nondeterministic state machine with security domains,
+    checked when it is made: the constructor (and so unpickling) raises
+    ``MachineError`` for an invalid machine.
 
     ``influence`` must be reflexive; transitivity is not required.  The
     transition relation may be partial.
@@ -83,6 +85,7 @@ class MachineSpec(_Record):
             domains, influence, actions, action_domain, outputs, states, initial, transitions, obs,
             dict(action_domain), dict(obs),
         )
+        self.validate()
 
     @staticmethod
     def build(
@@ -95,10 +98,10 @@ class MachineSpec(_Record):
         transitions: Iterable[tuple[str, str, str]],
         obs: dict[tuple[str, str], str],
     ) -> "MachineSpec":
-        """Build and validate a machine; reflexive influence pairs are
-        implicit and added here."""
+        """Build a machine from unsorted fields; reflexive influence pairs
+        are implicit and added here."""
         doms = tuple(sorted(domains))
-        spec = MachineSpec(
+        return MachineSpec(
             domains=doms,
             influence=frozenset((a, b) for a, b in influence)
             | {(d, d) for d in doms},
@@ -110,8 +113,6 @@ class MachineSpec(_Record):
             transitions=frozenset(transitions),
             obs=tuple(sorted(obs.items())),
         )
-        spec.validate()
-        return spec
 
     def validate(self) -> None:
         doms = set(self.domains)
@@ -194,48 +195,50 @@ class PurgeKind(_Record):
         self._fill(kind, target)
 
 
+def _hub_moves(machine: MachineSpec) -> dict[tuple[str, int], list[tuple[Label, str]]]:
+    """The hub's output protocol: each (machine state, phase) to the hub's
+    moves there, as a label and the next machine state; every move of
+    phase ``j`` goes to phase ``(j + 1) % (k + 1)``.  Phase ``j < k`` owes
+    domain ``j`` the state's observation, and phase ``k`` accepts an input
+    on some domain's input channel, one move per machine transition, in
+    action order."""
+    k = len(machine.domains)
+    moves: dict[tuple[str, int], list[tuple[Label, str]]] = {}
+    for s in machine.states:
+        for j, d in enumerate(machine.domains):
+            moves[s, j] = [((machine.out_chan(d), machine.observation(s, d)), s)]
+        moves[s, k] = []
+    for s, a, t in sorted(machine.transitions):
+        moves[s, k].append(((machine.in_chan(machine.dom(a)), a), t))
+    return moves
+
+
 def star_frame(machine: MachineSpec) -> Frame:
     """The frame of a machine: hub plus one location per domain.
 
     The hub alternates strictly: accept one input on some domain's input
     channel (when the machine has a matching transition), then emit the
     new state's observation for every domain on the output channels, in
-    domain order, then accept the next input.  Domain locations send any
-    of their own actions and receive any output, in any order.
+    domain order, then accept the next input.  Hub state ``s#j`` is
+    machine state ``s`` at phase ``j`` of ``_hub_moves``.  Domain
+    locations send any of their own actions and receive any output, in any
+    order.
     """
     from .frames import Channel, Frame, Location, Lts
 
-    machine.validate()
     k = len(machine.domains)
-    dom_map = machine._dom
-
-    hub_states: set[str] = set()
-    hub_trans: set[tuple[str, Label, str]] = set()
-
-    def hub_state(s: str, j: int) -> str:
-        return f"{s}#{j}"
-
-    for s in machine.states:
-        for j in range(k + 1):
-            hub_states.add(hub_state(s, j))
-    for (s, a, t) in machine.transitions:
-        d = dom_map[a]
-        hub_trans.add((hub_state(s, k), (machine.in_chan(d), a), hub_state(t, 0)))
-    for s in machine.states:
-        for j, d in enumerate(machine.domains):
-            out_val = machine.observation(s, d)
-            hub_trans.add(
-                (hub_state(s, j), (machine.out_chan(d), out_val), hub_state(s, j + 1))
-            )
-    hub = Location(HUB, Lts(frozenset(hub_states), hub_state(machine.initial, k), frozenset(hub_trans)))
+    moves = _hub_moves(machine)
+    hub_trans = frozenset(
+        (f"{s}#{j}", label, f"{t}#{(j + 1) % (k + 1)}")
+        for (s, j), row in moves.items()
+        for label, t in row
+    )
+    hub = Location(HUB, Lts(frozenset(f"{s}#{j}" for s, j in moves), f"{machine.initial}#{k}", hub_trans))
 
     locations = [hub]
     channels = []
-    sends: dict[str, list[str]] = {d: [] for d in machine.domains}
-    for a in machine.actions:
-        sends[dom_map[a]].append(a)
     for d in machine.domains:
-        trans = {("idle", (machine.in_chan(d), a), "idle") for a in sends[d]}
+        trans = {("idle", (machine.in_chan(d), a), "idle") for a in machine.actions if machine.dom(a) == d}
         for o in machine.outputs:
             trans.add(("idle", (machine.out_chan(d), o), "idle"))
         locations.append(Location(d, Lts(frozenset({"idle"}), "idle", frozenset(trans))))
@@ -391,70 +394,6 @@ def _runs(words: tuple[Word, Word] | None) -> tuple[CanonicalRun, CanonicalRun] 
     return CanonicalRun.chain(words[0]), CanonicalRun.chain(words[1])
 
 
-def _hub_words(
-    machine: MachineSpec, bound: Bound, view: frozenset[str]
-) -> tuple[list[Word], list[Word], list[Word]]:
-    """Every bounded execution of the star frame as the hub's word, with
-    its input subword and its subword at ``view``: three lists with one
-    entry per execution.
-
-    A search state is the set of machine states the word can reach (the
-    hub is nondeterministic when the machine is) and the output phase:
-    phase ``j < k`` owes domain ``j`` its observation, phase ``k`` takes an
-    input.  Toward the per-location cap, the hub counts every event and a
-    domain the events on its two channels, which are among the hub's, so
-    the cap bounds the word's length.
-    """
-    k = len(machine.domains)
-    total, per = bound.max_total_events, bound.max_events_per_location
-    if per is not None:
-        total = min(total, per)
-    targets: dict[tuple[str, str], list[str]] = {}
-    for s, a, t in machine.transitions:
-        targets.setdefault((s, a), []).append(t)
-    # (machine states, phase) -> its steps: label, next states, next phase,
-    # and whether the label is an input and in view.
-    rows: dict[tuple[frozenset[str], int], list[tuple]] = {}
-
-    def row(states: frozenset[str], j: int) -> list[tuple]:
-        steps = rows.get((states, j))
-        if steps is not None:
-            return steps
-        steps = rows[states, j] = []
-        if j == k:
-            for a in machine.actions:
-                nxt = frozenset(t for s in states for t in targets.get((s, a), ()))
-                if nxt:
-                    chan = machine.in_chan(machine.dom(a))
-                    steps.append(((chan, a), nxt, 0, True, chan in view))
-        else:
-            d = machine.domains[j]
-            by_output: dict[str, set[str]] = {}
-            for s in states:
-                by_output.setdefault(machine.observation(s, d), set()).add(s)
-            chan = machine.out_chan(d)
-            for o in sorted(by_output):
-                steps.append(((chan, o), frozenset(by_output[o]), j + 1, False, chan in view))
-        return steps
-
-    words: list[Word] = [()]
-    ins: list[Word] = [()]
-    views: list[Word] = [()]
-    stack = [(frozenset({machine.initial}), k, (), (), ())] if total else []
-    while stack:
-        states, j, word, in_word, view_word = stack.pop()
-        for label, nxt, j2, is_input, in_view in row(states, j):
-            word2 = word + (label,)
-            in_word2 = in_word + (label,) if is_input else in_word
-            view_word2 = view_word + (label,) if in_view else view_word
-            words.append(word2)
-            ins.append(in_word2)
-            views.append(view_word2)
-            if len(word2) < total:
-                stack.append((nxt, j2, word2, in_word2, view_word2))
-    return words, ins, views
-
-
 def _execution_rows(
     machine: MachineSpec,
     kind: PurgeKind,
@@ -462,20 +401,58 @@ def _execution_rows(
     view: Iterable[str] | None = None,
     purge_fn: PurgeFn | None = None,
 ) -> tuple[list[Word], list[tuple[PurgedValue, Word, Word]]]:
-    """The bounded executions as words and, per execution, its purge
-    value, its input word and its word at ``view`` (default: the target's
-    channels).  Each distinct input word is purged once."""
-    machine.validate()
+    """Every bounded execution of the star frame as the hub's word and, per
+    execution, its purge value, its input subword and its subword at
+    ``view`` (default: the target's channels).  Each distinct input word
+    is purged once.
+
+    The search runs on ``_hub_moves``.  A search state is the set of
+    machine states the word can reach (the hub is nondeterministic when
+    the machine is) and the phase.  Toward the per-location cap, the hub
+    counts every event and a domain the events on its two channels, which
+    are among the hub's, so the cap bounds the word's length.
+    """
     fn = purge_fn if purge_fn is not None else _purge_fn(machine, kind)
     view = machine.domain_channels(kind.target) if view is None else frozenset(view)
-    words, ins, views = _hub_words(machine, bound, view)
-    values: dict[Word, PurgedValue] = {}
-    rows = []
-    for in_word, view_word in zip(ins, views):
-        value = values.get(in_word)
-        if value is None:
-            value = values[in_word] = fn(in_word)
-        rows.append((value, in_word, view_word))
+    k = len(machine.domains)
+    total, per = bound.max_total_events, bound.max_events_per_location
+    if per is not None:
+        total = min(total, per)
+    moves = _hub_moves(machine)
+    # (machine states, phase) -> its steps: label, next states, and whether
+    # the label is in view.
+    steps_at: dict[tuple[frozenset[str], int], list[tuple[Label, frozenset[str], bool]]] = {}
+
+    def steps(states: frozenset[str], j: int) -> list[tuple[Label, frozenset[str], bool]]:
+        row = steps_at.get((states, j))
+        if row is None:
+            targets: dict[Label, set[str]] = {}
+            for s in states:
+                for label, t in moves[s, j]:
+                    targets.setdefault(label, set()).add(t)
+            row = steps_at[states, j] = [
+                (label, frozenset(targets[label]), label[0] in view)
+                for label in sorted(targets, key=lambda label: label[1])
+            ]
+        return row
+
+    values: dict[Word, PurgedValue] = {(): fn(())}
+    words: list[Word] = [()]
+    rows = [(values[()], (), ())]
+    stack = [(frozenset({machine.initial}), k, (), (), ())] if total else []
+    while stack:
+        states, j, word, in_word, view_word = stack.pop()
+        for label, nxt, in_view in steps(states, j):
+            word2 = word + (label,)
+            in_word2 = in_word + (label,) if j == k else in_word
+            view_word2 = view_word + (label,) if in_view else view_word
+            value = values.get(in_word2)
+            if value is None:
+                value = values[in_word2] = fn(in_word2)
+            words.append(word2)
+            rows.append((value, in_word2, view_word2))
+            if len(word2) < total:
+                stack.append((nxt, (j + 1) % (k + 1), word2, in_word2, view_word2))
     return words, rows
 
 

@@ -11,11 +11,15 @@ external region and n1 each originate one of three datagrams per send,
 so the flow checks stay exact at the default event budget.  Each
 interface and router buffers one datagram.  Interfaces model filtering
 as receive-and-discard: a failing datagram is accepted (the reception
-event occurs) and silently dropped, so filters never wedge a buffer.
+event occurs) and silently dropped, so filters never wedge a buffer.  A
+region has one state per send it has left, so ``region_sends`` is capped
+at ``MAX_REGION_SENDS``.
 
 The voting system has one-shot voters, ballot boxes that emit a sorted
 tally after a full quorum, a commission aggregating per-precinct tallies,
-and a public sink.
+and a public sink.  The commission's states are every choice, per
+precinct, of no tally yet or one of its tallies: a product over the
+precincts, uncapped.
 """
 
 from __future__ import annotations
@@ -82,9 +86,15 @@ def exportable(d: str) -> bool:
     return src in INTERNAL and dport == "web" and sport == "hi"
 
 
+#: The most originations per region a firewall is built with: each send
+#: adds a state to every region, and memory grows with them.
+MAX_REGION_SENDS = 1000
+
+
 class FirewallParams(_Record):
     """``filtering`` is "standard" or "discard_all"; ``region_sends`` is
-    the originations allowed per region before it goes quiet."""
+    the originations allowed per region before it goes quiet, at most
+    ``MAX_REGION_SENDS``."""
 
     __slots__ = ("filtering", "region_sends")
 
@@ -93,6 +103,8 @@ class FirewallParams(_Record):
             raise ScenarioError(f"unknown filtering mode {filtering!r}")
         if region_sends < 0:
             raise ScenarioError("region_sends must be >= 0")
+        if region_sends > MAX_REGION_SENDS:
+            raise ScenarioError(f"region_sends must be <= {MAX_REGION_SENDS}")
         self._fill(filtering, region_sends)
 
 
@@ -248,14 +260,14 @@ class VotingParams(_Record):
             # an empty name is no vote value, and a repeated one makes a
             # smaller election than the one asked for
             raise ScenarioError(f"candidate names must be distinct and non-empty, got {candidates!r}")
+        if any("," in c for c in candidates):
+            # a ballot box's state lists its votes joined by commas
+            raise ScenarioError(f"candidate names must not contain ',', got {candidates!r}")
         self._fill(precincts, candidates, commissioners)
 
 
 class VotingScenario(_Record):
-    """``voter_channels`` lists the voter channels per precinct, in
-    1-based index order."""
-
-    __slots__ = ("frame", "params", "named_sets", "blurs", "voter_channels")
+    __slots__ = ("frame", "params", "named_sets", "blurs")
 
     def __init__(
         self,
@@ -263,21 +275,8 @@ class VotingScenario(_Record):
         params: VotingParams,
         named_sets: dict[str, frozenset[str]],
         blurs: dict[str, BlurSpec],
-        voter_channels: tuple[tuple[str, ...], ...],
     ) -> None:
-        self._fill(frame, params, named_sets, blurs, voter_channels)
-
-
-def _tally_value(counts: dict[str, int]) -> str:
-    return "+".join(f"{cand}x{counts.get(cand, 0)}" for cand in sorted(counts))
-
-
-def _all_tallies(candidates: tuple[str, ...], k: int) -> list[str]:
-    out = []
-    for combo in itertools.combinations_with_replacement(sorted(candidates), k):
-        counts = {c: combo.count(c) for c in candidates}
-        out.append(_tally_value(counts))
-    return sorted(set(out))
+        self._fill(frame, params, named_sets, blurs)
 
 
 def build_voting(params: VotingParams) -> VotingScenario:
@@ -295,71 +294,64 @@ def build_voting(params: VotingParams) -> VotingScenario:
     voter_channels: list[tuple[str, ...]] = []
     data: set[str] = set(cands)
 
-    tally_values: dict[int, list[str]] = {}
+    def tally(votes: tuple[str, ...]) -> str:
+        return "+".join(f"{c}x{votes.count(c)}" for c in cands)
+
+    # Each precinct's possible tallies, indexed from 0.
+    tallies: list[list[str]] = []
     for pi, k in enumerate(p.precincts, start=1):
-        vchans = []
-        for vi in range(1, k + 1):
+        vchans = tuple(f"cv{pi}_{vi}" for vi in range(1, k + 1))
+        for vi, chan in enumerate(vchans, start=1):
             loc = f"v{pi}_{vi}"
-            chan = f"cv{pi}_{vi}"
-            vchans.append(chan)
             trans = frozenset(("ready", (chan, c), "done") for c in cands)
             locations.append(Location(loc, Lts(frozenset({"ready", "done"}), "ready", trans)))
             channels.append(Channel(chan, loc, f"BB{pi}"))
-        voter_channels.append(tuple(vchans))
-        tally_values[pi] = _all_tallies(cands, k)
-        data.update(tally_values[pi])
+        voter_channels.append(vchans)
 
         # Ballot box: count votes (a sorted multiset state) and emit the
         # tally on the precinct channel after full quorum.
         bb_states: set[str] = {"done"}
         bb_trans: set[tuple[str, Label, str]] = set()
+        tallies.append([])
         for received in range(k + 1):
-            for combo in itertools.combinations_with_replacement(cands, received):
-                state = "got:" + ",".join(combo) if combo else "got:"
+            for votes in itertools.combinations_with_replacement(cands, received):
+                state = "got:" + ",".join(votes)
                 bb_states.add(state)
                 if received < k:
                     for chan in vchans:
                         for c in cands:
-                            nxt = tuple(sorted(combo + (c,)))
+                            nxt = tuple(sorted(votes + (c,)))
                             bb_trans.add((state, (chan, c), "got:" + ",".join(nxt)))
                 else:
-                    counts = {c: combo.count(c) for c in cands}
-                    bb_trans.add((state, (f"c{pi}", _tally_value(counts)), "done"))
+                    tv = tally(votes)
+                    tallies[-1].append(tv)
+                    bb_trans.add((state, (f"c{pi}", tv), "done"))
+        data.update(tallies[-1])
         locations.append(Location(f"BB{pi}", Lts(frozenset(bb_states), "got:", frozenset(bb_trans))))
         channels.append(Channel(f"c{pi}", f"BB{pi}", "EC"))
 
     # Election commission: collect one tally per precinct (any arrival
-    # order), then publish the per-precinct report.
+    # order), then publish the per-precinct report.  A state is the tally
+    # each precinct has reported so far, or None.
     ec_states: set[str] = {"done"}
     ec_trans: set[tuple[str, Label, str]] = set()
-    precinct_ids = list(range(1, len(p.precincts) + 1))
     aggregates: set[str] = set()
 
-    def ec_state(seen: dict[int, str]) -> str:
-        return "ec:" + ";".join(f"{pi}={seen[pi]}" for pi in sorted(seen))
+    def ec_state(seen: tuple[str | None, ...]) -> str:
+        return "ec:" + ";".join(f"{pi}={tv}" for pi, tv in enumerate(seen, start=1) if tv is not None)
 
-    frontier: list[dict[int, str]] = [{}]
-    visited: set[str] = set()
-    while frontier:
-        seen = frontier.pop()
+    for seen in itertools.product(*([None, *tvs] for tvs in tallies)):
         sname = ec_state(seen)
-        if sname in visited:
-            continue
-        visited.add(sname)
         ec_states.add(sname)
-        if len(seen) == len(precinct_ids):
-            agg = "|".join(f"P{pi}={seen[pi]}" for pi in sorted(seen))
+        if None not in seen:
+            agg = "|".join(f"P{pi}={tv}" for pi, tv in enumerate(seen, start=1))
             aggregates.add(agg)
             ec_trans.add((sname, ("p", agg), "done"))
             continue
-        for pi in precinct_ids:
-            if pi in seen:
-                continue
-            for tv in tally_values[pi]:
-                nxt = dict(seen)
-                nxt[pi] = tv
-                ec_trans.add((sname, (f"c{pi}", tv), ec_state(nxt)))
-                frontier.append(nxt)
+        for i, tvs in enumerate(tallies):
+            if seen[i] is None:
+                for tv in tvs:
+                    ec_trans.add((sname, (f"c{i + 1}", tv), ec_state(seen[:i] + (tv,) + seen[i + 1 :])))
     locations.append(Location("EC", Lts(frozenset(ec_states), "ec:", frozenset(ec_trans))))
     channels.append(Channel("p", "EC", "Pub"))
     data.update(aggregates)
@@ -372,7 +364,7 @@ def build_voting(params: VotingParams) -> VotingScenario:
     all_voter_chans = tuple(c for pc in voter_channels for c in pc)
     named: dict[str, frozenset[str]] = {
         "voters": frozenset(all_voter_chans),
-        "tallies": frozenset(f"c{pi}" for pi in precinct_ids),
+        "tallies": frozenset(f"c{pi}" for pi in range(1, len(p.precincts) + 1)),
         "pub": frozenset({"p"}),
     }
     for pi, vchans in enumerate(voter_channels, start=1):
@@ -393,4 +385,4 @@ def build_voting(params: VotingParams) -> VotingScenario:
             raise ScenarioError(f"commissioner voters do not exist: {sorted(unknown)}")
         blurs["f1"] = PermutationBlur(members=all_voter_chans, blocks=blocks, fixed=fixed)
 
-    return VotingScenario(frame, p, named, blurs, tuple(voter_channels))
+    return VotingScenario(frame, p, named, blurs)

@@ -601,6 +601,14 @@ def test_negative_region_sends_exits_2(capsys):
     assert (captured.out, captured.err) == ("", "error: region_sends must be >= 0\n")
 
 
+def test_region_sends_above_the_cap_exit_2(tmp_path, capsys):
+    out = tmp_path / "fw.yaml"
+    assert main(["scenario", "firewall", "--region-sends", "1001", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: region_sends must be <= 1000\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("candidates", ["0,,1", "a,a"])
 def test_empty_or_repeated_candidates_exit_2(tmp_path, capsys, candidates):
     out = tmp_path / "v.yaml"

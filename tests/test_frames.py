@@ -170,7 +170,7 @@ def test_indexed_explicit_step_accepts_the_traces_whose_prefixes_are_listed(trac
 def test_language_voting_voter():
     scn = build_voting(VotingParams(precincts=(1,)))
     voter = scn.frame.location("v1_1")
-    chan = scn.voter_channels[0][0]
+    (chan,) = scn.named_sets["voters1"]
     assert location_language(voter, 3) == {(), ((chan, "0"),), ((chan, "1"),)}
 
 

@@ -383,6 +383,32 @@ def test_only_validation_and_the_writer_tell_the_trace_set_forms_apart():
     assert sorted(found) == ["emitter.emit_frame_document", "frames.validate_frame"]
 
 
+def test_only_the_hub_moves_read_observations_and_only_the_constructor_validates_a_machine():
+    # The hub's output protocol is stated once, in ``purge._hub_moves``,
+    # which the star frame and the word search both read; a machine is
+    # checked when it is made, so nothing validates it again.  Every call
+    # of an ``observation`` or ``validate`` method is listed with the
+    # function that makes it.
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("observation", "validate")
+        ):
+            found.append(f"{where}: {node.func.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(flowcut.__file__).parent.rglob("*.py")):
+        module = path.parent.name if path.stem == "__init__" else path.stem
+        visit(ast.parse(path.read_text(), str(path)), module)
+    assert sorted(found) == ["purge.MachineSpec.__init__: validate", "purge._hub_moves: observation"]
+
+
 def test_only_events_and_enumeration_name_event_system():
     # Every analysis takes and returns canonical runs; an ``EventSystem`` is
     # a view that ``events`` defines and ``ExecutionSet.systems`` builds.

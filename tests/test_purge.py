@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -99,21 +100,36 @@ def echo_machine() -> MachineSpec:
 
 
 def test_machine_requires_reflexive_influence():
-    # build() closes reflexively; a directly constructed spec is checked.
+    # build() closes reflexively; a directly constructed spec is checked
+    # when it is made.
     good = single_domain_machine()
-    broken = MachineSpec(
-        domains=good.domains,
-        influence=frozenset(),
-        actions=good.actions,
-        action_domain=good.action_domain,
-        outputs=good.outputs,
-        states=good.states,
-        initial=good.initial,
-        transitions=good.transitions,
-        obs=good.obs,
-    )
     with pytest.raises(MachineError):
-        broken.validate()
+        MachineSpec(
+            domains=good.domains,
+            influence=frozenset(),
+            actions=good.actions,
+            action_domain=good.action_domain,
+            outputs=good.outputs,
+            states=good.states,
+            initial=good.initial,
+            transitions=good.transitions,
+            obs=good.obs,
+        )
+
+
+class _InvalidMachinePickle:
+    """Pickles as a machine whose influence is not reflexive."""
+
+    def __reduce__(self):
+        cls, (domains, _, *rest) = single_domain_machine().__reduce__()
+        return cls, (domains, frozenset(), *rest)
+
+
+def test_an_invalid_machine_does_not_unpickle():
+    data = pickle.dumps(_InvalidMachinePickle())
+    with pytest.raises(MachineError) as info:
+        pickle.loads(data)
+    assert str(info.value) == "influence relation is not reflexive at 'd0'"
 
 
 def _downgrader_fields() -> dict:

@@ -147,7 +147,6 @@ RECORDS = [
             ("params", VOTING),
             ("named_sets", {"pub": frozenset({"p"})}),
             ("blurs", {"f0": PermutationBlur(("c",))}),
-            ("voter_channels", (("c",),)),
         ),
     ),
     (
@@ -283,7 +282,7 @@ UNEQUAL = [
     (CutCheck(False, PathWitness(("a",), ())), CutCheck(False, PathWitness(("b",), ()))),
     (
         MachineSpec(*(value for _, value in MACHINE)),
-        MachineSpec(**{**dict(MACHINE), "states": ("s", "t")}),
+        MachineSpec(**{**dict(MACHINE), "outputs": ("o", "p")}),
     ),
     (SelectionBlur(values=frozenset({"v"})), SelectionBlur(values=frozenset({"w"}))),
 ]

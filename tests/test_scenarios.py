@@ -9,6 +9,7 @@ from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
 from flowcut.events import CanonicalRun
 from flowcut.frames import location_language, validate_frame
 from flowcut.scenarios import (
+    MAX_REGION_SENDS,
     FirewallParams,
     ScenarioError,
     VotingParams,
@@ -31,6 +32,13 @@ def test_firewall_params_validation():
         FirewallParams(filtering="nonsense")
     with pytest.raises(ScenarioError):
         FirewallParams(region_sends=-1)
+
+
+def test_firewall_region_sends_are_capped():
+    assert FirewallParams(region_sends=MAX_REGION_SENDS).region_sends == MAX_REGION_SENDS
+    with pytest.raises(ScenarioError) as info:
+        FirewallParams(region_sends=MAX_REGION_SENDS + 1)
+    assert str(info.value) == f"region_sends must be <= {MAX_REGION_SENDS}"
 
 
 def test_firewall_frame_is_well_formed():
@@ -103,6 +111,15 @@ def test_voting_candidates_must_be_distinct_and_non_empty(candidates):
     with pytest.raises(ScenarioError) as info:
         VotingParams(candidates=candidates)
     assert str(info.value) == f"candidate names must be distinct and non-empty, got {candidates!r}"
+
+
+def test_voting_candidate_names_must_not_contain_a_comma():
+    # A ballot box's state joins its votes with commas, so one vote for
+    # "a,b" would reach the state of a vote for "a" and one for "b".
+    candidates = ("a", "b", "a,b")
+    with pytest.raises(ScenarioError) as info:
+        VotingParams((2,), candidates)
+    assert str(info.value) == f"candidate names must not contain ',', got {candidates!r}"
 
 
 def test_voting_frame_shape_and_language():
