@@ -102,6 +102,8 @@ frame:
 #: name -> CLI arguments (``--json`` is appended)
 CORPUS = {
     "enumerate-fw": ["enumerate", FW, "--bound", "6"],
+    # The firewall-enum workload's command, at its bound: 595 executions.
+    "enumerate-fw-14": ["enumerate", FW, "--bound", "14"],
     "runs-fw-cut": ["runs", FW, "--channels", "cut", "--bound", "6"],
     "min-cut-fw": ["min-cut", FW, "--source", "chans_i", "--observed", "chans_n"],
     "check-cut-fw": ["check-cut", FW, "--source", "chans_i", "--cut", "c1", "--observed", "chans_n"],
@@ -128,6 +130,7 @@ CORPUS = {
     # Explicit trace sets, well-formed and not.
     "validate-t": ["validate", T],
     "enumerate-t": ["enumerate", T, "--bound", "5"],
+    "enumerate-t-cap": ["enumerate", T, "--bound", "5", "--per-location", "2"],
     "runs-t-low": ["runs", T, "--channels", "low", "--bound", "5"],
     "nodisclosure-t-high-low": ["nodisclosure", T, "--source", "high", "--observed", "low", "--bound", "5"],
     "validate-bad-t": ["validate", BAD_T],
