@@ -12,7 +12,7 @@ antecedent and consequent separately instead of assuming the implication:
 a failed implication flags an implementation bug, not a refuted theorem.
 
 The blur forms themselves are defined in ``frames.blurforms``, which a
-frame file's ``blurs`` block is read with, and re-exported here; this
+frame file's ``blurs`` block is read with, and imported from there; this
 module holds what applies them.  The flow checks import ``disclosure``, ``cuts``
 and ``enumeration`` when they are called.
 """
@@ -21,16 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable
 
-from .frames.blurforms import (  # noqa: F401 (re-exported)
-    AllBlur,
-    BlurError,
-    BlurSpec,
-    IdentityBlur,
-    PartitionBlur,
-    PermutationBlur,
-    SelectionBlur,
-    TableBlur,
-)
+from .frames.blurforms import AllBlur, BlurError, BlurSpec, PartitionBlur, TableBlur
 from .events import CanonicalRun
 from .frames import Bound, Frame, InputError, _Record, shortest_language_difference
 

@@ -17,8 +17,9 @@ bound, channel sets, blur, ``params``) and keeps only its analysis and the
 details of its report.
 
 Only the file format loads with this module; each command imports the
-modules it runs when it runs, so ``validate`` loads no enumeration, the
-purge commands load no frame model and no run type, and only ``scenario``
+modules it runs when it runs, so ``validate`` loads no enumeration,
+``enumerate`` loads no run type, the purge commands load no frame model
+and no run type, and only ``scenario``
 loads the scenario builders and the file writer.  For the same reason
 ``main`` reads a well-formed analysis command line straight from the
 command table and imports ``argparse`` only for help, errors and other
@@ -190,8 +191,7 @@ def cmd_enumerate(args) -> Report:
 
     q = Query(args)
     exset = enumerate_executions(q.frames[0], q.bound)
-    executions = sorted(c.serialize() for c in exset.canonicals)
-    return q.report(None, {"count": len(exset), "executions": executions})
+    return q.report(None, {"count": len(exset), "executions": sorted(exset.texts())})
 
 
 def cmd_runs(args) -> Report:

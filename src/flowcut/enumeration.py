@@ -26,8 +26,16 @@ executions seen, and the search keeps only its tree: per execution, the
 parent, the channel step and the value.  Executions come out in the
 reverse of the order the search first reached them; that order follows
 only the frame's channel order and sorted values, never string hashing,
-so it is the same in every process.  No run is written out as text here;
-a report that prints executions puts them in order itself.
+so it is the same in every process.  A report that prints executions
+puts them in order itself.
+
+``ExecutionSet.texts`` writes every execution's text, its canonical
+run's serialization, along the same tree without building a run: a
+child keeps its parent's channel entries but one and its parent's
+covering pairs, and adds the pairs from its new event's covers, the last
+events at the event's two endpoints less one that lies below the other.
+Only the functions that build runs import ``events``, so printing the
+executions loads no run type.
 
 Restricting an execution to a channel set C keeps every event on C, so
 canonical ids survive restriction, and one walk down the tree, parents
@@ -48,11 +56,12 @@ bound in their reports.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable
+from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING, Iterable
 
-from .events import _EMPTY_RUN, CanonicalRun, EventSystem
 from .frames import (  # Bound and EnumerationError are re-exported here
     Bound,
     EnumerationError,
@@ -63,6 +72,9 @@ from .frames import (  # Bound and EnumerationError are re-exported here
     behavior_step,
     validate_frame,
 )
+
+if TYPE_CHECKING:
+    from .events import CanonicalRun, EventSystem
 
 
 class ExecutionSet(_Record):
@@ -111,10 +123,89 @@ class ExecutionSet(_Record):
             runs = self._runs[keep] = _local_runs(self, keep)
         return runs
 
+    def texts(self) -> list[str]:
+        """Every execution's text, ``serialize()`` of its canonical run, in
+        execution order, written along the search tree without building a
+        run.  Built on each call.
+
+        An execution is its parent plus one maximal event, the last on its
+        channel, so its text keeps its parent's channel entries but one and
+        its parent's covering pairs, adding the pairs from the new event's
+        covers: the last events at its sender and its recipient, less one
+        that lies below (or is) the other.  Events are numbered by channel
+        rank and ordinal, which orders the pairs canonically."""
+        parents, steps, values, n_locs = self._tree
+        names = sorted(self.frame.channel_ids)
+        rank = {chan: k for k, chan in enumerate(names)}
+        span = self.bound.max_total_events  # more than any ordinal
+        width = len(names) * span  # more than any event number
+        has_child = bytearray(len(parents))
+        for p in islice(parents, 1, None):
+            has_child[p] = 1
+        # (channel rank, entry text or None, value) -> the entry with the
+        # value appended: its text, and the new event's number and id text.
+        entries: dict = {}
+        numbers: dict = {}  # entry text -> the number of its last event
+        # Per execution while it still has children to build: its entry
+        # texts by channel rank (None for a channel without events), its
+        # covering pairs' numbers and texts in canonical order, per location
+        # its last event or None, and its number of events.  An event is
+        # (mask of the events at or below it by firing position, number, id).
+        states: list = [([None] * len(names), [], [], (None,) * n_locs, 0)]
+        out = ['{"ch":[],"ord":[]}']
+        prev = 0
+        for i in range(1, len(parents)):
+            p = parents[i]
+            if p != prev:  # a parent's children are contiguous: prev is done
+                states[prev] = None
+                prev = p
+            chan, s, r = steps[i]
+            ents, keys, pairs, last, n = states[p]
+            k = rank[chan]
+            old = ents[k]
+            entry = entries.get((k, old, values[i]))
+            if entry is None:
+                if old is None:
+                    num, text = k * span, f"[{_quote(chan)},[{_quote(values[i])}]]"
+                else:
+                    num, text = numbers[old] + 1, f"{old[:-2]},{_quote(values[i])}]]"
+                numbers[text] = num
+                entry = entries[k, old, values[i]] = (text, num, f"[{_quote(chan)},{num - k * span}]")
+            text, num, eid = entry
+            ents = ents.copy()
+            ents[k] = text
+            keys, pairs = keys.copy(), pairs.copy()
+            # The covers are the last events at the endpoints, less one at or
+            # below the other: a self-loop's, or one event at both.
+            a, b = last[s], last[r]
+            if a is None or b is not None and a[0] | b[0] == b[0]:
+                a = None
+            elif b is not None and a[0] | b[0] == a[0]:
+                b = None
+            mask = 1 << n
+            for cover in (a, b):
+                if cover is not None:
+                    mask |= cover[0]
+                    key = cover[1] * width + num
+                    at = bisect(keys, key)
+                    keys.insert(at, key)
+                    pairs.insert(at, f"[{cover[2]},{eid}]")
+            out.append(f'{{"ch":[{",".join(filter(None, ents))}],"ord":[{",".join(pairs)}]}}')
+            if has_child[i]:
+                last = list(last)
+                last[s] = last[r] = (mask, num, eid)
+                states.append((ents, keys, pairs, tuple(last), n + 1))
+            else:
+                states.append(None)
+        out.reverse()
+        return out
+
 
 def _local_runs(exset: ExecutionSet, keep: frozenset[str]) -> tuple[CanonicalRun, ...]:
     """One pass over the executions: each one's run at the channel set
     ``keep``, in execution order."""
+    from .events import _EMPTY_RUN, CanonicalRun
+
     parents, steps, values, n_locs = exset._tree
     has_child = bytearray(len(parents))
     for p in islice(parents, 1, None):

@@ -19,12 +19,15 @@ The voting system has one-shot voters, ballot boxes that emit a sorted
 tally after a full quorum, a commission aggregating per-precinct tallies,
 and a public sink.  The commission's states are every choice, per
 precinct, of no tally yet or one of its tallies: a product over the
-precincts, uncapped.
+precincts, capped at ``MAX_COMMISSION_STATES``.  A ballot box moves on
+each vote of each voter from each partial count, so its moves are capped
+at ``MAX_BALLOT_BOX_MOVES``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .frames import Channel, Frame, InputError, Label, Location, Lts, _Record
 from .frames.blurforms import BlurSpec, PermutationBlur, SelectionBlur
@@ -89,6 +92,12 @@ def exportable(d: str) -> bool:
 #: The most originations per region a firewall is built with: each send
 #: adds a state to every region, and memory grows with them.
 MAX_REGION_SENDS = 1000
+#: The most states a voting frame's commission is built with: each
+#: precinct multiplies them by one more than its number of tallies.
+MAX_COMMISSION_STATES = 2500
+#: The most vote moves a ballot box is built with: one per voter and
+#: candidate from each count of fewer votes than voters.
+MAX_BALLOT_BOX_MOVES = 10000
 
 
 class FirewallParams(_Record):
@@ -263,6 +272,14 @@ class VotingParams(_Record):
         if any("," in c for c in candidates):
             # a ballot box's state lists its votes joined by commas
             raise ScenarioError(f"candidate names must not contain ',', got {candidates!r}")
+        # A tally or a partial count is a multiset of votes.
+        states, c = 1, len(candidates)
+        for k in precincts:
+            states *= 1 + math.comb(k + c - 1, k)
+            if states > MAX_COMMISSION_STATES:
+                raise ScenarioError(f"the commission must have at most {MAX_COMMISSION_STATES} states")
+            if math.comb(k + c - 1, c) * k * c > MAX_BALLOT_BOX_MOVES:
+                raise ScenarioError(f"a ballot box must have at most {MAX_BALLOT_BOX_MOVES} vote moves")
         self._fill(precincts, candidates, commissioners)
 
 

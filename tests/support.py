@@ -20,11 +20,12 @@ from pathlib import Path
 
 import flowcut
 from flowcut import enumeration
-from flowcut.blur import PartitionBlur, _ClassIndex, blur_apply
+from flowcut.blur import _ClassIndex, blur_apply
 from flowcut.disclosure import _cmpt_table, _first_leak
 from flowcut.enumeration import Bound, enumerate_executions
 from flowcut.events import CanonicalRun, Event, EventSystem, LinearityError, ancestor_masks
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, validate_frame
+from flowcut.frames.blurforms import PartitionBlur
 from flowcut.purge import (
     MachineSpec,
     PurgeKind,

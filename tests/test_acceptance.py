@@ -17,10 +17,6 @@ import random
 import pytest
 
 from flowcut.blur import (
-    AllBlur,
-    IdentityBlur,
-    PartitionBlur,
-    TableBlur,
     blur_apply,
     build_shared_core,
     f_limits_flow,
@@ -41,6 +37,7 @@ from flowcut.disclosure import (
 from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
 from flowcut.events import CanonicalRun
 from flowcut.emitter import emit_frame_document
+from flowcut.frames.blurforms import AllBlur, IdentityBlur, PartitionBlur, TableBlur
 from flowcut.purge import (
     PurgeKind,
     check_nd,

@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcut.blur import (
-    AllBlur,
-    BlurError,
-    IdentityBlur,
-    PartitionBlur,
-    PermutationBlur,
-    SelectionBlur,
     SharedCoreError,
-    TableBlur,
     blur_apply,
     build_shared_core,
     f_limits_flow,
@@ -28,6 +21,15 @@ from flowcut.disclosure import no_disclosure
 from flowcut.enumeration import Bound, enumerate_runs
 from flowcut.events import CanonicalRun
 from flowcut.frames import Channel, ExplicitTraces, Frame, Location, Lts
+from flowcut.frames.blurforms import (
+    AllBlur,
+    BlurError,
+    IdentityBlur,
+    PartitionBlur,
+    PermutationBlur,
+    SelectionBlur,
+    TableBlur,
+)
 from flowcut.scenarios import (
     FirewallParams,
     VotingParams,

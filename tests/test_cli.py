@@ -416,7 +416,7 @@ def test_each_frame_is_validated_once_per_command(tmp_path, monkeypatch, command
 def test_each_flow_check_groups_its_universe_once(tmp_path, monkeypatch):
     # The blur laws and the flow loop of one flow check share one class
     # index, so each source run is keyed once per flow check.
-    from flowcut.blur import SelectionBlur
+    from flowcut.frames.blurforms import SelectionBlur
 
     out = tmp_path / "fw.yaml"
     assert main(["scenario", "firewall", "--out", str(out)]) == 0
@@ -606,6 +606,22 @@ def test_region_sends_above_the_cap_exit_2(tmp_path, capsys):
     assert main(["scenario", "firewall", "--region-sends", "1001", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: region_sends must be <= 1000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("precincts", "candidates", "message"),
+    [
+        ("2,2,2,2,2", "a,b,c", "the commission must have at most 2500 states"),
+        ("48", "a,b", "a ballot box must have at most 10000 vote moves"),
+    ],
+)
+def test_voting_above_the_caps_exits_2(tmp_path, capsys, precincts, candidates, message):
+    out = tmp_path / "v.yaml"
+    argv = ["scenario", "voting", "--precincts", precincts, "--candidates", candidates, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not out.exists()
 
 

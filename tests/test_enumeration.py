@@ -285,12 +285,15 @@ def test_firewall_region_sends_2_at_bound_8_is_pinned():
     sequence."""
     scn = build_firewall(FirewallParams(region_sends=2))
     exset = enumerate_executions(scn.frame, Bound(8))
-    joined = "\n".join(sorted(c.serialize() for c in exset.canonicals))
     assert len(exset) == 9244
-    assert (
-        hashlib.sha256(joined.encode()).hexdigest()
-        == "6c7a7b86bccec149b55af16b04fe46fe4639449fbf9bd3ae7762e2f5fe77a2cc"
-    )
+    # The serializations of the canonical runs, and the texts written along
+    # the search tree.
+    for texts in ([c.serialize() for c in exset.canonicals], exset.texts()):
+        joined = "\n".join(sorted(texts))
+        assert (
+            hashlib.sha256(joined.encode()).hexdigest()
+            == "6c7a7b86bccec149b55af16b04fe46fe4639449fbf9bd3ae7762e2f5fe77a2cc"
+        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -397,3 +400,30 @@ def test_runs_along_the_tree_on_star_frames(seed):
     sets += [machine.domain_channels(d) for d in machine.domains]
     sets += [random_channel_subset(rng, frame) for _ in range(2)]
     _check_runs_along_the_tree(frame, 8, sets, rng.randint(1, 7))
+
+
+def _check_texts_along_the_tree(frame, bound):
+    """The texts written along the search tree are the canonical runs'
+    serializations, in execution order."""
+    _enumerate_cached.cache_clear()
+    exset = enumerate_executions(frame, bound)
+    assert exset.texts() == [c.serialize() for c in exset.canonicals]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), cap=st.integers(1, 4))
+def test_texts_along_the_tree_on_random_frames(seed, cap):
+    rng = random.Random(seed)
+    frame = random_budget_complete_frame(rng, 5)
+    while not any(c.is_self_loop for c in frame.channels):
+        frame = random_budget_complete_frame(rng, 5)
+    _check_texts_along_the_tree(frame, Bound(5))
+    _check_texts_along_the_tree(frame, Bound(5, cap))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), cap=st.integers(1, 7))
+def test_texts_along_the_tree_on_star_frames(seed, cap):
+    frame = star_frame(random_machine(random.Random(seed)))
+    _check_texts_along_the_tree(frame, Bound(8))
+    _check_texts_along_the_tree(frame, Bound(8, cap))

@@ -154,7 +154,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
     # scenario file loads it.  A frame file's blurs read with the forms
     # alone, so only the commands that apply a blur load ``blur``.  The
     # purge commands search the machine's words and print them as texts, so
-    # they load no enumeration, no frame model and no run type.  A
+    # they load no enumeration, no frame model and no run type; ``enumerate``
+    # writes its texts along the search tree, so it loads no run type.  A
     # well-formed analysis command line is read without argparse; the
     # scenario commands and an abbreviated option go through it.
     purge_args = ["--target", "d2", "--purge", "hy", "--bound", "5"]
@@ -162,7 +163,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     cases = [
         (["validate", "fw.yaml"], {0}, FRAME_SET, False),
         (["validate", "plain.yaml"], {0}, {"cli", "fileformat", "frames"}, False),
-        (["enumerate", "fw.yaml", "--bound", "4"], {0}, FRAME_SET | {"enumeration", "events"}, False),
+        (["enumerate", "fw.yaml", "--bound", "4"], {0}, FRAME_SET | {"enumeration"}, False),
         (["min-cut", "fw.yaml", *fw_flow], {0}, FRAME_SET | {"cuts"}, False),
         (
             ["nodisclosure", "fw.yaml", *fw_flow, "--bound", "4"],
@@ -253,6 +254,36 @@ FRAME_MODEL = sorted(
 )
 
 
+def _top_level_imports(name: str):
+    """``(line, module, imported name)`` for each import in module ``name``
+    that runs when it is loaded: not inside a function body, and not read
+    only by type checkers."""
+    path = Path(flowcut.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    nested = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested.update(id(sub) for sub in ast.walk(node))
+        elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            nested.update(id(sub) for sub in ast.walk(node))
+    for node in ast.walk(tree):
+        if id(node) in nested:
+            continue
+        if isinstance(node, ast.Import):
+            modules = [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules = [(base, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, imported in modules:
+            yield node.lineno, module, imported
+
+
+def _imports_events(module: str, imported: str) -> bool:
+    return module in (".events", "flowcut.events") or imported == "events"
+
+
 def test_purge_path_imports_events_and_the_frame_model_only_in_functions():
     # A top-level import of ``events``, or of a ``frames`` name, in these
     # modules would load it with every purge command.  Imports inside a
@@ -261,31 +292,26 @@ def test_purge_path_imports_events_and_the_frame_model_only_in_functions():
     assert not {"Bound", "InputError", "Label", "_Record"} & set(FRAME_MODEL)
     found = []
     for name in ("cli", "fileformat", "purge", "disclosure"):
-        path = Path(flowcut.__file__).parent / f"{name}.py"
-        tree = ast.parse(path.read_text(), str(path))
-        nested = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.update(id(sub) for sub in ast.walk(node))
-            elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
-                nested.update(id(sub) for sub in ast.walk(node))
-        for node in ast.walk(tree):
-            if id(node) in nested:
-                continue
-            if isinstance(node, ast.Import):
-                modules = [(alias.name, alias.name) for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = "." * node.level + (node.module or "")
-                modules = [(base, alias.name) for alias in node.names]
-            else:
-                continue
-            for module, imported in modules:
-                if module in (".events", "flowcut.events") or imported == "events":
-                    found.append(f"{name}:{node.lineno} {module}")
-                elif module in (".frames", "flowcut.frames") and imported in FRAME_MODEL:
-                    found.append(f"{name}:{node.lineno} {module}.{imported}")
-                elif module.startswith((".frames.", "flowcut.frames.")) or imported == "frames":
-                    found.append(f"{name}:{node.lineno} {module}.{imported}")
+        for line, module, imported in _top_level_imports(name):
+            if _imports_events(module, imported):
+                found.append(f"{name}:{line} {module}")
+            elif module in (".frames", "flowcut.frames") and imported in FRAME_MODEL:
+                found.append(f"{name}:{line} {module}.{imported}")
+            elif module.startswith((".frames.", "flowcut.frames.")) or imported == "frames":
+                found.append(f"{name}:{line} {module}.{imported}")
+    assert found == []
+
+
+def test_enumeration_imports_events_only_in_functions():
+    # ``enumerate`` prints texts written along the search tree; only the
+    # functions that build runs import the run type, so a top-level import
+    # of ``events`` in ``enumeration`` would load it with that command.
+    assert [line for line, module, imported in _top_level_imports("enumeration") if module == ".frames"]
+    found = [
+        f"enumeration:{line} {module}"
+        for line, module, imported in _top_level_imports("enumeration")
+        if _imports_events(module, imported)
+    ]
     assert found == []
 
 

@@ -9,6 +9,8 @@ from flowcut.enumeration import Bound, enumerate_executions, enumerate_runs
 from flowcut.events import CanonicalRun
 from flowcut.frames import location_language, validate_frame
 from flowcut.scenarios import (
+    MAX_BALLOT_BOX_MOVES,
+    MAX_COMMISSION_STATES,
     MAX_REGION_SENDS,
     FirewallParams,
     ScenarioError,
@@ -120,6 +122,39 @@ def test_voting_candidate_names_must_not_contain_a_comma():
     with pytest.raises(ScenarioError) as info:
         VotingParams((2,), candidates)
     assert str(info.value) == f"candidate names must not contain ',', got {candidates!r}"
+
+
+def _commission_states(scn):
+    commission = next(loc for loc in scn.frame.locations if loc.id == "EC")
+    return len(commission.behavior.states - {"done"})
+
+
+def _ballot_box_moves(scn, precinct):
+    box = next(loc for loc in scn.frame.locations if loc.id == f"BB{precinct}")
+    return sum(1 for _, (chan, _), _ in box.behavior.transitions if chan.startswith("cv"))
+
+
+def test_voting_commission_states_are_capped():
+    # Each precinct multiplies the commission's states by one more than its
+    # tallies: 3 + 1 for two voters and two candidates, 6 + 1 with three.
+    scn = build_voting(VotingParams((2, 2, 2, 2), ("a", "b", "c")))
+    assert _commission_states(scn) == 7**4 <= MAX_COMMISSION_STATES
+    assert _commission_states(build_voting(VotingParams((1, 2, 3), ("a", "b", "c")))) == 4 * 7 * 11
+    with pytest.raises(ScenarioError) as info:
+        VotingParams((2, 2, 2, 2, 2), ("a", "b", "c"))
+    assert str(info.value) == f"the commission must have at most {MAX_COMMISSION_STATES} states"
+
+
+def test_voting_ballot_box_moves_are_capped():
+    # One precinct's commission is small, but its ballot box moves on each
+    # voter's vote from each count of fewer votes: 231 counts × 21 voters ×
+    # 2 candidates for 21 voters.
+    scn = build_voting(VotingParams((21,), ("a", "b")))
+    assert _ballot_box_moves(scn, 1) == 231 * 21 * 2 <= MAX_BALLOT_BOX_MOVES
+    assert _ballot_box_moves(build_voting(VotingParams((3, 2), ("a", "b", "c"))), 1) == 10 * 3 * 3
+    with pytest.raises(ScenarioError) as info:
+        VotingParams((2, 22), ("a", "b"))
+    assert str(info.value) == f"a ballot box must have at most {MAX_BALLOT_BOX_MOVES} vote moves"
 
 
 def test_voting_frame_shape_and_language():
